@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .model import SSTPMatrix, l1_matrix
+from .model import l1_matrix
 
 
 def structural_adjacency(g: int) -> np.ndarray:
@@ -60,10 +60,6 @@ def matrix_power_train(M: np.ndarray, max_detour: int,
         Pd = P.toarray() if use_sparse else P
         totals[sel] += Pd[sel]
     return totals, time.perf_counter() - t0
-
-
-def dense_from_sstp(sstp: SSTPMatrix) -> np.ndarray:
-    return sstp.to_dense()
 
 
 def power_totals(M: np.ndarray, max_detour: int = 0) -> np.ndarray:

@@ -135,7 +135,7 @@ def cmd_update(args) -> int:
     return 0
 
 
-def _result_json(trip_id, res: predict.PredictionResult, cold=False) -> str:
+def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
     return json.dumps({
         "trip_id": trip_id,
         "cold_start": cold,
@@ -163,15 +163,8 @@ def cmd_predict(args) -> int:
         for traj in q_result.trajectories:
             path = ingest.discretize(traj, grid)
             q = predict.Query(path.cells, path.trip_km, top_k=args.top)
-            try:
-                res = predict.predict_destination(model, q, hist, index, grid,
-                                                  alpha=alpha, k=k)
-                out.write(_result_json(traj.trip_id, res) + "\n")
-            except ColdStartError as exc:
-                res = predict.PredictionResult(
-                    ranked=exc.fallback[:args.top], future_location=path.cells[-1],
-                    predicted_length_km=0.0, estimated_total_km=0.0)
-                out.write(_result_json(traj.trip_id, res, cold=True) + "\n")
+            res, cold = _predict_or_fallback(model, q, hist, index, grid, alpha, k)
+            out.write(_result_json(traj.trip_id, res, cold) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -179,13 +172,14 @@ def cmd_predict(args) -> int:
 
 
 def _predict_or_fallback(model, q, hist, index, grid, alpha, k, force=False):
+    """(result, cold_start): the prediction, or the start cell's fallback ranking."""
     try:
         return predict.predict_destination(model, q, hist, index, grid, alpha=alpha,
-                                           k=k, force_future_to_current=force)
+                                           k=k, force_future_to_current=force), False
     except ColdStartError as exc:
         return predict.PredictionResult(
             ranked=exc.fallback[:q.top_k], future_location=q.cells[-1],
-            predicted_length_km=0.0, estimated_total_km=0.0)
+            predicted_length_km=0.0, estimated_total_km=0.0), True
 
 
 def cmd_eval(args) -> int:
@@ -231,13 +225,13 @@ def cmd_eval(args) -> int:
                 for trip in test:
                     cut = max(1, math.ceil(len(trip.cells) * f))
                     q = predict.Query(trip.cells[:cut], trip.trip_km * f, top_k=args.top)
-                    res = _predict_or_fallback(model, q, hist, index, grid, a, k)
+                    res, _ = _predict_or_fallback(model, q, hist, index, grid, a, k)
                     dev = predict.deviation_metrics([res], [trip.cells[-1]], grid,
                                                     top_n=args.top).mean_km
                     base_dev = float("nan")
                     if baseline_model is not None:
-                        bres = _predict_or_fallback(baseline_model, q, hist, index,
-                                                    grid, a, k, force=True)
+                        bres, _ = _predict_or_fallback(baseline_model, q, hist, index,
+                                                       grid, a, k, force=True)
                         base_dev = predict.deviation_metrics(
                             [bres], [trip.cells[-1]], grid, top_n=args.top).mean_km
                     bucket = "all"

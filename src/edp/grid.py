@@ -14,10 +14,13 @@ EARTH_RADIUS_KM = 6371.0088
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 KM_PER_DEG_LON_EQ = KM_PER_DEG_LAT
 
-# Neighbor offsets in the fixed order (up, down, left, right). The training
-# kernel and the incremental-update recompute accumulate contributions in
-# this order; keep them in sync or bitwise reproducibility breaks.
+# Neighbor offsets in the fixed order (up, down, left, right). An offset's
+# position is its direction index, the last axis of SSTPMatrix.probs. The
+# wavefront kernel, which both training and incremental refresh run, adds
+# contributions in this order, so reordering it changes trained values in
+# the last bits.
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+DIRECTION_INDEX = {offset: k for k, offset in enumerate(DIRECTIONS)}
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -125,6 +128,16 @@ def neighbors(cell: int, g: int) -> list[int]:
         if 0 <= r < g and 0 <= c < g:
             out.append(r * g + c)
     return out
+
+
+def step_direction(a: int, b: int, g: int) -> int:
+    """Direction index of the single step a -> b between 4-adjacent cells."""
+    ra, ca = decode_cell(a, g)
+    rb, cb = decode_cell(b, g)
+    try:
+        return DIRECTION_INDEX[(rb - ra, cb - ca)]
+    except KeyError:
+        raise ValueError(f"cells {a} and {b} are not 4-adjacent") from None
 
 
 def l1_distance(a: int, b: int, g: int) -> int:

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTripError, FormatError
-from .grid import GridMap, decode_cell, haversine_km, l1_distance, neighbors, unit_grid
+from .grid import (GridMap, decode_cell, haversine_km, l1_distance, neighbors, step_direction,
+                   unit_grid)
 from .model import SSTPMatrix
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
@@ -165,11 +166,6 @@ class TripDistanceHistogram:
             raise ValueError("empty histogram")
         return float((self.left_edges * self.counts).sum() / self.total)
 
-    def tail_count(self, d_t: float) -> int:
-        """Trips whose bin is not entirely below d_t."""
-        surviving = self.boundaries[1:] > d_t
-        return int(self.counts[surviving].sum())
-
 
 def build_histogram(paths: list[CellPath], bin_width_km: float = 1.0) -> TripDistanceHistogram:
     if not paths:
@@ -199,12 +195,6 @@ def _monotone_options(cell: int, dest: int, g: int) -> list[int]:
     return out
 
 
-def _direction_index(a: int, b: int, g: int) -> int:
-    ra, ca = decode_cell(a, g)
-    rb, cb = decode_cell(b, g)
-    return {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}[(rb - ra, cb - ca)]
-
-
 def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
                            g: int) -> np.ndarray:
     """The single-step transition law the walk process actually follows.
@@ -229,11 +219,11 @@ def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
             if x == dest or u[x] == 0.0:
                 continue
             opts = _monotone_options(x, dest, g)
-            ws = np.array([pref[rr[x], cc[x], _direction_index(x, o, g)] for o in opts])
+            ws = np.array([pref[rr[x], cc[x], step_direction(x, o, g)] for o in opts])
             ws = ws / ws.sum()
             for o, w in zip(opts, ws):
                 f = u[x] * w
-                flows[x, _direction_index(x, o, g)] += f
+                flows[x, step_direction(x, o, g)] += f
                 u[o] += f
     out = flows.sum(axis=1, keepdims=True)
     return flows / out
@@ -315,8 +305,8 @@ def generate_synthetic(g: int, n_trips: int, seed: int, detour_rate: float = 0.0
                 x = opts[0]
             else:
                 r, c = decode_cell(x, g)
-                w0 = pref[r, c, _direction_index(x, opts[0], g)]
-                w1 = pref[r, c, _direction_index(x, opts[1], g)]
+                w0 = pref[r, c, step_direction(x, opts[0], g)]
+                w1 = pref[r, c, step_direction(x, opts[1], g)]
                 x = opts[0] if rng.random() < w0 / (w0 + w1) else opts[1]
             cells.append(x)
         if detour_rate > 0 and rng.random() < detour_rate:

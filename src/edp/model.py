@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptModelError, FormatError
-from .grid import check_cell, decode_cell, l1_distance, neighbors, relative_adjacent_pair
+from .grid import (DIRECTION_INDEX, check_cell, decode_cell, l1_distance, neighbors,
+                   relative_adjacent_pair, step_direction)
 
 MODEL_MAGIC = b"EDP1"
 SSTP_MAGIC = b"SST1"
@@ -25,6 +26,9 @@ FORMAT_VERSION = 1
 
 # probs[..., k] follows grid.DIRECTIONS: 0=up 1=down 2=left 3=right
 _DIR_UP, _DIR_DOWN, _DIR_LEFT, _DIR_RIGHT = range(4)
+
+# origins per wavefront run, in training and in incremental refresh
+WAVEFRONT_BATCH = 50
 
 
 @dataclass
@@ -55,16 +59,8 @@ class SSTPMatrix:
         """P(a -> b); zero unless b is a 4-neighbor of a."""
         ra, ca = decode_cell(a, self.g)
         rb, cb = decode_cell(b, self.g)
-        dr, dc = rb - ra, cb - ca
-        if (dr, dc) == (-1, 0):
-            return float(self.probs[ra, ca, _DIR_UP])
-        if (dr, dc) == (1, 0):
-            return float(self.probs[ra, ca, _DIR_DOWN])
-        if (dr, dc) == (0, -1):
-            return float(self.probs[ra, ca, _DIR_LEFT])
-        if (dr, dc) == (0, 1):
-            return float(self.probs[ra, ca, _DIR_RIGHT])
-        return 0.0
+        d = DIRECTION_INDEX.get((rb - ra, cb - ca))
+        return 0.0 if d is None else float(self.probs[ra, ca, d])
 
     def row(self, a: int) -> dict[int, float]:
         """Outgoing probabilities of cell a keyed by neighbor id."""
@@ -86,11 +82,7 @@ class SSTPMatrix:
         ra, ca = decode_cell(a, self.g)
         self.probs[ra, ca, :] = 0.0
         for b, p in new_row.items():
-            rb, cb = decode_cell(b, self.g)
-            d = {(-1, 0): _DIR_UP, (1, 0): _DIR_DOWN, (0, -1): _DIR_LEFT, (0, 1): _DIR_RIGHT}[
-                (rb - ra, cb - ca)
-            ]
-            self.probs[ra, ca, d] = p
+            self.probs[ra, ca, step_direction(a, b, self.g)] = p
         self.smoothed[a] = False
 
     def to_dense(self) -> np.ndarray:
@@ -161,9 +153,7 @@ def build_sstp(paths, g: int) -> SSTPMatrix:
             check_cell(b, g)
             ra, ca = divmod(a, g)
             rb, cb = divmod(b, g)
-            d = {(-1, 0): _DIR_UP, (1, 0): _DIR_DOWN, (0, -1): _DIR_LEFT, (0, 1): _DIR_RIGHT}.get(
-                (rb - ra, cb - ca)
-            )
+            d = DIRECTION_INDEX.get((rb - ra, cb - ca))
             if d is None:
                 raise ValueError(f"non-adjacent transition {a} -> {b} in trip {path.trip_id}")
             pair_counts[a, d] += 1
@@ -385,7 +375,7 @@ def compute_tpd_layers(sstp: SSTPMatrix, origin: int, max_detour: int) -> np.nda
 
 
 def train_initial(sstp: SSTPMatrix, start_dest_counts=None, max_detour: int = 8,
-                  batch: int = 50) -> TransitionModel:
+                  batch: int = WAVEFRONT_BATCH) -> TransitionModel:
     """Train the full layered model from single-step probabilities.
 
     Shortest-route layers come first, then each detour increment of two,

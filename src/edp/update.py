@@ -3,15 +3,19 @@
 When a cell's outgoing probabilities change, only trips whose routes can
 pass through that cell within their detour budget are affected. Per
 origin, the affected destinations form a region anchored at the changed
-cell; everything outside the region keeps its stored value bitwise, and
-inside it the wavefront recursion is re-run in ascending total length,
-reading unaffected neighbors straight from the stored layers.
+cell. Every origin with a non-empty region is re-run through the training
+wavefront on the new single-step matrix, in the same batches training
+uses, and only the in-region entries are written back; everything outside
+the region keeps its stored value bitwise.
 
 Two region constructions are provided. `paper` anchors each origin at its
 nearest changed cell and grows the beyond-rectangle border by border, one
 step per two units of detour. `exact` takes, per origin, every
 destination whose best route through any changed cell fits the detour
-budget; recomputing exactly that set provably reproduces full retraining.
+budget; refreshing exactly that set provably reproduces full retraining.
+In both modes the in-region entries are the retrained values; `paper`
+mode differs from retraining only where its region misses an affected
+entry, which then keeps its stale value.
 """
 
 import csv
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError
 from .grid import decode_cell, l1_distance, neighbors, rect_beyond
-from .model import SSTPMatrix, TransitionModel, l1_matrix
+from .model import WAVEFRONT_BATCH, SSTPMatrix, TransitionModel, _wavefront_into, l1_matrix
 
 
 @dataclass
@@ -132,6 +136,13 @@ def find_taa(origin: int, otp: int, max_detour: int, g: int) -> TaaRegion:
 
 @dataclass
 class UpdateStats:
+    """What one refresh did.
+
+    origins_recomputed counts origins whose wavefront was re-run;
+    entries_recomputed counts the layer entries written back (affected
+    pairs times stored layers), against entries_full for the whole model.
+    """
+
     mode: str
     epoch: int
     origins_recomputed: int
@@ -162,84 +173,6 @@ def _affected_mask_paper(L: np.ndarray, cs: ChangeSet, max_detour: int, g: int) 
     return mask
 
 
-def _neighbor_tables(region: np.ndarray, g: int):
-    """Neighbor ids, their incoming-step direction, and in-region positions.
-
-    Column order matches the training kernel's accumulation order: the
-    contribution arriving from below (moving up), from above (down), from
-    the right (left), from the left (right).
-    """
-    n = g * g
-    m = len(region)
-    rows, cols = np.divmod(region, g)
-    nbr = np.full((m, 4), -1, dtype=np.int64)
-    ok_up = rows < g - 1
-    nbr[ok_up, 0] = (rows[ok_up] + 1) * g + cols[ok_up]       # below, steps up
-    ok_dn = rows > 0
-    nbr[ok_dn, 1] = (rows[ok_dn] - 1) * g + cols[ok_dn]       # above, steps down
-    ok_lf = cols < g - 1
-    nbr[ok_lf, 2] = rows[ok_lf] * g + cols[ok_lf] + 1         # right, steps left
-    ok_rt = cols > 0
-    nbr[ok_rt, 3] = rows[ok_rt] * g + cols[ok_rt] - 1         # left, steps right
-    pos = np.full(n + 1, -1, dtype=np.int64)
-    pos[region] = np.arange(m)
-    return nbr, pos[nbr]
-
-
-def _incoming_weights(sstp: SSTPMatrix, nbr: np.ndarray) -> np.ndarray:
-    """P(neighbor -> cell) for each neighbor column of _neighbor_tables."""
-    g = sstp.g
-    m = nbr.shape[0]
-    w = np.zeros((m, 4))
-    flat = sstp.probs.reshape(g * g, 4)
-    # step direction seen from the neighbor: up, down, left, right
-    for col, step_dir in ((0, 0), (1, 1), (2, 2), (3, 3)):
-        valid = nbr[:, col] >= 0
-        w[valid, col] = flat[nbr[valid, col], step_dir]
-    return w
-
-
-def _recompute_origin(new_layers: np.ndarray, origin: int, region: np.ndarray,
-                      sstp: SSTPMatrix, L: np.ndarray, max_detour: int) -> None:
-    """Re-run the wavefront over one origin's affected cells in place.
-
-    new_layers is the (n_layers, n) slice for this origin; out-of-region
-    reads come from it untouched, so the arithmetic reproduces full
-    retraining bit for bit on the affected entries.
-    """
-    g = sstp.g
-    n_layers = max_detour // 2 + 1
-    m = len(region)
-    L_i = L[origin]
-    L_reg = L_i[region]
-    nbr, pos = _neighbor_tables(region, g)
-    w = _incoming_weights(sstp, nbr)
-    nbr_safe = np.where(nbr >= 0, nbr, 0)
-    L_nbr = np.where(nbr >= 0, L_i[nbr_safe], -(10 * g))
-    old = new_layers.copy()
-    prev = np.zeros(m)
-    if L_reg.min() == 0:
-        prev[int(np.nonzero(region == origin)[0][0])] = 1.0
-    tmax = int(L_reg.max()) + max_detour
-    for t in range(1, tmax + 1):
-        d_nbr = (t - 1) - L_nbr
-        k_nbr = np.where((d_nbr >= 0) & (d_nbr <= max_detour) & (d_nbr % 2 == 0),
-                         d_nbr // 2, -1)
-        stored = np.where(k_nbr >= 0, old[np.clip(k_nbr, 0, n_layers - 1), nbr_safe], 0.0)
-        vals = np.where(pos >= 0, prev[np.clip(pos, 0, m - 1)], stored)
-        vals = np.where(nbr >= 0, vals, 0.0)
-        cur = vals[:, 0] * w[:, 0]
-        cur = cur + vals[:, 1] * w[:, 1]
-        cur = cur + vals[:, 2] * w[:, 2]
-        cur = cur + vals[:, 3] * w[:, 3]
-        d = t - L_reg
-        active = (d >= 0) & (d <= max_detour) & (d % 2 == 0)
-        cur = np.where(active, cur, 0.0)
-        if active.any():
-            new_layers[d[active] // 2, region[active]] = cur[active]
-        prev = cur
-
-
 def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
                  mode: str = "exact") -> tuple[TransitionModel, UpdateStats]:
     """Refresh the model after the change set's rows replace the old ones.
@@ -265,21 +198,20 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         mask = _affected_mask_paper(L, cs, model.max_detour, g)
     out = model.copy()
     out.epoch = cs.epoch
-    origins_touched = 0
-    entries = 0
-    for origin in range(n):
-        region = np.nonzero(mask[origin])[0]
-        if region.size == 0:
-            continue
-        origins_touched += 1
-        entries += region.size * model.n_layers
-        _recompute_origin(out.layers[:, origin, :], origin, region, sstp, L, model.max_detour)
-        out.totals[origin, region] = out.layers[:, origin, region].sum(axis=0)
+    origins = np.nonzero(mask.any(axis=1))[0]
+    for lo in range(0, len(origins), WAVEFRONT_BATCH):
+        batch = origins[lo:lo + WAVEFRONT_BATCH]
+        fresh = np.zeros((model.n_layers, len(batch), n))
+        _wavefront_into(fresh, sstp, batch, model.max_detour, L,
+                        out_rows=np.arange(len(batch)))
+        affected = mask[batch]
+        out.layers[:, batch] = np.where(affected, fresh, out.layers[:, batch])
+        out.totals[batch] = np.where(affected, fresh.sum(axis=0), out.totals[batch])
     stats = UpdateStats(
         mode=mode,
         epoch=cs.epoch,
-        origins_recomputed=origins_touched,
-        entries_recomputed=entries,
+        origins_recomputed=len(origins),
+        entries_recomputed=int(mask.sum()) * model.n_layers,
         entries_full=n * n * model.n_layers,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -85,6 +85,7 @@ class TestApplyUpdateExact:
         (5, 1, (3,), 8),
         (7, 9, (0, 24, 48), 2),
         (4, 2, (5,), 0),
+        (9, 5, (0, 80), 4),  # 81 affected origins: more than one wavefront batch
     ])
     def test_matches_full_retrain(self, g, seed, cells, detour):
         sstp = random_sstp(g, seed)
@@ -167,6 +168,21 @@ class TestApplyUpdatePaper:
             outside = sorted(set(range(g * g)) - set(region))
             assert np.array_equal(updated.layers[:, origin, outside],
                                   model.layers[:, origin, outside])
+
+    def test_in_region_entries_equal_retrain(self):
+        g = 8
+        sstp = random_sstp(g, 5)
+        model = train_initial(sstp, None, 4)
+        rows = skewed_rows([27], g, 7)
+        updated, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="paper")
+        reference = retrain_reference(sstp, rows, 4)
+        for origin in range(g * g):
+            region = range(g * g) if origin == 27 else find_taa(origin, 27, 4, g).all_cells
+            inside = sorted(region)
+            assert np.array_equal(updated.layers[:, origin, inside],
+                                  reference.layers[:, origin, inside])
+            assert np.array_equal(updated.totals[origin, inside],
+                                  reference.totals[origin, inside])
 
     @pytest.mark.parametrize("g,seed,changed", [(6, 2, 14), (8, 3, 19), (5, 8, 7)])
     def test_zero_detour_single_change_matches_exact(self, g, seed, changed):
