@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .model import l1_matrix
 
@@ -29,13 +28,11 @@ def structural_adjacency(g: int) -> np.ndarray:
     return A
 
 
-def matrix_power_train(M: np.ndarray, max_detour: int,
-                       use_sparse: bool = False) -> tuple[np.ndarray, float]:
+def matrix_power_train(M: np.ndarray, max_detour: int) -> tuple[np.ndarray, float]:
     """Totals by brute force: sum the (l1 + detour)-step matrix entries.
 
-    Every power is produced by one full matrix multiplication, dense by
-    default; use_sparse switches the multiplications to CSR without
-    changing the result. Returns (totals, wall seconds).
+    Every power is produced by one full dense matrix multiplication.
+    Returns (totals, wall seconds).
     """
     if max_detour < 0 or max_detour % 2 != 0:
         raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
@@ -48,17 +45,12 @@ def matrix_power_train(M: np.ndarray, max_detour: int,
     t0 = time.perf_counter()
     totals = np.zeros((n, n))
     totals[L == 0] += 1.0  # t = 0: identity layer
-    if use_sparse:
-        Ms = sparse.csr_matrix(M)
-        P = sparse.identity(n, format="csr")
-    else:
-        P = np.eye(n)
+    P = np.eye(n)
     for t in range(1, tmax + 1):
-        P = P @ Ms if use_sparse else P @ M
+        P = P @ M
         d = t - L
         sel = (d >= 0) & (d <= max_detour) & (d % 2 == 0)
-        Pd = P.toarray() if use_sparse else P
-        totals[sel] += Pd[sel]
+        totals[sel] += P[sel]
     return totals, time.perf_counter() - t0
 
 

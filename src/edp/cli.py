@@ -63,19 +63,24 @@ def _bbox_of_points(result: ingest.ParseResult) -> tuple[float, float, float, fl
     return min(lats) - pad_lat, max(lats) + pad_lat, min(lons) - pad_lon, max(lons) + pad_lon
 
 
-def _make_grid(args, parse_result=None) -> GridMap:
+def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:
+    """The grid and one parse of a trajectory CSV.
+
+    With --unit-grid or --bbox the grid is built first and the parse drops
+    points outside it. Otherwise the grid is the padded bounding box of
+    every parsed point, so nothing lies outside it.
+    """
     g = _resolve(args, "grid", int, None)
     if g is None:
         raise ValueError("--grid is required")
-    if getattr(args, "unit_grid", False):
-        return unit_grid(g)
-    bbox = getattr(args, "bbox", None)
-    if bbox is None and parse_result is not None:
-        bbox = ",".join(str(v) for v in _bbox_of_points(parse_result))
-    if bbox is None:
-        raise ValueError("--bbox or --unit-grid is required")
-    lat_min, lat_max, lon_min, lon_max = _parse_bbox(bbox)
-    return GridMap(lat_min, lat_max, lon_min, lon_max, g)
+    if args.unit_grid:
+        grid = unit_grid(g)
+    elif args.bbox is not None:
+        grid = GridMap(*_parse_bbox(args.bbox), g)
+    else:
+        result = ingest.parse_trajectories(path)
+        return GridMap(*_bbox_of_points(result), g), result
+    return grid, ingest.parse_trajectories(path, grid)
 
 
 def _discretize_all(result: ingest.ParseResult, grid: GridMap):
@@ -98,9 +103,7 @@ def cmd_train(args) -> int:
     max_detour = _resolve(args, "max_detour", int, 8)
     if max_detour < 0 or max_detour % 2 != 0:
         raise ValueError(f"--max-detour must be even and >= 0, got {max_detour}")
-    result = ingest.parse_trajectories(args.input)
-    grid = _make_grid(args, result)
-    result = ingest.parse_trajectories(args.input, grid)
+    grid, result = _load_trips(args, args.input)
     paths, degenerate = _discretize_all(result, grid)
     if not paths:
         raise ValueError("no usable trips after discretization")
@@ -149,9 +152,7 @@ def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    hist_result = ingest.parse_trajectories(args.history)
-    grid = _make_grid(args, hist_result)
-    hist_result = ingest.parse_trajectories(args.history, grid)
+    grid, hist_result = _load_trips(args, args.history)
     history, _ = _discretize_all(hist_result, grid)
     hist = ingest.build_histogram(history, _resolve(args, "bin_width_km", float, 1.0))
     index = predict.HistoryIndex.build(history)
@@ -161,7 +162,7 @@ def cmd_predict(args) -> int:
     out = _out_stream(args)
     try:
         for traj in q_result.trajectories:
-            path = ingest.discretize(traj, grid)
+            path = ingest.cell_path(traj, grid)
             q = predict.Query(path.cells, path.trip_km, top_k=args.top)
             res, cold = _predict_or_fallback(model, q, hist, index, grid, alpha, k)
             out.write(_result_json(traj.trip_id, res, cold) + "\n")
@@ -187,9 +188,7 @@ def cmd_eval(args) -> int:
     alpha = _resolve(args, "alpha", float, 0.004)
     k = _resolve(args, "knn", int, 10)
     seed = _resolve(args, "seed", int, 0)
-    result = ingest.parse_trajectories(args.input)
-    grid = _make_grid(args, result)
-    result = ingest.parse_trajectories(args.input, grid)
+    grid, result = _load_trips(args, args.input)
     paths, _ = _discretize_all(result, grid)
     if len(paths) < 10:
         raise ValueError("need at least 10 trips to evaluate")
@@ -266,9 +265,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             model = train_initial(sstp, None, max_detour)
             edp_ms = (time.perf_counter() - t0) * 1e3
-            M = sstp.to_dense()
-            totals, smm_s = baseline.matrix_power_train(M, max_detour,
-                                                        use_sparse=args.sparse)
+            totals, smm_s = baseline.matrix_power_train(sstp.to_dense(), max_detour)
             err = float(np.abs(model.totals - totals).max())
             if err > 1e-9:
                 raise RuntimeError(f"trainers disagree at g={g}: {err}")
@@ -394,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grids", required=True, help="comma list of grid sides")
     p.add_argument("--max-detour", dest="max_detour", type=int, default=None)
-    p.add_argument("--sparse", action="store_true",
-                   help="time the sparse-multiplication baseline variant")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -2,6 +2,7 @@
 histogram, and the seeded synthetic-world generator."""
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,42 +49,50 @@ class ParseResult:
     dropped_trips: int = 0
 
 
+def read_csv_rows(path, required):
+    """Yield a UTF-8 CSV file's rows as dicts. A missing required column, a
+    field past the csv module's size limit or non-UTF-8 bytes raise FormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in required if c not in (reader.fieldnames or [])]
+            if missing:
+                raise FormatError(f"{path}: missing columns {missing}")
+            yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     """Read a trajectory CSV (trip_id,seq,timestamp,lat,lon).
 
-    Points are grouped by trip_id and ordered by seq. Malformed rows are
-    counted and skipped; more than 50% malformed raises. When a grid is
-    given, points outside its bounding box are dropped (clipping a trip at
-    the boundary rather than discarding it), and trips left with fewer than
-    two points are dropped entirely.
+    Points are grouped by trip_id and ordered by seq. Malformed rows,
+    non-finite coordinates included, are counted and skipped; more than 50%
+    malformed raises. When a grid is given, points outside its bounding box
+    are dropped (clipping a trip at the boundary rather than discarding it),
+    and trips left with fewer than two points are dropped entirely.
     """
     rows_total = 0
     malformed = 0
     dropped_points = 0
     per_trip: dict[str, list[tuple[int, float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise FormatError(f"{path}: missing columns {missing}")
-        for row in reader:
-            rows_total += 1
-            try:
-                trip = row["trip_id"]
-                seq = int(row["seq"])
-                ts = float(row["timestamp"])
-                lat = float(row["lat"])
-                lon = float(row["lon"])
-                if trip is None or trip == "":
-                    raise ValueError
-            except (TypeError, ValueError):
-                malformed += 1
-                continue
-            if grid is not None and not grid.contains(lat, lon):
-                dropped_points += 1
-                continue
-            per_trip.setdefault(trip, []).append((seq, ts, lat, lon))
+    for row in read_csv_rows(path, REQUIRED_COLUMNS):
+        rows_total += 1
+        try:
+            trip = row["trip_id"]
+            seq = int(row["seq"])
+            ts = float(row["timestamp"])
+            lat = float(row["lat"])
+            lon = float(row["lon"])
+            if not trip or not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ValueError
+        except (TypeError, ValueError):
+            malformed += 1
+            continue
+        if grid is not None and not grid.contains(lat, lon):
+            dropped_points += 1
+            continue
+        per_trip.setdefault(trip, []).append((seq, ts, lat, lon))
     if rows_total and malformed / rows_total > 0.5:
         raise FormatError(f"{path}: {malformed}/{rows_total} rows malformed")
     trajectories = []
@@ -113,8 +122,8 @@ def _staircase(a: int, b: int, g: int) -> list[int]:
     return out
 
 
-def discretize(traj: RawTrajectory, grid: GridMap) -> CellPath:
-    """Map a point sequence to a 4-adjacent cell path.
+def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
+    """Map a point sequence to a 4-adjacent cell path of one or more cells.
 
     Consecutive duplicates collapse; sampling gaps that jump cells are
     bridged with a deterministic vertical-first staircase so every stored
@@ -129,12 +138,19 @@ def discretize(traj: RawTrajectory, grid: GridMap) -> CellPath:
             cells.extend(_staircase(cells[-1], cell, grid.g))
         else:
             cells.append(cell)
-    if len(cells) < 2:
-        raise DegenerateTripError(f"trip {traj.trip_id} stays in one cell")
     km = 0.0
     for (_, la1, lo1), (_, la2, lo2) in zip(traj.points, traj.points[1:]):
         km += haversine_km(la1, lo1, la2, lo2)
     return CellPath(traj.trip_id, cells, km)
+
+
+def discretize(traj: RawTrajectory, grid: GridMap) -> CellPath:
+    """The cell path of a training trip; one that stays in one cell raises
+    DegenerateTripError, since it carries no transition."""
+    path = cell_path(traj, grid)
+    if len(path.cells) < 2:
+        raise DegenerateTripError(f"trip {traj.trip_id} stays in one cell")
+    return path
 
 
 @dataclass

@@ -18,7 +18,6 @@ mode differs from retraining only where its region misses an affected
 entry, which then keeps its stale value.
 """
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import FormatError
 from .grid import decode_cell, l1_distance, neighbors, rect_beyond
+from .ingest import read_csv_rows
 from .model import WAVEFRONT_BATCH, SSTPMatrix, TransitionModel, _wavefront_into, l1_matrix
 
 
@@ -53,25 +53,19 @@ def load_changeset(path, g: int) -> ChangeSet:
     """Read `epoch,cell_id,neighbor_cell_id,probability` rows."""
     changed: dict[int, dict[int, float]] = {}
     epoch = None
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = ("epoch", "cell_id", "neighbor_cell_id", "probability")
-        missing = [c for c in required if c not in (reader.fieldnames or [])]
-        if missing:
-            raise FormatError(f"{path}: missing columns {missing}")
-        for row in reader:
-            try:
-                e = int(row["epoch"])
-                cell = int(row["cell_id"])
-                nbr = int(row["neighbor_cell_id"])
-                p = float(row["probability"])
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: malformed row {row}") from exc
-            if epoch is None:
-                epoch = e
-            elif e != epoch:
-                raise FormatError(f"{path}: mixed epochs {epoch} and {e}")
-            changed.setdefault(cell, {})[nbr] = p
+    for row in read_csv_rows(path, ("epoch", "cell_id", "neighbor_cell_id", "probability")):
+        try:
+            e = int(row["epoch"])
+            cell = int(row["cell_id"])
+            nbr = int(row["neighbor_cell_id"])
+            p = float(row["probability"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed row {row}") from exc
+        if epoch is None:
+            epoch = e
+        elif e != epoch:
+            raise FormatError(f"{path}: mixed epochs {epoch} and {e}")
+        changed.setdefault(cell, {})[nbr] = p
     if epoch is None:
         raise FormatError(f"{path}: no change rows")
     cs = ChangeSet(epoch, changed)

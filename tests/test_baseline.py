@@ -25,13 +25,6 @@ class TestMatrixPowerTrain:
         expected = oracles.power_totals(sstp.to_dense(), g, detour)
         assert np.abs(totals - expected).max() <= 1e-12
 
-    def test_sparse_variant_identical(self):
-        g, detour = 5, 4
-        sstp = random_sstp(g, 1)
-        dense, _ = matrix_power_train(sstp.to_dense(), detour, use_sparse=False)
-        sparse, _ = matrix_power_train(sstp.to_dense(), detour, use_sparse=True)
-        assert np.abs(dense - sparse).max() <= 1e-12
-
     def test_zero_row_leaks_mass(self):
         g = 3
         M = random_sstp(g, 0).to_dense()

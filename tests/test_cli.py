@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from edp import cli, ingest, predict
 from edp.cli import main
-from edp.grid import neighbors
+from edp.grid import neighbors, unit_grid
 from edp.model import load_model
 
 
@@ -74,6 +75,75 @@ class TestTrain:
         assert rc == 0
         assert load_model(tmp_path / "m.edp").max_detour == 2
 
+    def test_bbox_flag(self, tmp_path, synthetic_csv):
+        csv_path, _ = synthetic_csv
+        rc = main(["train", "--input", str(csv_path), "--grid", "6",
+                   "--bbox=-0.01,0.06,-0.01,0.06", "--out", str(tmp_path / "m.edp")])
+        assert rc == 0
+        assert load_model(tmp_path / "m.edp").g == 6
+
+    def test_inferred_box_equals_explicit_bbox(self, tmp_path, synthetic_csv):
+        csv_path, _ = synthetic_csv
+        box = cli._bbox_of_points(ingest.parse_trajectories(csv_path))
+        inferred, explicit = tmp_path / "inferred.edp", tmp_path / "explicit.edp"
+        assert main(["train", "--input", str(csv_path), "--grid", "6",
+                     "--out", str(inferred)]) == 0
+        assert main(["train", "--input", str(csv_path), "--grid", "6",
+                     "--bbox=" + ",".join(repr(v) for v in box), "--out", str(explicit)]) == 0
+        assert inferred.read_bytes() == explicit.read_bytes()
+        assert (tmp_path / "inferred.edp.sstp").read_bytes() == \
+            (tmp_path / "explicit.edp.sstp").read_bytes()
+
+    def test_inferred_box_skips_non_finite_rows(self, tmp_path, synthetic_csv, capsys):
+        csv_path, _ = synthetic_csv
+        noisy = tmp_path / "noisy.csv"
+        noisy.write_text(csv_path.read_text() + "syn000000,99,9999,nan,0.01\n")
+        assert main(["train", "--input", str(noisy), "--grid", "6",
+                     "--out", str(tmp_path / "m.edp")]) == 0
+        assert "malformed_rows=1" in capsys.readouterr().out
+
+    def test_non_utf8_input_exits_3(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"trip_id,seq,timestamp,lat,lon\n\xff,0,100,0.1,0.1\n")
+        rc = main(["train", "--input", str(bad), "--grid", "4", "--unit-grid",
+                   "--out", str(tmp_path / "m.edp")])
+        assert rc == 3
+
+
+@pytest.mark.parametrize("grid_flags", [["--unit-grid"], []], ids=["unit-grid", "inferred"])
+class TestParseOnce:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        paths = []
+        real = ingest.parse_trajectories
+
+        def counting(path, grid=None):
+            paths.append(str(path))
+            return real(path, grid)
+        monkeypatch.setattr(ingest, "parse_trajectories", counting)
+        return paths
+
+    def test_train(self, tmp_path, synthetic_csv, parsed, grid_flags):
+        csv_path, _ = synthetic_csv
+        assert main(["train", "--input", str(csv_path), "--grid", "6", *grid_flags,
+                     "--out", str(tmp_path / "m.edp")]) == 0
+        assert parsed == [str(csv_path)]
+
+    def test_eval(self, tmp_path, synthetic_csv, parsed, grid_flags):
+        csv_path, _ = synthetic_csv
+        assert main(["eval", "--input", str(csv_path), "--grid", "6", *grid_flags,
+                     "--completion", "0.5", "--max-detour", "0"]) == 0
+        assert parsed == [str(csv_path)]
+
+    def test_predict(self, tmp_path, synthetic_csv, parsed, grid_flags):
+        csv_path, _ = synthetic_csv
+        model_path = train_model(tmp_path, synthetic_csv)
+        parsed.clear()
+        assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                     "--queries", str(csv_path), "--grid", "6", *grid_flags,
+                     "--out", str(tmp_path / "res.jsonl")]) == 0
+        assert sorted(parsed) == [str(csv_path)] * 2
+
 
 class TestUpdate:
     def write_changes(self, tmp_path, cell, epoch=1, g=6):
@@ -142,6 +212,33 @@ class TestPredict:
         assert rows[0]["trip_id"] == "syn000000"
         assert 1 <= len(rows[0]["ranked"]) <= 3
         assert "future_location" in rows[0]
+
+    def test_one_cell_query_answered(self, tmp_path, synthetic_csv):
+        csv_path, _ = synthetic_csv
+        model_path = train_model(tmp_path, synthetic_csv)
+        grid = unit_grid(6)
+        lat, lon = grid.cell_center(14)
+        queries = tmp_path / "q.csv"
+        src = csv_path.read_text().strip().splitlines()
+        queries.write_text("\n".join([
+            src[0], f"still,0,0,{lat:.8f},{lon:.8f}", f"still,1,60,{lat + 0.002:.8f},{lon:.8f}",
+            *[l for l in src[1:] if l.startswith("syn000000,")][:3]]) + "\n")
+        out_file = tmp_path / "res.jsonl"
+        assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                     "--queries", str(queries), "--grid", "6", "--unit-grid",
+                     "--out", str(out_file)]) == 0
+        rows = out_file.read_text().splitlines()
+        assert [json.loads(r)["trip_id"] for r in rows] == ["still", "syn000000"]
+
+        history = [ingest.discretize(t, grid)
+                   for t in ingest.parse_trajectories(csv_path, grid).trajectories]
+        still = ingest.parse_trajectories(queries, grid).trajectories[0]
+        q = predict.Query([14], ingest.cell_path(still, grid).trip_km)
+        assert q.d_t > 0
+        res, cold = cli._predict_or_fallback(
+            load_model(model_path), q, ingest.build_histogram(history),
+            predict.HistoryIndex.build(history), grid, 0.004, 10)
+        assert rows[0] == cli._result_json("still", res, cold)
 
     def test_missing_model(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv

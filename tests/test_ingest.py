@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from edp.errors import DegenerateTripError, FormatError
-from edp.grid import l1_distance, unit_grid
-from edp.ingest import (CellPath, RawTrajectory, build_histogram, discretize,
+from edp.grid import haversine_km, l1_distance, unit_grid
+from edp.ingest import (CellPath, RawTrajectory, build_histogram, cell_path, discretize,
                         generate_synthetic, parse_trajectories, synthetic_grid,
                         write_trajectories_csv)
 from edp.model import build_sstp
@@ -62,6 +62,15 @@ class TestParse:
         res = parse_trajectories(f, GRID)
         assert res.malformed_rows == 1
 
+    @pytest.mark.parametrize("bad", ["nan,0.5", "0.5,inf", "-inf,nan"])
+    def test_non_finite_coordinates_malformed(self, tmp_path, bad):
+        f = tmp_path / "t.csv"
+        write_csv(f, [f"a,0,100,{point_in_cell(0)}", f"a,1,130,{bad}",
+                      f"a,2,160,{point_in_cell(1)}"])
+        res = parse_trajectories(f)
+        assert res.malformed_rows == 1
+        assert len(res.trajectories[0].points) == 2
+
     def test_mostly_malformed_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["a,x,x,x,x", "a,y,y,y,y", f"a,0,1,{point_in_cell(0)}"])
@@ -77,6 +86,18 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             parse_trajectories(tmp_path / "nope.csv")
+
+    def test_oversized_field_is_format_error(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, [f"{'a' * 200_000},0,100,{point_in_cell(0)}"])
+        with pytest.raises(FormatError):
+            parse_trajectories(f)
+
+    def test_non_utf8_bytes_are_format_error(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"trip_id,seq,timestamp,lat,lon\n\xff\xfe,0,100,0.1,0.1\n")
+        with pytest.raises(FormatError):
+            parse_trajectories(f)
 
     def test_single_point_trip_dropped(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -95,6 +116,13 @@ class TestDiscretize:
     def test_single_cell_is_degenerate(self):
         with pytest.raises(DegenerateTripError):
             discretize(traj_through([7, 7, 7]), GRID)
+
+    def test_cell_path_keeps_single_cell_trip(self):
+        lat, lon = GRID.cell_center(7)
+        traj = RawTrajectory("t", [(0.0, lat, lon), (60.0, lat + 0.002, lon)])
+        path = cell_path(traj, GRID)
+        assert path.cells == [7]
+        assert path.trip_km == haversine_km(lat, lon, lat + 0.002, lon) > 0
 
     def test_duplicates_collapse(self):
         path = discretize(traj_through([5, 5, 6, 6, 7]), GRID)

@@ -261,6 +261,18 @@ class TestChangeSetIO:
         with pytest.raises(FormatError):
             load_changeset(f, 4)
 
+    def test_oversized_field_is_format_error(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text(f"epoch,cell_id,neighbor_cell_id,probability\n1,0,1,{'1' * 200_000}\n")
+        with pytest.raises(FormatError):
+            load_changeset(f, 4)
+
+    def test_non_utf8_bytes_are_format_error(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_bytes(b"epoch,cell_id,neighbor_cell_id,probability\n1,0,\xff,0.5\n")
+        with pytest.raises(FormatError):
+            load_changeset(f, 4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ChangeSet(1, {}).validate(4)
