@@ -2,8 +2,7 @@
 
 from .errors import (ColdStartError, CorruptModelError, DegenerateTripError, EdpError,
                      FormatError)
-from .grid import GridMap, l1_distance, parity_reachable, rect_beyond, \
-    relative_adjacent_pair, unit_grid
+from .grid import GridMap, l1_distance, parity_reachable, relative_adjacent_pair, unit_grid
 from .ingest import (CellPath, RawTrajectory, TripDistanceHistogram, build_histogram,
                      discretize, generate_synthetic, parse_trajectories)
 from .model import (SSTPMatrix, TransitionModel, build_sstp, compute_etp,
@@ -12,19 +11,19 @@ from .model import (SSTPMatrix, TransitionModel, build_sstp, compute_etp,
 from .predict import (HistoryIndex, PredictionResult, Query, deviation_metrics,
                       estimate_total_distance, infer_future_location, predict_destination,
                       predicted_length)
-from .update import ChangeSet, TaaRegion, apply_update, find_taa, nearest_changed_cell
+from .update import ChangeSet, apply_update
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChangeSet", "CellPath", "ColdStartError", "CorruptModelError",
     "DegenerateTripError", "EdpError", "FormatError", "GridMap", "HistoryIndex",
-    "PredictionResult", "Query", "RawTrajectory", "SSTPMatrix", "TaaRegion",
-    "TransitionModel", "TripDistanceHistogram", "apply_update", "build_histogram",
-    "build_sstp", "compute_etp", "compute_tpd_layers", "count_start_dest",
-    "deviation_metrics", "discretize", "estimate_total_distance", "find_taa",
-    "generate_synthetic", "infer_future_location", "l1_distance", "load_model",
-    "load_sstp", "nearest_changed_cell", "parity_reachable", "parse_trajectories",
-    "predict_destination", "predicted_length", "random_sstp", "rect_beyond",
-    "relative_adjacent_pair", "save_model", "save_sstp", "train_initial", "unit_grid",
+    "PredictionResult", "Query", "RawTrajectory", "SSTPMatrix", "TransitionModel",
+    "TripDistanceHistogram", "apply_update", "build_histogram", "build_sstp",
+    "compute_etp", "compute_tpd_layers", "count_start_dest", "deviation_metrics",
+    "discretize", "estimate_total_distance", "generate_synthetic",
+    "infer_future_location", "l1_distance", "load_model", "load_sstp",
+    "parity_reachable", "parse_trajectories", "predict_destination",
+    "predicted_length", "random_sstp", "relative_adjacent_pair", "save_model",
+    "save_sstp", "train_initial", "unit_grid",
 ]

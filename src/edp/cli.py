@@ -21,6 +21,11 @@ from .model import (build_sstp, count_start_dest, load_model, load_sstp, random_
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# argparse reads a value starting with "-" as an option, so a box with a
+# negative first coordinate has to be attached with "="
+BBOX_HELP = ("lat_min,lat_max,lon_min,lon_max; write --bbox=-33.9,-33.7,151.1,151.3 "
+             "when lat_min is negative")
+
 
 def _read_config(path) -> dict[str, str]:
     out = {}
@@ -129,8 +134,10 @@ def cmd_update(args) -> int:
     cs = update.load_changeset(args.changes, model.g)
     new_model, stats = update.apply_update(model, sstp, cs, mode=args.mode)
     out = args.out or args.model
-    save_model(new_model, out)
+    # sidecar first: if the model write then fails, rerunning the change
+    # set against the old model rebuilds it from the new rows
     save_sstp(sstp, out + ".sstp")
+    save_model(new_model, out)
     print(f"mode={stats.mode} epoch={stats.epoch} "
           f"entries_recomputed={stats.entries_recomputed} "
           f"entries_full={stats.entries_full} "
@@ -152,6 +159,9 @@ def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
+    args.grid = _resolve(args, "grid", int, model.g)
+    if args.grid != model.g:
+        raise ValueError(f"--grid {args.grid} does not match the model's g={model.g}")
     grid, hist_result = _load_trips(args, args.history)
     history, _ = _discretize_all(hist_result, grid)
     hist = ingest.build_histogram(history, _resolve(args, "bin_width_km", float, 1.0))
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--bbox", help="lat_min,lat_max,lon_min,lon_max")
+    p.add_argument("--bbox", help=BBOX_HELP)
     p.add_argument("--unit-grid", action="store_true",
                    help="1 km cells anchored at the origin (synthetic data)")
     p.add_argument("--max-detour", dest="max_detour", type=int, default=None)
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--bbox")
+    p.add_argument("--bbox", help=BBOX_HELP)
     p.add_argument("--unit-grid", action="store_true")
     p.add_argument("--top", type=int, default=3)
     p.add_argument("--alpha", type=float, default=None)
@@ -372,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--bbox")
+    p.add_argument("--bbox", help=BBOX_HELP)
     p.add_argument("--unit-grid", action="store_true")
     p.add_argument("--completion", default="0.3,0.7")
     p.add_argument("--top", type=int, default=3)

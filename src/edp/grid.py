@@ -176,30 +176,3 @@ def relative_adjacent_pair(i: int, j: int, g: int) -> tuple[int, ...]:
         step = -1 if ci < cj else 1
         out.append(rj * g + cj + step)
     return tuple(out)
-
-
-def rect_beyond(i: int, j: int, g: int) -> set[int]:
-    """Cells on j's far side from i, j's own row/column included.
-
-    For i and j in distinct rows and columns this is the closed quadrant
-    whose corner is j, extending away from i; exactly the cells k for which
-    j lies on some shortest route i -> k. Same-row or same-column inputs
-    degenerate to the 1-D ray continuing through j away from i.
-    """
-    if i == j:
-        raise ValueError("rect_beyond undefined for i == j")
-    ri, ci = decode_cell(i, g)
-    rj, cj = decode_cell(j, g)
-    if ri == rj:
-        rows = range(rj, rj + 1)
-    elif ri < rj:
-        rows = range(rj, g)
-    else:
-        rows = range(0, rj + 1)
-    if ci == cj:
-        cols = range(cj, cj + 1)
-    elif ci < cj:
-        cols = range(cj, g)
-    else:
-        cols = range(0, cj + 1)
-    return {r * g + c for r in rows for c in cols}

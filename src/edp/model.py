@@ -10,6 +10,7 @@ entries of the t-step transition matrix, which is what the dense
 matrix-power baseline computes the expensive way.
 """
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -374,8 +375,8 @@ def compute_tpd_layers(sstp: SSTPMatrix, origin: int, max_detour: int) -> np.nda
     return layers[:, 0, :]
 
 
-def train_initial(sstp: SSTPMatrix, start_dest_counts=None, max_detour: int = 8,
-                  batch: int = WAVEFRONT_BATCH) -> TransitionModel:
+def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
+                  max_detour: int = 8) -> TransitionModel:
     """Train the full layered model from single-step probabilities.
 
     Shortest-route layers come first, then each detour increment of two,
@@ -388,8 +389,8 @@ def train_initial(sstp: SSTPMatrix, start_dest_counts=None, max_detour: int = 8,
     n_layers = max_detour // 2 + 1
     L = l1_matrix(g)
     layers = np.zeros((n_layers, n, n))
-    for lo in range(0, n, batch):
-        origins = np.arange(lo, min(lo + batch, n))
+    for lo in range(0, n, WAVEFRONT_BATCH):
+        origins = np.arange(lo, min(lo + WAVEFRONT_BATCH, n))
         _wavefront_into(layers, sstp, origins, max_detour, L)
     totals = layers.sum(axis=0)
     if start_dest_counts is None:
@@ -419,13 +420,26 @@ def _pack_model(model: TransitionModel) -> bytes:
         + np.ascontiguousarray(model.totals, dtype="<f8").tobytes()
         + b"".join(records)
     )
-    blob = head + body
-    return blob + struct.pack("<I", zlib.crc32(blob))
+    return head + body
+
+
+def _write_checksummed(path, blob: bytes) -> None:
+    """Write blob and its crc32 to a temporary file beside path, then rename
+    it over path, so a failed write leaves the old file whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.write(struct.pack("<I", zlib.crc32(blob)))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_model(model: TransitionModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_pack_model(model))
+    _write_checksummed(path, _pack_model(model))
 
 
 def load_model(path) -> TransitionModel:
@@ -471,9 +485,7 @@ def save_sstp(sstp: SSTPMatrix, path) -> None:
     if has_counts:
         body += np.ascontiguousarray(sstp.visit_counts, dtype="<u8").tobytes()
         body += np.ascontiguousarray(sstp.pair_counts, dtype="<u8").tobytes()
-    blob = head + body
-    with open(path, "wb") as fh:
-        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
+    _write_checksummed(path, head + body)
 
 
 def load_sstp(path) -> SSTPMatrix:

@@ -119,25 +119,23 @@ class HistoryIndex:
         return min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-def infer_future_location(partial: list[int], dp_km: float, history, k: int = 10,
-                          step_km: float = 1.0) -> FutureLocation:
+def infer_future_location(partial: list[int], dp_km: float, history: HistoryIndex,
+                          k: int = 10, step_km: float = 1.0) -> FutureLocation:
     """Walk the majority continuation until the forward budget is spent.
 
-    history may be a prebuilt HistoryIndex or a list of CellPaths. With no
-    matching history the current cell is returned, flagged, which degrades
-    the predictor to its two-endpoint baseline behavior.
+    With no matching history the current cell is returned, flagged, which
+    degrades the predictor to its two-endpoint baseline behavior.
     """
     if not partial:
         raise ValueError("partial path is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    index = history if isinstance(history, HistoryIndex) else HistoryIndex.build(history)
     cells = list(partial)
     spent = 0.0
     steps = 0
     no_match = False
     while spent < dp_km:
-        nxt = index.continuation(cells, k)
+        nxt = history.continuation(cells, k)
         if nxt is None:
             no_match = steps == 0
             break
@@ -176,8 +174,8 @@ class PredictionResult:
 
 
 def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogram,
-                        history, grid: GridMap, alpha: float = 0.004, k: int = 10,
-                        force_future_to_current: bool = False) -> PredictionResult:
+                        history: HistoryIndex, grid: GridMap, alpha: float = 0.004,
+                        k: int = 10, force_future_to_current: bool = False) -> PredictionResult:
     """Rank candidate destinations for a partial trip.
 
     Candidates are the destinations the start cell has historically

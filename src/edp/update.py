@@ -19,12 +19,12 @@ entry, which then keeps its stale value.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
-from .grid import decode_cell, l1_distance, neighbors, rect_beyond
+from .grid import neighbors
 from .ingest import read_csv_rows
 from .model import WAVEFRONT_BATCH, SSTPMatrix, TransitionModel, _wavefront_into, l1_matrix
 
@@ -73,61 +73,6 @@ def load_changeset(path, g: int) -> ChangeSet:
     return cs
 
 
-def nearest_changed_cell(origin: int, cs: ChangeSet, g: int) -> int:
-    """Closest changed cell by L1 distance, ties to the smallest id."""
-    if not cs.changed:
-        raise ValueError("change set is empty")
-    return min(cs.changed, key=lambda c: (l1_distance(origin, c, g), c))
-
-
-@dataclass
-class TaaRegion:
-    """Affected destination cells per detour budget for one (origin, anchor)."""
-
-    origin: int
-    otp: int
-    sets: list[frozenset[int]] = field(default_factory=list)
-
-    def cells(self, detour: int) -> frozenset[int]:
-        return self.sets[detour // 2]
-
-    @property
-    def all_cells(self) -> frozenset[int]:
-        return self.sets[-1]
-
-
-def find_taa(origin: int, otp: int, max_detour: int, g: int) -> TaaRegion:
-    """Affected area per the border-growth construction.
-
-    Detour 0 is the closed rectangle beyond the anchor away from the
-    origin. Each additional two units of detour take in the in-grid
-    neighbors of the region across the two borders that face the origin
-    (one border in the degenerate same-row or same-column case).
-    """
-    if origin == otp:
-        raise ValueError("affected area undefined for origin == anchor")
-    if max_detour < 0 or max_detour % 2 != 0:
-        raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
-    ro, co = decode_cell(origin, g)
-    ra, ca = decode_cell(otp, g)
-    drow = (ro > ra) - (ro < ra)
-    dcol = (co > ca) - (co < ca)
-    grow_dirs = [(d, 0) for d in (drow,) if d] + [(0, d) for d in (dcol,) if d]
-    region = set(rect_beyond(origin, otp, g))
-    sets = [frozenset(region)]
-    for _ in range(max_detour // 2):
-        added = set()
-        for cell in region:
-            r, c = divmod(cell, g)
-            for dr, dc in grow_dirs:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < g and 0 <= cc < g and (rr * g + cc) not in region:
-                    added.add(rr * g + cc)
-        region |= added
-        sets.append(frozenset(region))
-    return TaaRegion(origin=origin, otp=otp, sets=sets)
-
-
 @dataclass
 class UpdateStats:
     """What one refresh did.
@@ -154,16 +99,34 @@ def _affected_mask_exact(L: np.ndarray, changed_cells: list[int], max_detour: in
     return via <= L + max_detour
 
 
-def _affected_mask_paper(L: np.ndarray, cs: ChangeSet, max_detour: int, g: int) -> np.ndarray:
-    n = g * g
-    mask = np.zeros((n, n), dtype=bool)
-    for origin in range(n):
-        if origin in cs.changed:
-            mask[origin, :] = True
-            continue
-        otp = nearest_changed_cell(origin, cs, g)
-        region = find_taa(origin, otp, max_detour, g).all_cells
-        mask[origin, list(region)] = True
+def _affected_mask_paper(L: np.ndarray, changed_cells: list[int], max_detour: int,
+                         g: int) -> np.ndarray:
+    """(n, n) mask of the paper's border-growth region per origin.
+
+    Each origin is anchored at its nearest changed cell, ties to the
+    smallest id. Detour 0 covers the closed rectangle beyond the anchor;
+    each two units of detour add one line across each border facing the
+    origin. So j is in the region when the rows plus the columns it lies
+    past the anchor, toward the origin, are at most max_detour // 2. A
+    changed origin gets its whole row.
+    """
+    if max_detour < 0 or max_detour % 2 != 0:
+        raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
+    n = L.shape[0]
+    changed = np.unique(changed_cells)
+    anchor = changed[np.argmin(L[:, changed], axis=1)]
+    budget = max_detour // 2
+    # (n, g) per axis: how many lines each grid line lies past the anchor's,
+    # toward the origin; an origin on the anchor's line allows only that line
+    excess = []
+    for origin, line in zip(np.divmod(np.arange(n), g), np.divmod(anchor, g)):
+        toward = np.sign(origin - line)[:, None]
+        offset = np.arange(g) - line[:, None]
+        excess.append(np.where(toward == 0, np.where(offset == 0, 0, budget + 1),
+                               np.maximum(offset * toward, 0)))
+    row_excess, col_excess = excess
+    mask = (row_excess[:, :, None] <= budget - col_excess[:, None, :]).reshape(n, n)
+    mask[changed] = True
     return mask
 
 
@@ -189,7 +152,7 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
     if mode == "exact":
         mask = _affected_mask_exact(L, sorted(cs.changed), model.max_detour)
     else:
-        mask = _affected_mask_paper(L, cs, model.max_detour, g)
+        mask = _affected_mask_paper(L, sorted(cs.changed), model.max_detour, g)
     out = model.copy()
     out.epoch = cs.epoch
     origins = np.nonzero(mask.any(axis=1))[0]

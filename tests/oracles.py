@@ -109,3 +109,58 @@ def parity_pair_count(g: int, s: int) -> int:
     """Ordered pairs with l1 <= s and l1 matching s's parity."""
     L = l1_table(g)
     return int(((L <= s) & ((s - L) % 2 == 0)).sum())
+
+
+def rect_beyond(i: int, j: int, g: int) -> set[int]:
+    """Closed quadrant with corner j extending away from i, by enumeration.
+
+    Same-row or same-column inputs degenerate to the ray through j away
+    from i.
+    """
+    (ri, ci), (rj, cj) = divmod(i, g), divmod(j, g)
+
+    def side(a, b, x):
+        return x == b if a == b else (x >= b if a < b else x <= b)
+
+    return {k for k in range(g * g) if side(ri, rj, k // g) and side(ci, cj, k % g)}
+
+
+def taa_cells(origin: int, anchor: int, max_detour: int, g: int) -> set[int]:
+    """The paper's affected area by border growth with explicit sets.
+
+    Detour 0 is the beyond-rectangle; each two units of detour take in the
+    in-grid neighbors of the region across the borders facing the origin
+    (one border in the same-row or same-column case).
+    """
+    (ro, co), (ra, ca) = divmod(origin, g), divmod(anchor, g)
+    grow = []
+    if ro != ra:
+        grow.append((1 if ro > ra else -1, 0))
+    if co != ca:
+        grow.append((0, 1 if co > ca else -1))
+    region = rect_beyond(origin, anchor, g)
+    for _ in range(max_detour // 2):
+        added = set()
+        for cell in region:
+            r, c = divmod(cell, g)
+            for dr, dc in grow:
+                if 0 <= r + dr < g and 0 <= c + dc < g:
+                    added.add((r + dr) * g + c + dc)
+        region |= added
+    return region
+
+
+def paper_mask(changed: list[int], max_detour: int, g: int) -> np.ndarray:
+    """(n, n) paper-mode refresh region: per origin, the affected area of
+    its nearest changed cell (ties to the smallest id); a changed origin
+    gets its whole row."""
+    n = g * g
+    L = l1_table(g)
+    mask = np.zeros((n, n), dtype=bool)
+    for origin in range(n):
+        if origin in changed:
+            mask[origin] = True
+            continue
+        anchor = min(changed, key=lambda c: (L[origin, c], c))
+        mask[origin, sorted(taa_cells(origin, anchor, max_detour, g))] = True
+    return mask

@@ -183,6 +183,27 @@ class TestUpdate:
         assert main(["update", "--model", str(model_path),
                      "--changes", str(again)]) == 2
 
+    @pytest.mark.parametrize("failing", ["save_model", "save_sstp"])
+    def test_failed_write_recovers_on_rerun(self, tmp_path, synthetic_csv, monkeypatch,
+                                            failing):
+        model_path = train_model(tmp_path, synthetic_csv)
+        changes = self.write_changes(tmp_path, cell=8)
+        argv = ["update", "--model", str(model_path), "--changes", str(changes)]
+        clean = tmp_path / "clean.edp"
+        assert main([*argv, "--out", str(clean)]) == 0
+        before = model_path.read_bytes()
+
+        def disk_full(*_):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, failing, disk_full)
+        assert main(argv) == 3
+        monkeypatch.undo()
+        assert model_path.read_bytes() == before
+        assert main(argv) == 0
+        assert model_path.read_bytes() == clean.read_bytes()
+        assert (tmp_path / "m.edp.sstp").read_bytes() == (tmp_path / "clean.edp.sstp").read_bytes()
+
     def test_bad_model_file(self, tmp_path):
         bad = tmp_path / "bad.edp"
         bad.write_bytes(b"JUNKJUNKJUNK" * 10)
@@ -239,6 +260,27 @@ class TestPredict:
             load_model(model_path), q, ingest.build_histogram(history),
             predict.HistoryIndex.build(history), grid, 0.004, 10)
         assert rows[0] == cli._result_json("still", res, cold)
+
+    def predict_argv(self, tmp_path, synthetic_csv, *grid_flags):
+        csv_path, _ = synthetic_csv
+        model_path = train_model(tmp_path, synthetic_csv)
+        return ["predict", "--model", str(model_path), "--history", str(csv_path),
+                "--queries", str(csv_path), "--unit-grid", *grid_flags]
+
+    @pytest.mark.parametrize("g", ["4", "8"])
+    def test_grid_other_than_model_exits_2(self, tmp_path, synthetic_csv, capsys, g):
+        argv = self.predict_argv(tmp_path, synthetic_csv, "--grid", g)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "res.jsonl")]) == 2
+        assert f"--grid {g}" in capsys.readouterr().err
+        assert not (tmp_path / "res.jsonl").exists()
+
+    def test_grid_defaults_to_model(self, tmp_path, synthetic_csv):
+        argv = self.predict_argv(tmp_path, synthetic_csv)
+        outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        assert main([*argv, "--out", str(outs[0])]) == 0
+        assert main([*argv, "--grid", "6", "--out", str(outs[1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text() != ""
 
     def test_missing_model(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv

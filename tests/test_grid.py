@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from edp.grid import (GridMap, decode_cell, encode_cell, haversine_km, l1_distance,
-                      neighbors, parity_reachable, rect_beyond, relative_adjacent_pair,
-                      unit_grid)
+                      neighbors, parity_reachable, relative_adjacent_pair, unit_grid)
+from edp.model import l1_matrix
+from edp.update import _affected_mask_paper
 
 
 class TestL1Distance:
@@ -92,31 +93,41 @@ class TestRelativeAdjacentPair:
                 assert l1_distance(i, p, g) == l1_distance(i, j, g) - 1
 
 
+def beyond_rows(j, g):
+    """Zero-detour paper-mode mask for a change at j: row i is the
+    rectangle beyond j as seen from origin i."""
+    return _affected_mask_paper(l1_matrix(g), [j], 0, g)
+
+
+def cells(row):
+    return set(np.flatnonzero(row).tolist())
+
+
 class TestRectBeyond:
     def test_figure_rectangle(self):
         expected = {60, 61, 62, 70, 71, 72, 80, 81, 82, 90, 91, 92}
-        assert rect_beyond(56, 62, 10) == expected
+        assert cells(beyond_rows(62, 10)[56]) == expected
 
     def test_far_corner(self):
-        assert rect_beyond(0, 99, 10) == {99}
+        assert cells(beyond_rows(99, 10)[0]) == {99}
 
     def test_up_left_quadrant(self):
         # frozen from brute force: all k with 33 on a minimal 55 -> k path
         expected = {r * 10 + c for r in range(4) for c in range(4)}
         assert oracles.brute_beyond(55, 33, 10) == expected
-        assert rect_beyond(55, 33, 10) == expected
+        assert cells(beyond_rows(33, 10)[55]) == expected
 
-    def test_identical_cells_rejected(self):
-        with pytest.raises(ValueError):
-            rect_beyond(3, 3, 10)
+    def test_changed_origin_row_is_whole_grid(self):
+        assert beyond_rows(3, 10)[3].all()
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_exhaustive_small_grids(self, g):
-        for i in range(g * g):
-            for j in range(g * g):
+        for j in range(g * g):
+            rows = beyond_rows(j, g)
+            for i in range(g * g):
                 if i == j:
                     continue
-                got = rect_beyond(i, j, g)
+                got = cells(rows[i])
                 brute = oracles.brute_beyond(i, j, g)
                 ri, ci = decode_cell(i, g)
                 rj, cj = decode_cell(j, g)
@@ -136,7 +147,7 @@ class TestRectBeyond:
             rj, cj = decode_cell(j, g)
             if i == j or ri == rj or ci == cj:
                 continue
-            assert rect_beyond(i, j, g) == oracles.brute_beyond(i, j, g)
+            assert cells(beyond_rows(j, g)[i]) == oracles.brute_beyond(i, j, g)
 
 
 class TestGridMap:

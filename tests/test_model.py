@@ -1,7 +1,11 @@
+import errno
+import io
+
 import numpy as np
 import pytest
 
 import oracles
+from edp import model as model_module
 from edp.errors import CorruptModelError, FormatError
 from edp.ingest import CellPath
 from edp.model import (build_sstp, compute_etp, compute_tpd_layers,
@@ -159,10 +163,12 @@ class TestTrainInitial:
         model = train_initial(random_sstp(4, 2), None, 2)
         assert np.array_equal(np.diag(model.layers[0]), np.ones(16))
 
-    def test_batching_is_invisible(self):
+    def test_batching_is_invisible(self, monkeypatch):
         sstp = random_sstp(5, 8)
-        a = train_initial(sstp, None, 4, batch=3)
-        b = train_initial(sstp, None, 4, batch=100)
+        monkeypatch.setattr(model_module, "WAVEFRONT_BATCH", 3)
+        a = train_initial(sstp, None, 4)
+        monkeypatch.setattr(model_module, "WAVEFRONT_BATCH", 100)
+        b = train_initial(sstp, None, 4)
         assert np.array_equal(a.layers, b.layers)
 
     def test_odd_detour_rejected(self):
@@ -231,6 +237,35 @@ class TestPersistence:
         f.write_bytes(b"EDP1" + b"\x00" * 32)
         with pytest.raises(FormatError):
             load_sstp(f)
+
+
+class HalfWrite(io.FileIO):
+    """A file whose first write stores half its bytes, then fails."""
+
+    def write(self, b):
+        super().write(bytes(b)[:len(b) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("save,load,old,new", [
+        (save_model, load_model, train_initial(random_sstp(4, 0), None, 2),
+         train_initial(random_sstp(4, 1), None, 2)),
+        (save_sstp, load_sstp, random_sstp(4, 0), random_sstp(4, 1)),
+    ])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, save, load, old, new):
+        f = tmp_path / "target"
+        save(old, f)
+        before = f.read_bytes()
+        monkeypatch.setattr(model_module, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError):
+            save(new, f)
+        monkeypatch.undo()
+        assert f.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+        load(f)
+        save(new, f)
+        assert f.read_bytes() != before
 
 
 class TestRandomSstp:

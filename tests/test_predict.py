@@ -86,19 +86,19 @@ class TestPredictedLength:
 
 class TestInferFutureLocation:
     def test_zero_budget_stays_put(self):
-        hist = [CellPath("h", [0, 1, 2, 3, 4], 4.0)]
-        loc = infer_future_location([0, 1, 2], 0.0, hist)
+        idx = HistoryIndex.build([CellPath("h", [0, 1, 2, 3, 4], 4.0)])
+        loc = infer_future_location([0, 1, 2], 0.0, idx)
         assert loc.cell == 2
         assert loc.steps == 0
 
     def test_unique_continuation_walk(self):
-        hist = [CellPath("h", [0, 1, 2, 3, 4], 4.0)]
-        loc = infer_future_location([0, 1, 2], 2.0, hist)
+        idx = HistoryIndex.build([CellPath("h", [0, 1, 2, 3, 4], 4.0)])
+        loc = infer_future_location([0, 1, 2], 2.0, idx)
         assert loc.cell == 4
         assert loc.steps == 2
 
     def test_empty_history_degrades(self):
-        loc = infer_future_location([0, 1, 2], 3.0, [])
+        loc = infer_future_location([0, 1, 2], 3.0, HistoryIndex.build([]))
         assert loc.cell == 2
         assert loc.no_match
 
@@ -116,15 +116,15 @@ class TestInferFutureLocation:
         assert loc.cell == 2
 
     def test_budget_in_km_uses_step_length(self):
-        hist = [CellPath("h", [0, 1, 2, 3, 4], 4.0)]
-        loc = infer_future_location([0, 1], 4.0, hist, step_km=2.0)
+        idx = HistoryIndex.build([CellPath("h", [0, 1, 2, 3, 4], 4.0)])
+        loc = infer_future_location([0, 1], 4.0, idx, step_km=2.0)
         assert loc.steps == 2
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            infer_future_location([], 1.0, [])
+            infer_future_location([], 1.0, HistoryIndex.build([]))
         with pytest.raises(ValueError):
-            infer_future_location([0], 1.0, [], k=0)
+            infer_future_location([0], 1.0, HistoryIndex.build([]), k=0)
 
 
 def tiny_world(g=5, n_trips=400, seed=11, detour_rate=0.0, max_detour=4):

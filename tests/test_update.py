@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from edp.errors import FormatError
-from edp.grid import decode_cell, l1_distance, neighbors, rect_beyond
-from edp.model import random_sstp, train_initial
-from edp.update import (ChangeSet, apply_update, find_taa, load_changeset,
-                        nearest_changed_cell)
+from edp.grid import decode_cell, l1_distance, neighbors
+from edp.model import l1_matrix, random_sstp, train_initial
+from edp.update import ChangeSet, _affected_mask_paper, apply_update, load_changeset
 
 
 def uniform_rows(cells, g):
@@ -27,6 +29,22 @@ def skewed_rows(cells, g, seed=0):
     return rows
 
 
+def paper_mask(changed, max_detour, g):
+    return _affected_mask_paper(l1_matrix(g), changed, max_detour, g)
+
+
+def region(origin, changed, max_detour, g):
+    """Destinations paper mode refreshes for one origin."""
+    return set(np.flatnonzero(paper_mask(changed, max_detour, g)[origin]).tolist())
+
+
+@st.composite
+def change_sets(draw):
+    g = draw(st.integers(2, 9))
+    changed = draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=5, unique=True))
+    return g, sorted(changed), 2 * draw(st.integers(0, 5))
+
+
 def retrain_reference(sstp, rows, max_detour):
     mutated = sstp.copy()
     for cell, row in rows.items():
@@ -35,48 +53,51 @@ def retrain_reference(sstp, rows, max_detour):
 
 
 class TestFindTaa:
+    """The trip affected area (TAA) of one origin, as a paper-mode mask row."""
+
     def test_zero_detour_is_rectangle(self):
-        taa = find_taa(56, 62, 0, 10)
-        assert taa.cells(0) == rect_beyond(56, 62, 10)
+        assert region(56, [62], 0, 10) == oracles.brute_beyond(56, 62, 10)
 
     def test_two_detour_adds_facing_borders(self):
-        taa = find_taa(56, 62, 2, 10)
         top = {50, 51, 52}
         right = {63, 73, 83, 93}
-        assert taa.cells(2) == taa.cells(0) | top | right
+        assert region(56, [62], 2, 10) == region(56, [62], 0, 10) | top | right
 
     def test_growth_strictly_monotone(self):
-        taa = find_taa(56, 62, 8, 10)
-        sizes = [len(s) for s in taa.sets]
-        assert sizes == sorted(set(sizes))
-        for small, big in zip(taa.sets, taa.sets[1:]):
+        sets = [region(56, [62], d, 10) for d in range(0, 10, 2)]
+        for small, big in zip(sets, sets[1:]):
             assert small < big
 
     def test_same_row_ray_growth(self):
-        taa = find_taa(55, 52, 2, 10)
-        assert taa.cells(0) == {50, 51, 52}
-        assert taa.cells(2) == {50, 51, 52, 53}
+        assert region(55, [52], 0, 10) == {50, 51, 52}
+        assert region(55, [52], 2, 10) == {50, 51, 52, 53}
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            find_taa(5, 5, 2, 10)
+            paper_mask([6], 3, 10)
         with pytest.raises(ValueError):
-            find_taa(5, 6, 3, 10)
+            paper_mask([6], -2, 10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(change_sets())
+    def test_matches_set_growth_oracle(self, case):
+        g, changed, max_detour = case
+        assert np.array_equal(paper_mask(changed, max_detour, g),
+                              oracles.paper_mask(changed, max_detour, g))
 
 
 class TestNearestChangedCell:
+    """Each origin's region is anchored at its nearest changed cell."""
+
     def test_tie_breaks_to_smaller_id(self):
-        cs = ChangeSet(1, uniform_rows([5, 50], 10))
         assert l1_distance(0, 5, 10) == l1_distance(0, 50, 10) == 5
-        assert nearest_changed_cell(0, cs, 10) == 5
+        assert region(0, [5, 50], 0, 10) == oracles.rect_beyond(0, 5, 10)
 
     def test_singleton(self):
-        cs = ChangeSet(1, uniform_rows([0], 10))
-        assert nearest_changed_cell(99, cs, 10) == 0
+        assert region(99, [0], 0, 10) == {0}
 
     def test_adjacent_tie(self):
-        cs = ChangeSet(1, uniform_rows([54, 56], 10))
-        assert nearest_changed_cell(55, cs, 10) == 54
+        assert region(55, [56, 54], 0, 10) == {50, 51, 52, 53, 54}
 
 
 class TestApplyUpdateExact:
@@ -160,14 +181,9 @@ class TestApplyUpdatePaper:
         model = train_initial(sstp, None, 4)
         rows = skewed_rows([27], g, 7)
         updated, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="paper")
-        for origin in range(g * g):
-            if origin == 27:
-                continue
-            otp = 27
-            region = find_taa(origin, otp, 4, g).all_cells
-            outside = sorted(set(range(g * g)) - set(region))
-            assert np.array_equal(updated.layers[:, origin, outside],
-                                  model.layers[:, origin, outside])
+        outside = ~oracles.paper_mask([27], 4, g)
+        assert np.array_equal(updated.layers[:, outside], model.layers[:, outside])
+        assert np.array_equal(updated.totals[outside], model.totals[outside])
 
     def test_in_region_entries_equal_retrain(self):
         g = 8
@@ -176,13 +192,9 @@ class TestApplyUpdatePaper:
         rows = skewed_rows([27], g, 7)
         updated, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="paper")
         reference = retrain_reference(sstp, rows, 4)
-        for origin in range(g * g):
-            region = range(g * g) if origin == 27 else find_taa(origin, 27, 4, g).all_cells
-            inside = sorted(region)
-            assert np.array_equal(updated.layers[:, origin, inside],
-                                  reference.layers[:, origin, inside])
-            assert np.array_equal(updated.totals[origin, inside],
-                                  reference.totals[origin, inside])
+        inside = oracles.paper_mask([27], 4, g)
+        assert np.array_equal(updated.layers[:, inside], reference.layers[:, inside])
+        assert np.array_equal(updated.totals[inside], reference.totals[inside])
 
     @pytest.mark.parametrize("g,seed,changed", [(6, 2, 14), (8, 3, 19), (5, 8, 7)])
     def test_zero_detour_single_change_matches_exact(self, g, seed, changed):
@@ -215,8 +227,7 @@ class TestApplyUpdatePaper:
         rows = skewed_rows([changed], g, 13)
         paper, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="paper")
         exact, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="exact")
-        region = find_taa(origin, changed, 2, g).all_cells
-        assert far not in region
+        assert far not in region(origin, [changed], 2, g)
         assert l1_distance(origin, changed, g) + l1_distance(changed, far, g) \
             == l1_distance(origin, far, g) + 2
         assert abs(paper.totals[origin, far] - exact.totals[origin, far]) > 1e-9
