@@ -5,9 +5,8 @@ from .errors import (ColdStartError, CorruptModelError, DegenerateTripError, Edp
 from .grid import GridMap, l1_distance, parity_reachable, relative_adjacent_pair, unit_grid
 from .ingest import (CellPath, RawTrajectory, TripDistanceHistogram, build_histogram,
                      discretize, generate_synthetic, parse_trajectories)
-from .model import (SSTPMatrix, TransitionModel, build_sstp, compute_etp,
-                    compute_tpd_layers, count_start_dest, load_model, load_sstp,
-                    random_sstp, save_model, save_sstp, train_initial)
+from .model import (SSTPMatrix, TransitionModel, build_sstp, count_start_dest, load_model,
+                    load_sstp, random_sstp, save_model, save_sstp, train_initial)
 from .predict import (HistoryIndex, PredictionResult, Query, deviation_metrics,
                       estimate_total_distance, infer_future_location, predict_destination,
                       predicted_length)
@@ -20,7 +19,7 @@ __all__ = [
     "DegenerateTripError", "EdpError", "FormatError", "GridMap", "HistoryIndex",
     "PredictionResult", "Query", "RawTrajectory", "SSTPMatrix", "TransitionModel",
     "TripDistanceHistogram", "apply_update", "build_histogram", "build_sstp",
-    "compute_etp", "compute_tpd_layers", "count_start_dest", "deviation_metrics",
+    "count_start_dest", "deviation_metrics",
     "discretize", "estimate_total_distance", "generate_synthetic",
     "infer_future_location", "l1_distance", "load_model", "load_sstp",
     "parity_reachable", "parse_trajectories", "predict_destination",

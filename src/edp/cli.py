@@ -28,16 +28,20 @@ BBOX_HELP = ("lat_min,lat_max,lon_min,lon_max; write --bbox=-33.9,-33.7,151.1,15
 
 
 def _read_config(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: expected key=value, got {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -292,7 +296,9 @@ def cmd_census(args) -> int:
     g = _resolve(args, "grid", int, None)
     if g is None or g < 2:
         raise ValueError("--grid >= 2 is required")
-    steps = args.steps or 2 * g
+    steps = 2 * g if args.steps is None else args.steps
+    if steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {steps}")
     out = _out_stream(args)
     try:
         if args.analytic:

@@ -3,11 +3,12 @@
 The model stores, for every origin-destination pair, the probability of
 making the trip at each admissible total length: the L1 distance plus an
 even detour up to `max_detour`. Layer k holds the values for detour 2k.
-Training runs a per-origin wavefront: layer t of the walk distribution is
-obtained from layer t-1 by one step of the single-step matrix, restricted
-to 4-adjacency. The values harvested at t = l1 + 2k are exactly the
-entries of the t-step transition matrix, which is what the dense
-matrix-power baseline computes the expensive way.
+Those values are entries of the t-step transition matrix, which is what
+the dense matrix-power baseline computes the expensive way. Training
+computes only them: with d the L1 distance from the origin, layer 0
+(shortest routes) grows ring by ring from d - 1 to d, and layer k at ring
+d comes from layer k at ring d - 1 and layer k - 1 at ring d + 1. The
+incremental refresh runs the same recursion over the affected pairs only.
 """
 
 import os
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptModelError, FormatError
-from .grid import (DIRECTION_INDEX, check_cell, decode_cell, l1_distance, neighbors,
-                   relative_adjacent_pair, step_direction)
+from .grid import DIRECTION_INDEX, check_cell, decode_cell, neighbors, step_direction
 
 MODEL_MAGIC = b"EDP1"
 SSTP_MAGIC = b"SST1"
@@ -27,9 +27,6 @@ FORMAT_VERSION = 1
 
 # probs[..., k] follows grid.DIRECTIONS: 0=up 1=down 2=left 3=right
 _DIR_UP, _DIR_DOWN, _DIR_LEFT, _DIR_RIGHT = range(4)
-
-# origins per wavefront run, in training and in incremental refresh
-WAVEFRONT_BATCH = 50
 
 
 @dataclass
@@ -267,131 +264,106 @@ class TransitionModel:
         )
 
 
-def compute_etp(sstp: SSTPMatrix, origin: int) -> np.ndarray:
-    """Shortest-route transition probabilities from one origin to every cell.
+# The in-neighbours m = j + (dr, dc) of a cell j and the direction m leaves
+# in to enter j, in the order their terms are added: from below, from above,
+# from the right, from the left
+_IN_NEIGHBOURS = ((1, 0, _DIR_UP), (-1, 0, _DIR_DOWN), (0, 1, _DIR_LEFT), (0, -1, _DIR_RIGHT))
 
-    Recursion over destinations in increasing L1 order: the probability of
-    reaching j along a minimal route is the sum, over the one or two
-    neighbors of j that minimal routes pass through, of reaching that
-    neighbor minimally and then stepping into j.
+
+def _ring_groups(g: int, mask: np.ndarray | None = None):
+    """Flat pair indices o*n + j grouped by ring and quadrant.
+
+    The ring is d = L(o, j) and the quadrant is the sign of j's row and
+    column offset from o. Returns the indices, ascending within a group,
+    and (lo, hi, d, sign_r, sign_c) per group, d ascending. Only the pairs
+    in `mask` are kept when it is given.
     """
+    n = g * g
+    # int16 keys sort by radix and hold rings up to g = 1800; int32 indices
+    # (and their +-g neighbours) hold every pair up to g = 215
+    index_type = np.int32 if n * n + g < 2**31 else np.int64
+    r, c = np.divmod(np.arange(n, dtype=np.int16), g)
+    dr = r - r[:, None]
+    dc = c - c[:, None]
+    key = ((np.abs(dr) + np.abs(dc)) * 9 + np.sign(dr) * 3 + np.sign(dc) + 4).ravel()
+    if mask is None:
+        idx = np.argsort(key, kind="stable").astype(index_type)
+    else:
+        idx = np.flatnonzero(mask).astype(index_type)
+        idx = idx[np.argsort(key[idx], kind="stable")]
+    counts = np.bincount(key[idx], minlength=int(key.max()) + 1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    groups = []
+    for kv in np.flatnonzero(counts):
+        d, quadrant = divmod(int(kv), 9)
+        groups.append((int(starts[kv]), int(ends[kv]), d, quadrant // 3 - 1, quadrant % 3 - 1))
+    return idx, groups
+
+
+def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix,
+                    mask: np.ndarray | None = None) -> None:
+    """Compute stored layer entries in place from other stored entries.
+
+    With d = L(o, j), layers[k, o, j] is the sum over the in-neighbours m
+    of j of value(m) * P(m -> j), where value(m) is layers[k, o, m] when m
+    is on ring d - 1 and layers[k - 1, o, m] when m is on ring d + 1 (none
+    for k = 0). This is one step of the walk from o, restricted to the
+    entries that are ever stored, so k runs outer and d inner. Terms are
+    added in _IN_NEIGHBOURS order; a neighbour off the grid adds an exact
+    0.0 and a missing layer adds nothing, so an entry is bitwise the same
+    whichever other pairs are computed.
+
+    layers[0, o, o] must hold 1.0. Only the pairs in `mask` are computed
+    (all when None); the rest are read as stored.
+    """
+    if not layers.flags.c_contiguous:
+        raise ValueError("layers must be C-contiguous: entries are written through a flat view")
     g, n = sstp.g, sstp.n_cells
-    check_cell(origin, sstp.g)
-    etp = np.zeros(n)
-    etp[origin] = 1.0
-    order = sorted(range(n), key=lambda j: l1_distance(origin, j, g))
-    for j in order:
-        if j == origin:
-            continue
-        acc = 0.0
-        for p in relative_adjacent_pair(origin, j, g):
-            acc += etp[p] * sstp.prob(p, j)
-        etp[j] = acc
-    return etp
-
-
-def _step_kernel(cur, nxt, tmp, Pu, Pd, Pl, Pr):
-    """One wavefront step: nxt[j] = sum over neighbors k of cur[k] * P(k -> j).
-
-    Contributions accumulate in (up, down, left, right) order. cur/nxt/tmp
-    have shape (B, rows, g); callers may pass a row-window view as long as
-    the rows beyond it hold no walk mass.
-    """
-    np.multiply(cur[:, 1:, :], Pu[None, 1:, :], out=nxt[:, :-1, :])
-    nxt[:, -1, :] = 0.0
-    np.multiply(cur[:, :-1, :], Pd[None, :-1, :], out=tmp[:, :-1, :])
-    nxt[:, 1:, :] += tmp[:, :-1, :]
-    np.multiply(cur[:, :, 1:], Pl[None, :, 1:], out=tmp[:, :, 1:])
-    nxt[:, :, :-1] += tmp[:, :, 1:]
-    np.multiply(cur[:, :, :-1], Pr[None, :, :-1], out=tmp[:, :, :-1])
-    nxt[:, :, 1:] += tmp[:, :, :-1]
-
-
-def _wavefront_into(layers: np.ndarray, sstp: SSTPMatrix, origins: np.ndarray,
-                    max_detour: int, L: np.ndarray, out_rows=None) -> None:
-    """Run the wavefront for a batch of origins, harvesting stored layers.
-
-    Values land in layers[:, out_rows[b], :] for batch position b;
-    out_rows defaults to the origin ids themselves.
-    """
-    g, n = sstp.g, sstp.n_cells
-    n_layers = max_detour // 2 + 1
-    dmax = 2 * (g - 1)
-    Pu = sstp.probs[..., _DIR_UP]
-    Pd = sstp.probs[..., _DIR_DOWN]
-    Pl = sstp.probs[..., _DIR_LEFT]
-    Pr = sstp.probs[..., _DIR_RIGHT]
-    B = len(origins)
-    if out_rows is None:
-        out_rows = origins
-    Lb = L[origins]
-    tmax = int(Lb.max()) + max_detour
-    # bucket the (origin, dest) pairs of this batch by L1 distance once, so
-    # each step harvests its rings with two fancy-index ops per layer
-    flat_order = np.argsort(Lb, axis=None, kind="stable")
-    bounds = np.searchsorted(Lb.ravel()[flat_order], np.arange(dmax + 2))
-    row_i = out_rows[flat_order // n]
-    col_j = flat_order % n
-    cur = np.zeros((B, g, g))
-    nxt = np.zeros((B, g, g))
-    tmp = np.empty((B, g, g))
-    cur.reshape(B, n)[np.arange(B), origins] = 1.0
-    sl = slice(bounds[0], bounds[1])
-    layers[0][row_i[sl], col_j[sl]] = cur.reshape(B, n).ravel()[flat_order[sl]]
-    # after t steps the walk mass sits within t rows of the batch's origin
-    # rows; stepping a one-row margin around that band is exact and keeps
-    # early steps cheap
-    r_lo = int(origins.min()) // g
-    r_hi = int(origins.max()) // g
-    for t in range(1, tmax + 1):
-        a = max(0, r_lo - t)
-        b = min(g, r_hi + t + 1)
-        _step_kernel(cur[:, a:b, :], nxt[:, a:b, :], tmp[:, a:b, :],
-                     Pu[a:b], Pd[a:b], Pl[a:b], Pr[a:b])
-        cur, nxt = nxt, cur
-        flat = cur.reshape(B, n).ravel()
-        for k in range(n_layers):
-            d = t - 2 * k
-            if 0 <= d <= dmax:
-                sl = slice(bounds[d], bounds[d + 1])
-                if sl.start < sl.stop:
-                    layers[k][row_i[sl], col_j[sl]] = flat[flat_order[sl]]
-
-
-def compute_tpd_layers(sstp: SSTPMatrix, origin: int, max_detour: int) -> np.ndarray:
-    """Stored detour layers for one origin, shape (max_detour/2 + 1, n).
-
-    Row k holds the probability of reaching each destination with total
-    length l1 + 2k. Odd detour budgets are rejected: odd-excess lengths are
-    unreachable on a bipartite grid, so those layers are identically zero
-    and never stored.
-    """
-    if max_detour < 0 or max_detour % 2 != 0:
-        raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
-    check_cell(origin, sstp.g)
-    layers = np.zeros((max_detour // 2 + 1, 1, sstp.n_cells))
-    _wavefront_into(layers, sstp, np.array([origin]), max_detour, l1_matrix(sstp.g),
-                    out_rows=np.array([0]))
-    return layers[:, 0, :]
+    N = n * n
+    rows = layers.reshape(len(layers), N)
+    flat = rows.reshape(-1)
+    padded = np.zeros((g + 2, g + 2, 4))
+    padded[1:-1, 1:-1] = sstp.probs
+    # P(m -> j) indexed by j, zero where m is off the grid: an offset that
+    # wraps a row edge or leaves the array always meets a zero here
+    p_in = np.stack([padded[1 + mr:1 + mr + g, 1 + mc:1 + mc + g, direction].ravel()
+                     for mr, mc, direction in _IN_NEIGHBOURS])
+    steps = np.array([mr * g + mc for mr, mc, _ in _IN_NEIGHBOURS])
+    idx, groups = _ring_groups(g, mask)
+    plans = []
+    for lo, hi, d, sr, sc in groups:
+        # m is on ring d - 1 (layer k) when its step from j heads back
+        # toward o, else on ring d + 1 (layer k - 1), which k = 0 lacks
+        back = np.array([sr * mr + sc * mc != -1 for mr, mc, _ in _IN_NEIGHBOURS])
+        offsets = steps - back * N   # into flat, from the pair's own entry in layer k
+        sel = idx[lo:hi]
+        plans.append((sel, sel % n, d, (offsets[~back], p_in[~back]), (offsets, p_in)))
+    for k in range(len(layers)):
+        for sel, j, d, first, later in plans:
+            if k == 0 and d == 0:
+                continue
+            offsets, p = first if k == 0 else later
+            # one (terms, pairs) block; reducing over axis 0 adds the terms
+            # one after another, in _IN_NEIGHBOURS order
+            terms = flat.take(sel + (offsets + k * N)[:, None], mode="clip")
+            terms *= p.take(j, axis=1)
+            rows[k, sel] = terms.sum(axis=0)
 
 
 def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
                   max_detour: int = 8) -> TransitionModel:
     """Train the full layered model from single-step probabilities.
 
-    Shortest-route layers come first, then each detour increment of two,
-    per origin in one wavefront sweep; origins are batched to keep the
-    inner loops vectorized.
+    Layer 0 (shortest routes) is built ring by ring outward from each
+    origin, then each detour layer from the one below it.
     """
     if max_detour < 0 or max_detour % 2 != 0:
         raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
     g, n = sstp.g, sstp.n_cells
-    n_layers = max_detour // 2 + 1
-    L = l1_matrix(g)
-    layers = np.zeros((n_layers, n, n))
-    for lo in range(0, n, WAVEFRONT_BATCH):
-        origins = np.arange(lo, min(lo + WAVEFRONT_BATCH, n))
-        _wavefront_into(layers, sstp, origins, max_detour, L)
+    layers = np.zeros((max_detour // 2 + 1, n, n))
+    np.fill_diagonal(layers[0], 1.0)
+    _ring_recursion(layers, sstp)
     totals = layers.sum(axis=0)
     if start_dest_counts is None:
         start_counts: dict[int, dict[int, int]] = {}

@@ -1,21 +1,21 @@
 """Incremental model refresh after single-step probability changes.
 
 When a cell's outgoing probabilities change, only trips whose routes can
-pass through that cell within their detour budget are affected. Per
-origin, the affected destinations form a region anchored at the changed
-cell. Every origin with a non-empty region is re-run through the training
-wavefront on the new single-step matrix, in the same batches training
-uses, and only the in-region entries are written back; everything outside
-the region keeps its stored value bitwise.
+pass through that cell within their detour budget are affected: the pairs
+(o, j) whose best route through a changed cell fits L(o, j) + max_detour.
+The refresh runs the training recursion (`model._ring_recursion`) on the
+new single-step matrix over exactly those pairs, layer by layer and ring
+by ring, and reads every other neighbour entry as stored. An unaffected
+entry already holds its retrained value bit for bit, so the result equals
+full retraining bitwise.
 
-Two region constructions are provided. `paper` anchors each origin at its
-nearest changed cell and grows the beyond-rectangle border by border, one
-step per two units of detour. `exact` takes, per origin, every
-destination whose best route through any changed cell fits the detour
-budget; refreshing exactly that set provably reproduces full retraining.
-In both modes the in-region entries are the retrained values; `paper`
-mode differs from retraining only where its region misses an affected
-entry, which then keeps its stale value.
+Two region constructions are provided. `exact` is the affected set
+above. `paper` anchors each origin at its nearest changed cell and grows
+the beyond-rectangle border by border, one step per two units of detour;
+it runs the exact pass and then puts the old values back outside its own
+region. So in-region entries are the retrained values, and `paper` mode
+differs from retraining only where its region misses an affected entry,
+which then keeps its stale value.
 """
 
 import time
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import FormatError
 from .grid import neighbors
 from .ingest import read_csv_rows
-from .model import WAVEFRONT_BATCH, SSTPMatrix, TransitionModel, _wavefront_into, l1_matrix
+from .model import SSTPMatrix, TransitionModel, _ring_recursion, l1_matrix
 
 
 @dataclass
@@ -77,9 +77,10 @@ def load_changeset(path, g: int) -> ChangeSet:
 class UpdateStats:
     """What one refresh did.
 
-    origins_recomputed counts origins whose wavefront was re-run;
-    entries_recomputed counts the layer entries written back (affected
-    pairs times stored layers), against entries_full for the whole model.
+    entries_recomputed counts the layer entries that take new values (the
+    refresh region's pairs times stored layers), against entries_full for
+    the whole model; origins_recomputed counts the origins with at least
+    one such pair.
     """
 
     mode: str
@@ -149,25 +150,28 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         sstp.replace_row(cell, row)
     g, n = model.g, model.n_cells
     L = l1_matrix(g)
-    if mode == "exact":
-        mask = _affected_mask_exact(L, sorted(cs.changed), model.max_detour)
-    else:
-        mask = _affected_mask_paper(L, sorted(cs.changed), model.max_detour, g)
+    changed = sorted(cs.changed)
+    mask = _affected_mask_exact(L, changed, model.max_detour)
     out = model.copy()
     out.epoch = cs.epoch
-    origins = np.nonzero(mask.any(axis=1))[0]
-    for lo in range(0, len(origins), WAVEFRONT_BATCH):
-        batch = origins[lo:lo + WAVEFRONT_BATCH]
-        fresh = np.zeros((model.n_layers, len(batch), n))
-        _wavefront_into(fresh, sstp, batch, model.max_detour, L,
-                        out_rows=np.arange(len(batch)))
-        affected = mask[batch]
-        out.layers[:, batch] = np.where(affected, fresh, out.layers[:, batch])
-        out.totals[batch] = np.where(affected, fresh.sum(axis=0), out.totals[batch])
+    _ring_recursion(out.layers, sstp, mask)
+    # totals add the layers in the order training's layers.sum(axis=0) does
+    pairs = np.flatnonzero(mask)
+    flat = out.layers.reshape(model.n_layers, n * n)
+    sums = flat[0].take(pairs)
+    for layer in flat[1:]:
+        sums += layer.take(pairs)
+    np.put(out.totals, pairs, sums)
+    if mode == "paper":
+        region = _affected_mask_paper(L, changed, model.max_detour, g)
+        stale = mask & ~region
+        out.layers[:, stale] = model.layers[:, stale]
+        out.totals[stale] = model.totals[stale]
+        mask = region
     stats = UpdateStats(
         mode=mode,
         epoch=cs.epoch,
-        origins_recomputed=len(origins),
+        origins_recomputed=int(mask.any(axis=1).sum()),
         entries_recomputed=int(mask.sum()) * model.n_layers,
         entries_full=n * n * model.n_layers,
         wall_ms=(time.perf_counter() - t0) * 1e3,

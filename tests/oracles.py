@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way and shares
 no code with the package beyond numpy: BFS for distances, explicit set
 frontiers for reachability, repeated dense multiplication for transition
-layers, direct enumeration for geometric sets.
+layers, direct enumeration for geometric sets. The per-origin walk
+wavefront that trained the model before the ring recursion is kept here
+unchanged, as the bitwise reference for training and refresh.
 """
 
 from collections import deque
@@ -164,3 +166,111 @@ def paper_mask(changed: list[int], max_detour: int, g: int) -> np.ndarray:
         anchor = min(changed, key=lambda c: (L[origin, c], c))
         mask[origin, sorted(taa_cells(origin, anchor, max_detour, g))] = True
     return mask
+
+
+def compute_etp(sstp, origin: int) -> np.ndarray:
+    """Shortest-route transition probabilities from one origin to every cell.
+
+    Recursion over destinations in increasing L1 order: the probability of
+    reaching j along a minimal route is the sum, over the one or two
+    neighbors of j that minimal routes pass through, of reaching that
+    neighbor minimally and then stepping into j.
+    """
+    g = sstp.g
+    n = g * g
+    L = l1_table(g)
+    etp = np.zeros(n)
+    etp[origin] = 1.0
+    order = sorted(range(n), key=lambda j: L[origin, j])
+    for j in order:
+        if j == origin:
+            continue
+        acc = 0.0
+        for p in sorted(brute_rap(origin, j, g)):
+            acc += etp[p] * sstp.prob(p, j)
+        etp[j] = acc
+    return etp
+
+
+# probs[..., k] follows grid.DIRECTIONS: 0=up 1=down 2=left 3=right
+_DIR_UP, _DIR_DOWN, _DIR_LEFT, _DIR_RIGHT = range(4)
+
+
+def _step_kernel(cur, nxt, tmp, Pu, Pd, Pl, Pr):
+    """One wavefront step: nxt[j] = sum over neighbors k of cur[k] * P(k -> j).
+
+    Contributions accumulate in (up, down, left, right) order. cur/nxt/tmp
+    have shape (B, rows, g); callers may pass a row-window view as long as
+    the rows beyond it hold no walk mass.
+    """
+    np.multiply(cur[:, 1:, :], Pu[None, 1:, :], out=nxt[:, :-1, :])
+    nxt[:, -1, :] = 0.0
+    np.multiply(cur[:, :-1, :], Pd[None, :-1, :], out=tmp[:, :-1, :])
+    nxt[:, 1:, :] += tmp[:, :-1, :]
+    np.multiply(cur[:, :, 1:], Pl[None, :, 1:], out=tmp[:, :, 1:])
+    nxt[:, :, :-1] += tmp[:, :, 1:]
+    np.multiply(cur[:, :, :-1], Pr[None, :, :-1], out=tmp[:, :, :-1])
+    nxt[:, :, 1:] += tmp[:, :, :-1]
+
+
+def _wavefront_into(layers: np.ndarray, sstp, origins: np.ndarray,
+                    max_detour: int, L: np.ndarray, out_rows=None) -> None:
+    """Run the wavefront for a batch of origins, harvesting stored layers.
+
+    Values land in layers[:, out_rows[b], :] for batch position b;
+    out_rows defaults to the origin ids themselves.
+    """
+    g, n = sstp.g, sstp.n_cells
+    n_layers = max_detour // 2 + 1
+    dmax = 2 * (g - 1)
+    Pu = sstp.probs[..., _DIR_UP]
+    Pd = sstp.probs[..., _DIR_DOWN]
+    Pl = sstp.probs[..., _DIR_LEFT]
+    Pr = sstp.probs[..., _DIR_RIGHT]
+    B = len(origins)
+    if out_rows is None:
+        out_rows = origins
+    Lb = L[origins]
+    tmax = int(Lb.max()) + max_detour
+    # bucket the (origin, dest) pairs of this batch by L1 distance once, so
+    # each step harvests its rings with two fancy-index ops per layer
+    flat_order = np.argsort(Lb, axis=None, kind="stable")
+    bounds = np.searchsorted(Lb.ravel()[flat_order], np.arange(dmax + 2))
+    row_i = out_rows[flat_order // n]
+    col_j = flat_order % n
+    cur = np.zeros((B, g, g))
+    nxt = np.zeros((B, g, g))
+    tmp = np.empty((B, g, g))
+    cur.reshape(B, n)[np.arange(B), origins] = 1.0
+    sl = slice(bounds[0], bounds[1])
+    layers[0][row_i[sl], col_j[sl]] = cur.reshape(B, n).ravel()[flat_order[sl]]
+    # after t steps the walk mass sits within t rows of the batch's origin
+    # rows; stepping a one-row margin around that band is exact and keeps
+    # early steps cheap
+    r_lo = int(origins.min()) // g
+    r_hi = int(origins.max()) // g
+    for t in range(1, tmax + 1):
+        a = max(0, r_lo - t)
+        b = min(g, r_hi + t + 1)
+        _step_kernel(cur[:, a:b, :], nxt[:, a:b, :], tmp[:, a:b, :],
+                     Pu[a:b], Pd[a:b], Pl[a:b], Pr[a:b])
+        cur, nxt = nxt, cur
+        flat = cur.reshape(B, n).ravel()
+        for k in range(n_layers):
+            d = t - 2 * k
+            if 0 <= d <= dmax:
+                sl = slice(bounds[d], bounds[d + 1])
+                if sl.start < sl.stop:
+                    layers[k][row_i[sl], col_j[sl]] = flat[flat_order[sl]]
+
+
+def wavefront_layers(sstp, max_detour: int) -> np.ndarray:
+    """All stored layers by the per-origin walk wavefront, the trainer the
+    ring recursion replaced: step the whole walk distribution of a batch of
+    50 origins and harvest each ring at t = l1 + 2k. Bitwise reference."""
+    n = sstp.g * sstp.g
+    layers = np.zeros((max_detour // 2 + 1, n, n))
+    L = l1_table(sstp.g)
+    for lo in range(0, n, 50):
+        _wavefront_into(layers, sstp, np.arange(lo, min(lo + 50, n)), max_detour, L)
+    return layers

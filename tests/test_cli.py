@@ -75,6 +75,16 @@ class TestTrain:
         assert rc == 0
         assert load_model(tmp_path / "m.edp").max_detour == 2
 
+    def test_non_utf8_config_exits_3(self, tmp_path, synthetic_csv, capsys):
+        csv_path, _ = synthetic_csv
+        cfg = tmp_path / "edp.cfg"
+        cfg.write_bytes(b"grid=\xff\xfe8\n")
+        rc = main(["train", "--input", str(csv_path), "--unit-grid",
+                   "--config", str(cfg), "--out", str(tmp_path / "m.edp")])
+        assert rc == 3
+        assert "edp.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "m.edp").exists()
+
     def test_bbox_flag(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
         rc = main(["train", "--input", str(csv_path), "--grid", "6",
@@ -359,3 +369,14 @@ class TestCensus:
 
     def test_requires_grid(self):
         assert main(["census"]) == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_rejected(self, capsys, steps):
+        assert main(["census", "--grid", "4", f"--steps={steps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--steps" in captured.err
+
+    def test_steps_default_to_twice_the_grid(self, capsys):
+        assert main(["census", "--grid", "4"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 8

@@ -3,14 +3,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from edp import model as model_module
 from edp.errors import CorruptModelError, FormatError
 from edp.ingest import CellPath
-from edp.model import (build_sstp, compute_etp, compute_tpd_layers,
-                       count_start_dest, l1_matrix, load_model, load_sstp, random_sstp,
-                       save_model, save_sstp, train_initial)
+from edp.model import (build_sstp, count_start_dest, l1_matrix, load_model, load_sstp,
+                       random_sstp, save_model, save_sstp, train_initial)
 
 
 def path(cells):
@@ -64,7 +65,7 @@ class TestCountStartDest:
 class TestComputeEtp:
     def test_one_step_is_sstp(self):
         sstp = random_sstp(4, 0)
-        etp = compute_etp(sstp, 5)
+        etp = oracles.compute_etp(sstp, 5)
         for nb in (1, 9, 4, 6):
             assert etp[nb] == pytest.approx(sstp.prob(5, nb), abs=1e-15)
 
@@ -74,7 +75,7 @@ class TestComputeEtp:
         uni = build_sstp([path([0, 1])], 3)
         uni.replace_row(0, {1: 0.5, 3: 0.5})
         uni.replace_row(1, {0: 1 / 3, 4: 1 / 3, 2: 1 / 3})
-        etp = compute_etp(uni, 0)
+        etp = oracles.compute_etp(uni, 0)
         expected = uni.prob(0, 1) * uni.prob(1, 4) + uni.prob(0, 3) * uni.prob(3, 4)
         assert etp[4] == pytest.approx(expected, abs=1e-15)
         assert etp[4] == pytest.approx(1 / 3, abs=1e-12)
@@ -85,7 +86,7 @@ class TestComputeEtp:
         powers = oracles.dense_powers(sstp.to_dense(), 2 * (g - 1))
         L = oracles.l1_table(g)
         for origin in range(g * g):
-            etp = compute_etp(sstp, origin)
+            etp = oracles.compute_etp(sstp, origin)
             for j in range(g * g):
                 assert etp[j] == pytest.approx(powers[L[origin, j]][origin, j], abs=1e-12)
 
@@ -93,17 +94,22 @@ class TestComputeEtp:
         # all mass from 0 goes right; straight down is unreachable efficiently
         sstp = random_sstp(3, 2)
         sstp.replace_row(0, {1: 1.0, 3: 0.0})
-        etp = compute_etp(sstp, 0)
+        etp = oracles.compute_etp(sstp, 0)
         assert etp[3] == 0.0
         assert etp[6] == 0.0
+
+
+def tpd_layers(sstp, origin, max_detour):
+    """Stored detour layers of one origin, shape (max_detour/2 + 1, n)."""
+    return train_initial(sstp, None, max_detour).layers[:, origin]
 
 
 class TestComputeTpdLayers:
     def test_zero_detour_equals_etp(self):
         sstp = random_sstp(5, 3)
         for origin in (0, 7, 24):
-            layers = compute_tpd_layers(sstp, origin, 0)
-            etp = compute_etp(sstp, origin)
+            layers = tpd_layers(sstp, origin, 0)
+            etp = oracles.compute_etp(sstp, origin)
             np.testing.assert_allclose(layers[0], etp, atol=1e-12)
 
     def test_layers_equal_matrix_powers(self):
@@ -112,7 +118,7 @@ class TestComputeTpdLayers:
         L = oracles.l1_table(g)
         powers = oracles.dense_powers(sstp.to_dense(), 2 * (g - 1) + detour)
         for origin in range(g * g):
-            layers = compute_tpd_layers(sstp, origin, detour)
+            layers = tpd_layers(sstp, origin, detour)
             for k in range(detour // 2 + 1):
                 for j in range(g * g):
                     t = L[origin, j] + 2 * k
@@ -120,7 +126,7 @@ class TestComputeTpdLayers:
 
     def test_odd_detour_rejected(self):
         with pytest.raises(ValueError):
-            compute_tpd_layers(random_sstp(4, 0), 0, 3)
+            train_initial(random_sstp(4, 0), None, 3)
 
     def test_wavefront_mass_conserved(self):
         # for t <= max_detour every reachable cell is inside a stored window,
@@ -129,7 +135,7 @@ class TestComputeTpdLayers:
         sstp = random_sstp(g, 9)
         L = oracles.l1_table(g)
         origin = 12
-        layers = compute_tpd_layers(sstp, origin, detour)
+        layers = tpd_layers(sstp, origin, detour)
         for t in range(0, detour + 1):
             mass = 0.0
             for j in range(g * g):
@@ -163,13 +169,20 @@ class TestTrainInitial:
         model = train_initial(random_sstp(4, 2), None, 2)
         assert np.array_equal(np.diag(model.layers[0]), np.ones(16))
 
-    def test_batching_is_invisible(self, monkeypatch):
-        sstp = random_sstp(5, 8)
-        monkeypatch.setattr(model_module, "WAVEFRONT_BATCH", 3)
-        a = train_initial(sstp, None, 4)
-        monkeypatch.setattr(model_module, "WAVEFRONT_BATCH", 100)
-        b = train_initial(sstp, None, 4)
-        assert np.array_equal(a.layers, b.layers)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 13), st.integers(0, 5), st.integers(0, 2**16))
+    def test_equals_wavefront_oracle(self, g, half_detour, seed):
+        sstp = random_sstp(g, seed)
+        model = train_initial(sstp, None, 2 * half_detour)
+        layers = oracles.wavefront_layers(sstp, 2 * half_detour)
+        assert np.array_equal(model.layers, layers)
+        assert np.array_equal(model.totals, layers.sum(axis=0))
+
+    @pytest.mark.parametrize("g", [20, 35])
+    def test_equals_wavefront_oracle_on_large_grids(self, g):
+        sstp = random_sstp(g, 0)
+        layers = oracles.wavefront_layers(sstp, 8)
+        assert np.array_equal(train_initial(sstp, None, 8).layers, layers)
 
     def test_odd_detour_rejected(self):
         with pytest.raises(ValueError):

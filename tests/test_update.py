@@ -106,7 +106,7 @@ class TestApplyUpdateExact:
         (5, 1, (3,), 8),
         (7, 9, (0, 24, 48), 2),
         (4, 2, (5,), 0),
-        (9, 5, (0, 80), 4),  # 81 affected origins: more than one wavefront batch
+        (9, 5, (0, 80), 4),
     ])
     def test_matches_full_retrain(self, g, seed, cells, detour):
         sstp = random_sstp(g, seed)
@@ -118,6 +118,22 @@ class TestApplyUpdateExact:
         assert np.array_equal(updated.layers, reference.layers)
         assert np.array_equal(updated.totals, reference.totals)
         assert stats.entries_recomputed < stats.entries_full
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_full_retrain_on_random_changes(self, data):
+        g = data.draw(st.integers(2, 11))
+        cells = data.draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=4,
+                                   unique=True))
+        detour = 2 * data.draw(st.integers(0, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        sstp = random_sstp(g, seed)
+        model = train_initial(sstp, None, detour)
+        rows = skewed_rows(cells, g, seed + 1)
+        updated, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="exact")
+        reference = retrain_reference(sstp, rows, detour)
+        assert np.array_equal(updated.layers, reference.layers)
+        assert np.array_equal(updated.totals, reference.totals)
 
     def test_central_change_with_big_budget_touches_everything(self):
         # the detour budget reaches around a central change on a small grid,
