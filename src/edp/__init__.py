@@ -2,7 +2,7 @@
 
 from .errors import (ColdStartError, CorruptModelError, DegenerateTripError, EdpError,
                      FormatError)
-from .grid import GridMap, l1_distance, parity_reachable, relative_adjacent_pair, unit_grid
+from .grid import GridMap, l1_distance, unit_grid
 from .ingest import (CellPath, RawTrajectory, TripDistanceHistogram, build_histogram,
                      discretize, generate_synthetic, parse_trajectories)
 from .model import (SSTPMatrix, TransitionModel, build_sstp, count_start_dest, load_model,
@@ -22,7 +22,6 @@ __all__ = [
     "count_start_dest", "deviation_metrics",
     "discretize", "estimate_total_distance", "generate_synthetic",
     "infer_future_location", "l1_distance", "load_model", "load_sstp",
-    "parity_reachable", "parse_trajectories", "predict_destination",
-    "predicted_length", "random_sstp", "relative_adjacent_pair", "save_model",
-    "save_sstp", "train_initial", "unit_grid",
+    "parse_trajectories", "predict_destination", "predicted_length",
+    "random_sstp", "save_model", "save_sstp", "train_initial", "unit_grid",
 ]

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -102,10 +103,14 @@ def _discretize_all(result: ingest.ParseResult, grid: GridMap):
     return paths, degenerate
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
+@contextmanager
+def _output(args):
+    """The --out file, opened for writing and closed on exit, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w") as fh:
+        yield fh
 
 
 def cmd_train(args) -> int:
@@ -173,16 +178,12 @@ def cmd_predict(args) -> int:
     alpha = _resolve(args, "alpha", float, 0.004)
     k = _resolve(args, "knn", int, 10)
     q_result = ingest.parse_trajectories(args.queries, grid)
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         for traj in q_result.trajectories:
             path = ingest.cell_path(traj, grid)
             q = predict.Query(path.cells, path.trip_km, top_k=args.top)
             res, cold = _predict_or_fallback(model, q, hist, index, grid, alpha, k)
             out.write(_result_json(traj.trip_id, res, cold) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -224,8 +225,7 @@ def cmd_eval(args) -> int:
     alphas = [alpha]
     if args.alpha_sweep:
         alphas = [float(x) for x in args.alpha_sweep.split(",")]
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         cols = "alpha,completion,bucket,queries,edp_deviation_km"
         if baseline_model is not None:
             cols += ",baseline_deviation_km"
@@ -259,9 +259,6 @@ def cmd_eval(args) -> int:
                         mean_base = sum(r[1] for r in rows) / len(rows)
                         line += f",{mean_base:.4f}"
                     out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -269,8 +266,7 @@ def cmd_bench(args) -> int:
     max_detour = _resolve(args, "max_detour", int, 8)
     seed = _resolve(args, "seed", int, 0)
     grids = [int(x) for x in args.grids.split(",")]
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         out.write("g,edp_ms,smm_ms,speedup\n")
         for g in grids:
             if g < 2:
@@ -286,9 +282,6 @@ def cmd_bench(args) -> int:
             smm_ms = smm_s * 1e3
             out.write(f"{g},{edp_ms:.1f},{smm_ms:.1f},{smm_ms / edp_ms:.2f}\n")
             out.flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -299,8 +292,7 @@ def cmd_census(args) -> int:
     steps = 2 * g if args.steps is None else args.steps
     if steps < 1:
         raise ValueError(f"--steps must be >= 1, got {steps}")
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         if args.analytic:
             rows = baseline.census(g, steps)
             out.write("g,s,empirical,z_smm,z_etp,ratio\n")
@@ -318,9 +310,6 @@ def cmd_census(args) -> int:
             out.write("g,s,empirical,ratio\n")
             for s, count in enumerate(series, start=1):
                 out.write(f"{g},{s},{count},{count / g**4:.6f}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

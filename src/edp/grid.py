@@ -113,12 +113,6 @@ def decode_cell(cell: int, g: int) -> tuple[int, int]:
     return divmod(cell, g)
 
 
-def encode_cell(row: int, col: int, g: int) -> int:
-    if not (0 <= row < g and 0 <= col < g):
-        raise ValueError(f"({row}, {col}) out of range for g={g}")
-    return row * g + col
-
-
 def neighbors(cell: int, g: int) -> list[int]:
     """In-grid 4-neighbors in (up, down, left, right) order."""
     row, col = decode_cell(cell, g)
@@ -144,35 +138,3 @@ def l1_distance(a: int, b: int, g: int) -> int:
     ra, ca = decode_cell(a, g)
     rb, cb = decode_cell(b, g)
     return abs(ra - rb) + abs(ca - cb)
-
-
-def parity_reachable(a: int, b: int, steps: int, g: int) -> bool:
-    """True iff a walk of exactly `steps` orthogonal moves can land on b.
-
-    On a 4-adjacent grid without self loops, a length-t walk reaches only
-    cells whose L1 distance has the parity of t and does not exceed t.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    d = l1_distance(a, b, g)
-    return steps >= d and (steps - d) % 2 == 0
-
-
-def relative_adjacent_pair(i: int, j: int, g: int) -> tuple[int, ...]:
-    """The 1 or 2 neighbors of j that lie on some shortest route from i.
-
-    When i and j share a row or column there is a single such cell; otherwise
-    the vertical and horizontal neighbors of j on i's side both qualify.
-    """
-    ri, ci = decode_cell(i, g)
-    rj, cj = decode_cell(j, g)
-    if i == j:
-        raise ValueError("relative adjacent pair undefined for i == j")
-    out = []
-    if ri != rj:
-        step = -1 if ri < rj else 1
-        out.append((rj + step) * g + cj)
-    if ci != cj:
-        step = -1 if ci < cj else 1
-        out.append(rj * g + cj + step)
-    return tuple(out)

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DegenerateTripError, FormatError
 from .grid import (GridMap, decode_cell, haversine_km, l1_distance, neighbors, step_direction,
                    unit_grid)
-from .model import SSTPMatrix
+from .model import SSTPMatrix, _uniform_row
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
 
@@ -212,13 +212,15 @@ def _monotone_options(cell: int, dest: int, g: int) -> list[int]:
 
 
 def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
-                           g: int) -> np.ndarray:
+                           g: int) -> SSTPMatrix:
     """The single-step transition law the walk process actually follows.
 
     For each destination, a pass over cells in decreasing L1 distance
     propagates expected visit mass along the destination-monotone choices;
     accumulated edge flows, normalized per origin, give the matrix that the
     empirical single-step statistics of the generated trips converge to.
+    A cell no walk leaves (a lone attractor) gets build_sstp's uniform
+    backfill row and a `smoothed` flag.
     """
     n = g * g
     flows = np.zeros((n, 4))
@@ -241,8 +243,12 @@ def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
                 f = u[x] * w
                 flows[x, step_direction(x, o, g)] += f
                 u[o] += f
-    out = flows.sum(axis=1, keepdims=True)
-    return flows / out
+    out = flows.sum(axis=1)
+    never_left = out == 0.0
+    probs = flows / np.where(never_left, 1.0, out)[:, None]
+    for cell in np.flatnonzero(never_left):
+        probs[cell] = _uniform_row(*divmod(int(cell), g), g)
+    return SSTPMatrix(g=g, probs=probs.reshape(g, g, 4), smoothed=never_left)
 
 
 def _sample_attractors(rng, g: int, k: int) -> list[int]:
@@ -332,9 +338,7 @@ def generate_synthetic(g: int, n_trips: int, seed: int, detour_rate: float = 0.0
             cells[pos + 1:pos + 1] = [y, cells[pos]]
         paths.append(CellPath(f"syn{idx:06d}", cells, float(len(cells) - 1)))
 
-    truth = _exact_single_step_law(pref, dest_weights, g)
-    probs = truth.reshape(g, g, 4)
-    return paths, SSTPMatrix(g=g, probs=probs)
+    return paths, _exact_single_step_law(pref, dest_weights, g)
 
 
 def write_trajectories_csv(paths: list[CellPath], grid: GridMap, out_path) -> None:

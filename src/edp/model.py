@@ -11,6 +11,7 @@ d comes from layer k at ring d - 1 and layer k - 1 at ring d + 1. The
 incremental refresh runs the same recursion over the affected pairs only.
 """
 
+import math
 import os
 import struct
 import zlib
@@ -60,10 +61,6 @@ class SSTPMatrix:
         d = DIRECTION_INDEX.get((rb - ra, cb - ca))
         return 0.0 if d is None else float(self.probs[ra, ca, d])
 
-    def row(self, a: int) -> dict[int, float]:
-        """Outgoing probabilities of cell a keyed by neighbor id."""
-        return {b: self.prob(a, b) for b in neighbors(a, self.g)}
-
     def replace_row(self, a: int, new_row: dict[int, float]) -> None:
         """Overwrite cell a's outgoing probabilities.
 
@@ -112,7 +109,7 @@ class SSTPMatrix:
     def validate(self, tol: float = 1e-12) -> None:
         g = self.g
         sums = self.probs.sum(axis=2).ravel()
-        bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
+        bad = np.flatnonzero(~np.isfinite(sums) | (np.abs(sums - 1.0) > tol))
         if bad.size:
             raise ValueError(f"rows {bad[:5].tolist()} do not sum to 1")
         if np.any(self.probs[0, :, _DIR_UP]) or np.any(self.probs[-1, :, _DIR_DOWN]):
@@ -377,32 +374,26 @@ def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
 # ---------------------------------------------------------------------------
 # persistence: little-endian binary with a magic header and a trailing crc32
 
-
-def _pack_model(model: TransitionModel) -> bytes:
-    records = []
-    for s in sorted(model.start_counts):
-        for d in sorted(model.start_counts[s]):
-            records.append(struct.pack("<IIQ", s, d, model.start_counts[s][d]))
-    head = MODEL_MAGIC + struct.pack(
-        "<IIIIQQ", FORMAT_VERSION, model.g, model.max_detour, model.n_layers,
-        model.epoch, len(records),
-    )
-    body = (
-        np.ascontiguousarray(model.layers, dtype="<f8").tobytes()
-        + np.ascontiguousarray(model.totals, dtype="<f8").tobytes()
-        + b"".join(records)
-    )
-    return head + body
+# header fields after the magic and the version
+_MODEL_HEADER = "IIIQQ"   # g, max_detour, n_layers, epoch, record count
+_SSTP_HEADER = "IB"       # g, has-counts flag
+_RECORD = np.dtype([("start", "<u4"), ("dest", "<u4"), ("count", "<u8")])
 
 
-def _write_checksummed(path, blob: bytes) -> None:
-    """Write blob and its crc32 to a temporary file beside path, then rename
-    it over path, so a failed write leaves the old file whole."""
+def _write_checksummed(path, magic: bytes, header_fmt: str, fields, sections) -> None:
+    """Write the header, each section straight from memory (C-contiguous,
+    little-endian) and the crc32 of them all to a temporary file beside
+    path, then rename it over path, so a failed write leaves the old file
+    whole."""
     tmp = f"{os.fspath(path)}.tmp"
+    crc = 0
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.write(struct.pack("<I", zlib.crc32(blob)))
+            for part in (struct.pack("<4sI" + header_fmt, magic, FORMAT_VERSION, *fields),
+                         *sections):
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -410,37 +401,75 @@ def _write_checksummed(path, blob: bytes) -> None:
         raise
 
 
+def _read_checksummed(path, magic: bytes, header_fmt: str, layout):
+    """The header fields and sections of a file _write_checksummed wrote.
+
+    `layout(*fields)` gives each section's (dtype, shape) in file order and
+    raises ValueError when the fields contradict each other. The file is
+    read once into one buffer, and every section is a view into it.
+    """
+    header = struct.Struct("<4sI" + header_fmt)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size)
+        if fh.readinto(buf) != size:
+            raise CorruptModelError(f"{path}: file shrank while being read")
+    if buf[:4] != magic:
+        raise FormatError(f"{path}: not an {magic.decode()} file (bad magic)")
+    if size < header.size + 4:
+        raise CorruptModelError(f"{path}: truncated header")
+    _, version, *fields = header.unpack_from(buf)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported {magic.decode()} version {version}")
+    try:
+        sections = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
+    except ValueError as exc:
+        raise CorruptModelError(f"{path}: {exc}") from None
+    expected = header.size + sum(dt.itemsize * math.prod(shape) for dt, shape in sections) + 4
+    if size != expected:
+        raise CorruptModelError(f"{path}: expected {expected} bytes, found {size}")
+    if zlib.crc32(memoryview(buf)[:-4]) != int.from_bytes(buf[-4:], "little"):
+        raise CorruptModelError(f"{path}: checksum mismatch")
+    arrays, offset = [], header.size
+    for dtype, shape in sections:
+        arrays.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
+        offset += arrays[-1].nbytes
+    return fields, arrays
+
+
+def _model_layout(g, max_detour, n_layers, epoch, n_records):
+    if max_detour % 2 or n_layers != max_detour // 2 + 1:
+        raise ValueError(f"{n_layers} layers do not fit max_detour={max_detour}")
+    n = g * g
+    return ("<f8", (n_layers, n, n)), ("<f8", (n, n)), (_RECORD, (n_records,))
+
+
+def _sstp_layout(g, has_counts):
+    if has_counts not in (0, 1):
+        raise ValueError(f"has-counts flag is {has_counts}, not 0 or 1")
+    n = g * g
+    counts = (("<u8", (n,)), ("<u8", (n, 4))) if has_counts else ()
+    return (("<f8", (g, g, 4)), ("<u1", (n,)), *counts)
+
+
 def save_model(model: TransitionModel, path) -> None:
-    _write_checksummed(path, _pack_model(model))
+    records = np.array([(s, d, model.start_counts[s][d]) for s in sorted(model.start_counts)
+                        for d in sorted(model.start_counts[s])], dtype=_RECORD)
+    _write_checksummed(path, MODEL_MAGIC, _MODEL_HEADER,
+                       (model.g, model.max_detour, model.n_layers, model.epoch, len(records)),
+                       (np.ascontiguousarray(model.layers, dtype="<f8"),
+                        np.ascontiguousarray(model.totals, dtype="<f8"), records))
 
 
 def load_model(path) -> TransitionModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 36 or blob[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a model file (bad magic)")
-    version, g, max_detour, n_layers, epoch, n_records = struct.unpack("<IIIIQQ", blob[4:36])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model version {version}")
-    n = g * g
-    layer_bytes = n_layers * n * n * 8
-    expected = 36 + layer_bytes + n * n * 8 + n_records * 16 + 4
-    if len(blob) != expected:
-        raise CorruptModelError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    (crc,) = struct.unpack("<I", blob[-4:])
-    if crc != zlib.crc32(blob[:-4]):
-        raise CorruptModelError(f"{path}: checksum mismatch")
-    off = 36
-    layers = np.frombuffer(blob, dtype="<f8", count=n_layers * n * n, offset=off)
-    layers = layers.reshape(n_layers, n, n).copy()
-    off += layer_bytes
-    totals = np.frombuffer(blob, dtype="<f8", count=n * n, offset=off).reshape(n, n).copy()
-    off += n * n * 8
+    """The model saved in `path`; its layers and totals are views into one buffer."""
+    (g, max_detour, _, epoch, _), (layers, totals, records) = _read_checksummed(
+        path, MODEL_MAGIC, _MODEL_HEADER, _model_layout)
+    if records.size and max(records["start"].max(), records["dest"].max()) >= g * g:
+        raise CorruptModelError(f"{path}: a start/destination record lies outside g={g}")
     start_counts: dict[int, dict[int, int]] = {}
     start_totals: dict[int, int] = {}
-    for _ in range(n_records):
-        s, d, cnt = struct.unpack_from("<IIQ", blob, off)
-        off += 16
+    for s, d, cnt in records.tolist():
         start_counts.setdefault(s, {})[d] = cnt
         start_totals[s] = start_totals.get(s, 0) + cnt
     return TransitionModel(g=g, max_detour=max_detour, layers=layers, totals=totals,
@@ -448,42 +477,18 @@ def load_model(path) -> TransitionModel:
 
 
 def save_sstp(sstp: SSTPMatrix, path) -> None:
-    has_counts = sstp.visit_counts is not None and sstp.pair_counts is not None
-    head = SSTP_MAGIC + struct.pack("<IIB", FORMAT_VERSION, sstp.g, int(has_counts))
-    body = (
-        np.ascontiguousarray(sstp.probs, dtype="<f8").tobytes()
-        + sstp.smoothed.astype("<u1").tobytes()
-    )
-    if has_counts:
-        body += np.ascontiguousarray(sstp.visit_counts, dtype="<u8").tobytes()
-        body += np.ascontiguousarray(sstp.pair_counts, dtype="<u8").tobytes()
-    _write_checksummed(path, head + body)
+    counts = () if sstp.visit_counts is None or sstp.pair_counts is None else (
+        np.ascontiguousarray(sstp.visit_counts, dtype="<u8"),
+        np.ascontiguousarray(sstp.pair_counts, dtype="<u8"))
+    _write_checksummed(path, SSTP_MAGIC, _SSTP_HEADER, (sstp.g, int(bool(counts))),
+                       (np.ascontiguousarray(sstp.probs, dtype="<f8"),
+                        sstp.smoothed.astype("<u1"), *counts))
 
 
 def load_sstp(path) -> SSTPMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 13 or blob[:4] != SSTP_MAGIC:
-        raise FormatError(f"{path}: not a transition matrix file (bad magic)")
-    version, g, has_counts = struct.unpack("<IIB", blob[4:13])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    n = g * g
-    expected = 13 + n * 4 * 8 + n + (n * 8 + n * 4 * 8 if has_counts else 0) + 4
-    if len(blob) != expected:
-        raise CorruptModelError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    (crc,) = struct.unpack("<I", blob[-4:])
-    if crc != zlib.crc32(blob[:-4]):
-        raise CorruptModelError(f"{path}: checksum mismatch")
-    off = 13
-    probs = np.frombuffer(blob, dtype="<f8", count=n * 4, offset=off).reshape(g, g, 4).copy()
-    off += n * 4 * 8
-    smoothed = np.frombuffer(blob, dtype="<u1", count=n, offset=off).astype(bool).copy()
-    off += n
-    visit = pair = None
-    if has_counts:
-        visit = np.frombuffer(blob, dtype="<u8", count=n, offset=off).astype(np.int64).copy()
-        off += n * 8
-        pair = np.frombuffer(blob, dtype="<u8", count=n * 4, offset=off)
-        pair = pair.reshape(n, 4).astype(np.int64).copy()
-    return SSTPMatrix(g=g, probs=probs, visit_counts=visit, pair_counts=pair, smoothed=smoothed)
+    """The matrix saved in `path`; its probabilities are a view into one buffer."""
+    (g, _), (probs, smoothed, *counts) = _read_checksummed(
+        path, SSTP_MAGIC, _SSTP_HEADER, _sstp_layout)
+    visit, pair = (c.astype(np.int64) for c in counts) if counts else (None, None)
+    return SSTPMatrix(g=g, probs=probs, visit_counts=visit, pair_counts=pair,
+                      smoothed=smoothed.astype(bool))

@@ -5,9 +5,11 @@ no code with the package beyond numpy: BFS for distances, explicit set
 frontiers for reachability, repeated dense multiplication for transition
 layers, direct enumeration for geometric sets. The per-origin walk
 wavefront that trained the model before the ring recursion is kept here
-unchanged, as the bitwise reference for training and refresh.
+unchanged, as the bitwise reference for training and refresh. The small
+cell helpers that only tests need live here too.
 """
 
+import zlib
 from collections import deque
 
 import numpy as np
@@ -67,6 +69,54 @@ def brute_rap(i: int, j: int, g: int) -> set[int]:
     """Neighbors of j lying on some minimal lattice path from i."""
     d = bfs_hops(i, j, g)
     return {p for p in grid_neighbors(j, g) if bfs_hops(i, p, g) == d - 1}
+
+
+def encode_cell(row: int, col: int, g: int) -> int:
+    if not (0 <= row < g and 0 <= col < g):
+        raise ValueError(f"({row}, {col}) out of range for g={g}")
+    return row * g + col
+
+
+def parity_reachable(a: int, b: int, steps: int, g: int) -> bool:
+    """True iff a walk of exactly `steps` orthogonal moves can land on b.
+
+    On a 4-adjacent grid without self loops, a length-t walk reaches only
+    cells whose L1 distance has the parity of t and does not exceed t.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    (ra, ca), (rb, cb) = divmod(a, g), divmod(b, g)
+    d = abs(ra - rb) + abs(ca - cb)
+    return steps >= d and (steps - d) % 2 == 0
+
+
+def relative_adjacent_pair(i: int, j: int, g: int) -> tuple[int, ...]:
+    """The 1 or 2 neighbors of j that lie on some shortest route from i.
+
+    When i and j share a row or column there is a single such cell; otherwise
+    the vertical and horizontal neighbors of j on i's side both qualify.
+    """
+    if i == j:
+        raise ValueError("relative adjacent pair undefined for i == j")
+    (ri, ci), (rj, cj) = divmod(i, g), divmod(j, g)
+    out = []
+    if ri != rj:
+        out.append((rj + (-1 if ri < rj else 1)) * g + cj)
+    if ci != cj:
+        out.append(rj * g + cj + (-1 if ci < cj else 1))
+    return tuple(out)
+
+
+def sstp_row(sstp, a: int) -> dict[int, float]:
+    """Outgoing probabilities of cell a keyed by neighbor id."""
+    return {b: sstp.prob(a, b) for b in grid_neighbors(a, sstp.g)}
+
+
+def recrc(blob) -> bytes:
+    """A checksummed file's bytes with the trailing crc32 recomputed, as a
+    crafted file would carry it."""
+    body = bytes(blob[:-4])
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def brute_beyond(i: int, j: int, g: int) -> set[int]:

@@ -1,7 +1,9 @@
 import json
+import struct
 
 import pytest
 
+import oracles
 from edp import cli, ingest, predict
 from edp.cli import main
 from edp.grid import neighbors, unit_grid
@@ -214,6 +216,16 @@ class TestUpdate:
         assert model_path.read_bytes() == clean.read_bytes()
         assert (tmp_path / "m.edp.sstp").read_bytes() == (tmp_path / "clean.edp.sstp").read_bytes()
 
+    def test_layer_count_contradicting_header_exits_3(self, tmp_path, synthetic_csv, capsys):
+        model_path = train_model(tmp_path, synthetic_csv)
+        blob = bytearray(model_path.read_bytes())
+        struct.pack_into("<I", blob, 12, 8)   # max_detour 8 over the 3 layers of 4
+        model_path.write_bytes(oracles.recrc(blob))
+        changes = self.write_changes(tmp_path, cell=8)
+        capsys.readouterr()
+        assert main(["update", "--model", str(model_path), "--changes", str(changes)]) == 3
+        assert "max_detour=8" in capsys.readouterr().err
+
     def test_bad_model_file(self, tmp_path):
         bad = tmp_path / "bad.edp"
         bad.write_bytes(b"JUNKJUNKJUNK" * 10)
@@ -291,6 +303,18 @@ class TestPredict:
         assert main([*argv, "--out", str(outs[0])]) == 0
         assert main([*argv, "--grid", "6", "--out", str(outs[1])]) == 0
         assert outs[0].read_text() == outs[1].read_text() != ""
+
+    def test_record_outside_grid_exits_3(self, tmp_path, synthetic_csv, capsys):
+        argv = self.predict_argv(tmp_path, synthetic_csv)
+        model_path = tmp_path / "m.edp"
+        blob = bytearray(model_path.read_bytes())
+        (n_records,) = struct.unpack_from("<Q", blob, 28)
+        # the first record's destination becomes cell 99 of a 36-cell grid
+        struct.pack_into("<I", blob, len(blob) - 4 - 16 * n_records + 4, 99)
+        model_path.write_bytes(oracles.recrc(blob))
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "res.jsonl")]) == 3
+        assert "outside g=6" in capsys.readouterr().err
 
     def test_missing_model(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv

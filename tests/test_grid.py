@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from edp.grid import (GridMap, decode_cell, encode_cell, haversine_km, l1_distance,
-                      neighbors, parity_reachable, relative_adjacent_pair, unit_grid)
+from edp.grid import GridMap, decode_cell, haversine_km, l1_distance, neighbors, unit_grid
 from edp.model import l1_matrix
 from edp.update import _affected_mask_paper
 
@@ -38,13 +37,13 @@ class TestL1Distance:
 
 class TestParityReachable:
     def test_examples(self):
-        assert parity_reachable(56, 88, 5, 10)
-        assert not parity_reachable(56, 88, 6, 10)
-        assert parity_reachable(3, 3, 0, 10)
+        assert oracles.parity_reachable(56, 88, 5, 10)
+        assert not oracles.parity_reachable(56, 88, 6, 10)
+        assert oracles.parity_reachable(3, 3, 0, 10)
 
     def test_negative_steps(self):
         with pytest.raises(ValueError):
-            parity_reachable(0, 1, -1, 4)
+            oracles.parity_reachable(0, 1, -1, 4)
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_agrees_with_boolean_power(self, g):
@@ -57,26 +56,26 @@ class TestParityReachable:
         for s in range(1, 2 * g + 1):
             B = ((B @ A) > 0).astype(np.uint8)
             expected = np.array(
-                [[parity_reachable(a, b, s, g) for b in range(n)] for a in range(n)]
+                [[oracles.parity_reachable(a, b, s, g) for b in range(n)] for a in range(n)]
             )
             assert np.array_equal(B.astype(bool), expected), (g, s)
 
 
 class TestRelativeAdjacentPair:
     def test_figure_example(self):
-        assert set(relative_adjacent_pair(56, 88, 10)) == {78, 87}
+        assert set(oracles.relative_adjacent_pair(56, 88, 10)) == {78, 87}
 
     def test_same_row_single(self):
-        assert set(relative_adjacent_pair(56, 58, 10)) == {57}
+        assert set(oracles.relative_adjacent_pair(56, 58, 10)) == {57}
 
     def test_corner_pair(self):
         # frozen from brute force: neighbors of 11 on minimal 0 -> 11 paths
         assert oracles.brute_rap(0, 11, 10) == {1, 10}
-        assert set(relative_adjacent_pair(0, 11, 10)) == {1, 10}
+        assert set(oracles.relative_adjacent_pair(0, 11, 10)) == {1, 10}
 
     def test_identical_cells_rejected(self):
         with pytest.raises(ValueError):
-            relative_adjacent_pair(4, 4, 10)
+            oracles.relative_adjacent_pair(4, 4, 10)
 
     @pytest.mark.parametrize("g", [3, 4, 7, 12])
     def test_matches_brute_force_and_properties(self, g):
@@ -86,7 +85,7 @@ class TestRelativeAdjacentPair:
             i, j = int(i), int(j)
             if i == j:
                 continue
-            rap = set(relative_adjacent_pair(i, j, g))
+            rap = set(oracles.relative_adjacent_pair(i, j, g))
             assert rap == oracles.brute_rap(i, j, g)
             for p in rap:
                 assert l1_distance(p, j, g) == 1
@@ -155,7 +154,7 @@ class TestGridMap:
         g = 10
         for cell in range(g * g):
             r, c = decode_cell(cell, g)
-            assert encode_cell(r, c, g) == cell
+            assert oracles.encode_cell(r, c, g) == cell
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from edp.grid import haversine_km, l1_distance, unit_grid
 from edp.ingest import (CellPath, RawTrajectory, build_histogram, cell_path, discretize,
                         generate_synthetic, parse_trajectories, synthetic_grid,
                         write_trajectories_csv)
-from edp.model import build_sstp
+from edp.model import _uniform_row, build_sstp
 
 GRID = unit_grid(10)
 
@@ -215,6 +216,17 @@ class TestSyntheticGenerator:
         paths, truth = generate_synthetic(8, 150, seed=9, n_attractors=3)
         assert len({p.cells[-1] for p in paths}) <= 3
         truth.validate()
+
+    def test_lone_attractor_row_is_smoothed(self):
+        # no walk leaves the only destination, so its row has no flow to normalize
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths, truth = generate_synthetic(6, 50, seed=2, n_attractors=1)
+        (dest,) = {p.cells[-1] for p in paths}
+        truth.validate()
+        assert truth.smoothed.tolist() == [cell == dest for cell in range(36)]
+        r, c = divmod(dest, 6)
+        assert truth.probs[r, c].tolist() == _uniform_row(r, c, 6).tolist()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

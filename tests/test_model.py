@@ -1,5 +1,7 @@
 import errno
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ import oracles
 from edp import model as model_module
 from edp.errors import CorruptModelError, FormatError
 from edp.ingest import CellPath
-from edp.model import (build_sstp, count_start_dest, l1_matrix, load_model, load_sstp,
-                       random_sstp, save_model, save_sstp, train_initial)
+from edp.model import (SSTPMatrix, TransitionModel, build_sstp, count_start_dest, l1_matrix,
+                       load_model, load_sstp, random_sstp, save_model, save_sstp,
+                       train_initial)
 
 
 def path(cells):
@@ -251,6 +254,135 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_sstp(f)
 
+    # g=4, max_detour=4: 3 layers and 3 records of (start u32, dest u32, count u64)
+    @pytest.mark.parametrize("offset,value", [
+        (12, 8),             # max_detour 8 over the 3 layers of max_detour 4
+        (12, 5),             # odd max_detour
+        (-4 - 48, 16),       # first record's start is cell g*g
+        (-4 - 48 + 4, 99),   # first record's destination is cell 99
+    ])
+    def test_checksummed_header_contradicting_body(self, tmp_path, offset, value):
+        f = tmp_path / "m.edp"
+        save_model(self._model(), f)
+        blob = bytearray(f.read_bytes())
+        struct.pack_into("<I", blob, offset % len(blob), value)
+        f.write_bytes(oracles.recrc(blob))
+        with pytest.raises(CorruptModelError):
+            load_model(f)
+
+    def test_sstp_has_counts_flag_other_than_0_or_1(self, tmp_path):
+        f = tmp_path / "m.sstp"
+        save_sstp(build_sstp([path([0, 1, 2, 6])], 4), f)
+        blob = bytearray(f.read_bytes())
+        blob[12] = 2
+        f.write_bytes(oracles.recrc(blob))
+        with pytest.raises(CorruptModelError):
+            load_sstp(f)
+
+    def test_peak_memory_against_file_size(self, tmp_path):
+        model = self._model(g=12, detour=8)
+        f = tmp_path / "m.edp"
+        tracemalloc.start()
+        try:
+            save_model(model, f)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            again = load_model(f)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = f.stat().st_size
+        assert model.equals(again)
+        assert save_peak <= 0.1 * size, save_peak / size
+        assert load_peak <= 1.1 * size, load_peak / size
+
+
+def random_model(g, half_detour, epoch, seed, n_records):
+    rng = np.random.default_rng(seed)
+    n = g * g
+    layers = rng.random((half_detour + 1, n, n))
+    start_counts: dict[int, dict[int, int]] = {}
+    for s, d, c in zip(rng.integers(n, size=n_records), rng.integers(n, size=n_records),
+                       rng.integers(1, 2**40, size=n_records)):
+        start_counts.setdefault(int(s), {})[int(d)] = int(c)
+    return TransitionModel(g=g, max_detour=2 * half_detour, layers=layers,
+                           totals=layers.sum(axis=0), start_counts=start_counts,
+                           start_totals={s: sum(d.values()) for s, d in start_counts.items()},
+                           epoch=epoch)
+
+
+def random_sidecar(g, seed, with_counts):
+    rng = np.random.default_rng(seed)
+    n = g * g
+    return SSTPMatrix(g=g, probs=random_sstp(g, seed).probs,
+                      visit_counts=rng.integers(0, 2**62, n) if with_counts else None,
+                      pair_counts=rng.integers(0, 2**62, (n, 4)) if with_counts else None,
+                      smoothed=rng.random(n) < 0.5)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A directory holding a small model and sidecars with and without counts."""
+    d = tmp_path_factory.mktemp("saved")
+    save_model(random_model(3, 1, 7, 0, 4), d / "model")
+    save_sstp(random_sidecar(3, 0, True), d / "sstp_counts")
+    save_sstp(random_sidecar(3, 1, False), d / "sstp")
+    return d
+
+
+LOADERS = {"model": load_model, "sstp_counts": load_sstp, "sstp": load_sstp}
+
+
+class TestPersistenceProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 5), st.integers(0, 2), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**16), st.integers(0, 8))
+    def test_model_round_trip_and_resave(self, tmp_path_factory, g, half_detour, epoch,
+                                         seed, n_records):
+        d = tmp_path_factory.mktemp("model")
+        model = random_model(g, half_detour, epoch, seed, n_records)
+        save_model(model, d / "a")
+        again = load_model(d / "a")
+        assert model.equals(again)
+        save_model(again, d / "b")
+        assert (d / "a").read_bytes() == (d / "b").read_bytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.integers(0, 2**16), st.booleans())
+    def test_sidecar_round_trip_and_resave(self, tmp_path_factory, g, seed, with_counts):
+        d = tmp_path_factory.mktemp("sstp")
+        sstp = random_sidecar(g, seed, with_counts)
+        save_sstp(sstp, d / "a")
+        again = load_sstp(d / "a")
+        assert np.array_equal(sstp.probs, again.probs)
+        assert np.array_equal(sstp.smoothed, again.smoothed)
+        for mine, theirs in ((sstp.visit_counts, again.visit_counts),
+                             (sstp.pair_counts, again.pair_counts)):
+            assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
+        save_sstp(again, d / "b")
+        assert (d / "a").read_bytes() == (d / "b").read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(LOADERS)), st.data())
+    def test_truncation_raises_format_error(self, saved_files, kind, data):
+        blob = (saved_files / kind).read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        f = saved_files / "corrupt"
+        f.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            LOADERS[kind](f)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(LOADERS)), st.data())
+    def test_flipped_byte_raises_format_error(self, saved_files, kind, data):
+        blob = bytearray((saved_files / kind).read_bytes())
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        f = saved_files / "corrupt"
+        f.write_bytes(blob)
+        with pytest.raises(FormatError):
+            LOADERS[kind](f)
+
 
 class HalfWrite(io.FileIO):
     """A file whose first write stores half its bytes, then fails."""
@@ -287,6 +419,12 @@ class TestRandomSstp:
         b = random_sstp(6, 3)
         a.validate()
         assert np.array_equal(a.probs, b.probs)
+
+    def test_validate_rejects_nan_row(self):
+        sstp = random_sstp(4, 0)
+        sstp.probs[1, 2] = np.nan
+        with pytest.raises(ValueError, match="rows \\[6\\]"):
+            sstp.validate()
 
     def test_l1_matrix(self):
         L = l1_matrix(3)

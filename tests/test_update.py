@@ -151,7 +151,7 @@ class TestApplyUpdateExact:
         g = 6
         sstp = random_sstp(g, 4)
         model = train_initial(sstp, None, 4)
-        rows = {9: sstp.row(9)}
+        rows = {9: oracles.sstp_row(sstp, 9)}
         live = sstp.copy()
         updated, _ = apply_update(model, live, ChangeSet(1, rows), mode="exact")
         assert np.abs(updated.totals - model.totals).max() <= 1e-12
