@@ -4,13 +4,15 @@ histogram, and the seeded synthetic-world generator."""
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateTripError, FormatError
 from .grid import (GridMap, decode_cell, haversine_km, l1_distance, neighbors, step_direction,
                    unit_grid)
-from .model import SSTPMatrix, _uniform_row
+from .model import SSTPMatrix, _uniform_rows
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
 
@@ -50,15 +52,27 @@ class ParseResult:
 
 
 def read_csv_rows(path, required):
-    """Yield a UTF-8 CSV file's rows as dicts. A missing required column, a
-    field past the csv module's size limit or non-UTF-8 bytes raise FormatError."""
+    """Yield each non-blank data row of a UTF-8 CSV file as the tuple of its
+    `required` fields (two or more), in that order. A field past the end of
+    a short row is None, and a column named twice is read from its last
+    position, as csv.DictReader would map them. A missing required column,
+    a field past the csv module's size limit or non-UTF-8 bytes raise
+    FormatError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in required if c not in (reader.fieldnames or [])]
+            reader = csv.reader(fh)
+            position = {name: i for i, name in enumerate(next(reader, []))}
+            missing = [c for c in required if c not in position]
             if missing:
                 raise FormatError(f"{path}: missing columns {missing}")
-            yield from reader
+            cols = [position[c] for c in required]
+            width = max(cols) + 1
+            pick = itemgetter(*cols)
+            for row in reader:
+                if len(row) >= width:
+                    yield pick(row)
+                elif row:
+                    yield tuple(row[i] if i < len(row) else None for i in cols)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -76,33 +90,41 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     malformed = 0
     dropped_points = 0
     per_trip: dict[str, list[tuple[int, float, float, float]]] = {}
-    for row in read_csv_rows(path, REQUIRED_COLUMNS):
+    if grid is not None:
+        lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
+    isfinite = math.isfinite
+    for trip, seq, ts, lat, lon in read_csv_rows(path, REQUIRED_COLUMNS):
         rows_total += 1
         try:
-            trip = row["trip_id"]
-            seq = int(row["seq"])
-            ts = float(row["timestamp"])
-            lat = float(row["lat"])
-            lon = float(row["lon"])
-            if not trip or not (math.isfinite(lat) and math.isfinite(lon)):
-                raise ValueError
+            seq = int(seq)
+            ts = float(ts)
+            lat = float(lat)
+            lon = float(lon)
         except (TypeError, ValueError):
             malformed += 1
             continue
-        if grid is not None and not grid.contains(lat, lon):
+        if not trip or not (isfinite(lat) and isfinite(lon)):
+            malformed += 1
+            continue
+        if grid is not None and not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
             dropped_points += 1
             continue
-        per_trip.setdefault(trip, []).append((seq, ts, lat, lon))
+        points = per_trip.get(trip)
+        if points is None:
+            per_trip[trip] = [(seq, ts, lat, lon)]
+        else:
+            points.append((seq, ts, lat, lon))
     if rows_total and malformed / rows_total > 0.5:
         raise FormatError(f"{path}: {malformed}/{rows_total} rows malformed")
     trajectories = []
     dropped_trips = 0
-    for trip_id in per_trip:
-        pts = sorted(per_trip[trip_id], key=lambda p: p[0])
-        if len(pts) < 2:
+    by_seq = itemgetter(0)
+    for trip_id, points in per_trip.items():
+        if len(points) < 2:
             dropped_trips += 1
             continue
-        trajectories.append(RawTrajectory(trip_id, [(ts, lat, lon) for _, ts, lat, lon in pts]))
+        points.sort(key=by_seq)
+        trajectories.append(RawTrajectory(trip_id, [(ts, lat, lon) for _, ts, lat, lon in points]))
     return ParseResult(trajectories, malformed, dropped_points, dropped_trips)
 
 
@@ -125,21 +147,38 @@ def _staircase(a: int, b: int, g: int) -> list[int]:
 def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
     """Map a point sequence to a 4-adjacent cell path of one or more cells.
 
-    Consecutive duplicates collapse; sampling gaps that jump cells are
-    bridged with a deterministic vertical-first staircase so every stored
-    transition stays on the 4-adjacency support.
+    Points map to cells as GridMap.cell_of maps them, and a point outside
+    the bounding box raises ValueError. Consecutive duplicates collapse;
+    sampling gaps that jump cells are bridged with a deterministic
+    vertical-first staircase so every stored transition stays on the
+    4-adjacency support.
     """
+    g = grid.g
+    lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
+    lat_span = lat_max - lat_min
+    lon_span = lon_max - lon_min
+    edge = g - 1
     cells: list[int] = []
+    prev = prev_row = prev_col = -1
     for _, lat, lon in traj.points:
-        cell = grid.cell_of(lat, lon)
-        if cells and cell == cells[-1]:
+        if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
+            raise ValueError(f"point ({lat}, {lon}) outside bounding box")
+        row = int((lat_max - lat) / lat_span * g)
+        col = int((lon - lon_min) / lon_span * g)
+        if row > edge:
+            row = edge
+        if col > edge:
+            col = edge
+        cell = row * g + col
+        if cell == prev:
             continue
-        if cells and l1_distance(cells[-1], cell, grid.g) > 1:
-            cells.extend(_staircase(cells[-1], cell, grid.g))
+        if cells and abs(row - prev_row) + abs(col - prev_col) > 1:
+            cells.extend(_staircase(prev, cell, g))
         else:
             cells.append(cell)
+        prev, prev_row, prev_col = cell, row, col
     km = 0.0
-    for (_, la1, lo1), (_, la2, lo2) in zip(traj.points, traj.points[1:]):
+    for (_, la1, lo1), (_, la2, lo2) in pairwise(traj.points):
         km += haversine_km(la1, lo1, la2, lo2)
     return CellPath(traj.trip_id, cells, km)
 
@@ -158,15 +197,32 @@ class TripDistanceHistogram:
     """Binned distribution of total trip distance; bins are [i*w, (i+1)*w).
 
     Expectations use the left bin boundary as the bin's representative.
+    The histogram is read-only after construction: `counts` is a private
+    read-only copy, and the suffix tables that conditional estimates read
+    are computed once here. For each first surviving bin i,
+    suffix_mass[i] = counts[i:].sum() and
+    suffix_num[i] = (left_edges[i:] * counts[i:]).sum(), with a final
+    entry of 0 for no surviving bin; upper_edges[i] = (i + 1) * w.
     """
 
     bin_width_km: float
     counts: np.ndarray
     total: int = field(init=False)
+    upper_edges: list[float] = field(init=False, repr=False)
+    suffix_mass: list[int] = field(init=False, repr=False)
+    suffix_num: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        self.total = int(self.counts.sum())
+        counts = np.array(self.counts, dtype=np.int64)
+        counts.flags.writeable = False
+        self.counts = counts
+        self.total = int(counts.sum())
+        left = self.left_edges
+        self.upper_edges = self.boundaries[1:].tolist()
+        self.suffix_mass = np.cumsum(counts[::-1])[::-1].tolist() + [0]
+        # one numpy sum per suffix, so each entry is bitwise the masked sum
+        self.suffix_num = [float((left[i:] * counts[i:]).sum())
+                           for i in range(len(counts))] + [0.0]
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -246,8 +302,7 @@ def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
     out = flows.sum(axis=1)
     never_left = out == 0.0
     probs = flows / np.where(never_left, 1.0, out)[:, None]
-    for cell in np.flatnonzero(never_left):
-        probs[cell] = _uniform_row(*divmod(int(cell), g), g)
+    probs[never_left] = _uniform_rows(g).reshape(n, 4)[never_left]
     return SSTPMatrix(g=g, probs=probs.reshape(g, g, 4), smoothed=never_left)
 
 

@@ -118,17 +118,20 @@ class SSTPMatrix:
             raise ValueError("probability mass leaves the grid horizontally")
 
 
-def _uniform_row(r: int, c: int, g: int) -> np.ndarray:
-    row = np.zeros(4)
-    if r > 0:
-        row[_DIR_UP] = 1.0
-    if r < g - 1:
-        row[_DIR_DOWN] = 1.0
-    if c > 0:
-        row[_DIR_LEFT] = 1.0
-    if c < g - 1:
-        row[_DIR_RIGHT] = 1.0
-    return row / row.sum()
+def _uniform_rows(g: int) -> np.ndarray:
+    """(g, g, 4) table: each cell's probabilities spread evenly over its
+    in-grid neighbours, the row a cell never observed leaving is given."""
+    inside = np.ones((g, g, 4))
+    inside[0, :, _DIR_UP] = 0.0
+    inside[-1, :, _DIR_DOWN] = 0.0
+    inside[:, 0, _DIR_LEFT] = 0.0
+    inside[:, -1, _DIR_RIGHT] = 0.0
+    return inside / inside.sum(axis=2, keepdims=True)
+
+
+# the direction index of a step by (row change + 1) * 3 + (column change + 1)
+_STEP_DIRECTION = np.array([DIRECTION_INDEX.get((code // 3 - 1, code % 3 - 1), -1)
+                            for code in range(9)])
 
 
 def build_sstp(paths, g: int) -> SSTPMatrix:
@@ -140,29 +143,32 @@ def build_sstp(paths, g: int) -> SSTPMatrix:
     if not paths:
         raise ValueError("cannot build transition matrix from zero paths")
     n = g * g
-    pair_counts = np.zeros((n, 4), dtype=np.int64)
-    for path in paths:
-        cells = path.cells
-        for a, b in zip(cells, cells[1:]):
-            check_cell(a, g)
-            check_cell(b, g)
-            ra, ca = divmod(a, g)
-            rb, cb = divmod(b, g)
-            d = DIRECTION_INDEX.get((rb - ra, cb - ca))
-            if d is None:
-                raise ValueError(f"non-adjacent transition {a} -> {b} in trip {path.trip_id}")
-            pair_counts[a, d] += 1
+    moving = [path for path in paths if len(path.cells) > 1]
+    lengths = np.array([len(path.cells) for path in moving], dtype=np.int64)
+    cells = np.fromiter((c for path in moving for c in path.cells), np.int64, int(lengths.sum()))
+    outside = np.flatnonzero((cells < 0) | (cells >= n))
+    if outside.size:
+        check_cell(int(cells[outside[0]]), g)
+    # every position but the last of its path starts a transition
+    starts = np.ones(cells.size, dtype=bool)
+    starts[np.cumsum(lengths) - 1] = False
+    src = cells[starts]
+    dst = cells[np.roll(starts, 1)]
+    dr = dst // g - src // g
+    dc = dst % g - src % g
+    jumps = np.flatnonzero(np.abs(dr) + np.abs(dc) != 1)
+    if jumps.size:
+        first = int(jumps[0])
+        trip = moving[int(np.searchsorted(np.cumsum(lengths - 1), first, side="right"))]
+        raise ValueError(f"non-adjacent transition {src[first]} -> {dst[first]} "
+                         f"in trip {trip.trip_id}")
+    direction = _STEP_DIRECTION[(dr + 1) * 3 + dc + 1]
+    pair_counts = np.bincount(src * 4 + direction, minlength=4 * n).reshape(n, 4)
     visit_counts = pair_counts.sum(axis=1)
-    probs = np.zeros((g, g, 4))
-    smoothed = np.zeros(n, dtype=bool)
-    for cell in range(n):
-        r, c = divmod(cell, g)
-        if visit_counts[cell] > 0:
-            probs[r, c] = pair_counts[cell] / visit_counts[cell]
-        else:
-            probs[r, c] = _uniform_row(r, c, g)
-            smoothed[cell] = True
-    return SSTPMatrix(g=g, probs=probs, visit_counts=visit_counts,
+    smoothed = visit_counts == 0
+    probs = pair_counts / np.where(smoothed, 1, visit_counts)[:, None]
+    probs[smoothed] = _uniform_rows(g).reshape(n, 4)[smoothed]
+    return SSTPMatrix(g=g, probs=probs.reshape(g, g, 4), visit_counts=visit_counts,
                       pair_counts=pair_counts, smoothed=smoothed)
 
 
@@ -467,6 +473,11 @@ def load_model(path) -> TransitionModel:
         path, MODEL_MAGIC, _MODEL_HEADER, _model_layout)
     if records.size and max(records["start"].max(), records["dest"].max()) >= g * g:
         raise CorruptModelError(f"{path}: a start/destination record lies outside g={g}")
+    # save_model writes one record per pair, ascending; a repeated pair would
+    # count twice in start_totals but once in start_counts
+    keys = records["start"].astype(np.uint64) << 32 | records["dest"]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise CorruptModelError(f"{path}: start/destination records are not strictly ascending")
     start_counts: dict[int, dict[int, int]] = {}
     start_totals: dict[int, int] = {}
     for s, d, cnt in records.tolist():

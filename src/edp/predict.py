@@ -11,7 +11,7 @@ normalized over the candidates that the start's trip history supports.
 """
 
 import math
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,18 +32,19 @@ def estimate_total_distance(h: TripDistanceHistogram, d_t: float) -> DistanceEst
     Bins entirely below d_t are ruled out; the remaining bins keep their
     full mass and the expectation renormalizes over them, so d_t = 0
     reproduces the unconditional expectation exactly. Past the histogram's
-    support the estimate degrades to d_t itself, flagged.
+    support the estimate degrades to d_t itself, flagged. The surviving
+    bins are always a suffix, so the sums come from the histogram's
+    precomputed suffix tables.
     """
     if d_t < 0:
         raise ValueError("traveled distance cannot be negative")
     if h.total == 0:
         raise ValueError("empty histogram")
-    surviving = h.boundaries[1:] > d_t
-    mass = int(h.counts[surviving].sum())
+    first = bisect_right(h.upper_edges, d_t)
+    mass = h.suffix_mass[first]
     if mass == 0:
         return DistanceEstimate(d_t, True)
-    num = float((h.left_edges[surviving] * h.counts[surviving]).sum())
-    return DistanceEstimate(num / mass, False)
+    return DistanceEstimate(h.suffix_num[first] / mass, False)
 
 
 def predicted_length(e_total: float, d_t: float, alpha: float = 0.004) -> float:
@@ -68,28 +69,40 @@ class FutureLocation(NamedTuple):
 class HistoryIndex:
     """Suffix-gram index over historical cell paths.
 
-    Maps each contiguous window of up to max_gram cells to the counts of
-    the cells observed immediately after it. A trip ending right after a
-    window counts as a stop vote (key STOP), so the continuation walk can
-    halt where history says journeys finish instead of sailing past them.
+    Maps each contiguous window of up to max_gram cells to the cells
+    observed immediately after it, with their counts. A trip ending right
+    after a window counts as a stop vote (key STOP), so the continuation
+    walk can halt where history says journeys finish instead of sailing
+    past them. Each window's continuations are stored once, at build time,
+    as (cell, count) pairs in ranking order: count descending, then cell.
     """
 
     STOP = -1
 
     def __init__(self, max_gram: int = 8):
         self.max_gram = max_gram
-        self._grams: dict[tuple[int, ...], Counter] = {}
+        self._grams: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 
     @classmethod
     def build(cls, paths: list[CellPath], max_gram: int = 8) -> "HistoryIndex":
         idx = cls(max_gram)
+        grams = idx._grams
+        stop = cls.STOP
         for path in paths:
-            cells = path.cells
-            for p in range(len(cells)):
-                nxt = cells[p + 1] if p + 1 < len(cells) else cls.STOP
-                for m in range(1, min(max_gram, p + 1) + 1):
-                    key = tuple(cells[p + 1 - m:p + 1])
-                    idx._grams.setdefault(key, Counter())[nxt] += 1
+            cells = tuple(path.cells)
+            last = len(cells) - 1
+            for p in range(last + 1):
+                nxt = cells[p + 1] if p < last else stop
+                for lo in range(max(0, p + 1 - max_gram), p + 1):
+                    key = cells[lo:p + 1]
+                    counts = grams.get(key)
+                    if counts is None:
+                        grams[key] = {nxt: 1}
+                    else:
+                        counts[nxt] = counts.get(nxt, 0) + 1
+        # freeze in place: replacing values while iterating adds no keys
+        for key, counts in grams.items():
+            grams[key] = tuple(sorted(counts.items(), key=_by_rank))
         return idx
 
     def continuation(self, cells: list[int], k: int) -> int | None:
@@ -100,23 +113,31 @@ class HistoryIndex:
         Returns STOP when ending the trip wins the vote and None when no
         suffix matches at all.
         """
+        grams = self._grams
+        tail = tuple(cells[-self.max_gram:])
         quota = k
-        tally: Counter = Counter()
-        for m in range(min(len(cells), self.max_gram), 0, -1):
-            counts = self._grams.get(tuple(cells[-m:]))
-            if not counts:
+        tally: dict[int, int] = {}
+        for lo in range(len(tail)):
+            ranked = grams.get(tail[lo:])
+            if ranked is None:
                 continue
-            for cell, cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-                take = min(cnt, quota)
-                tally[cell] += take
+            for cell, cnt in ranked:
+                take = cnt if cnt < quota else quota
+                tally[cell] = tally.get(cell, 0) + take
                 quota -= take
                 if quota == 0:
                     break
             if quota == 0:
                 break
-        if not tally:
-            return None
-        return min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        best, best_votes = None, -math.inf
+        for cell, votes in tally.items():
+            if votes > best_votes or (votes == best_votes and cell < best):
+                best, best_votes = cell, votes
+        return best
+
+
+def _by_rank(pair: tuple[int, int]) -> tuple[int, int]:
+    return -pair[1], pair[0]
 
 
 def infer_future_location(partial: list[int], dp_km: float, history: HistoryIndex,

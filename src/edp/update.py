@@ -44,6 +44,8 @@ class ChangeSet:
                 raise ValueError(f"changed cell {cell} out of range for g={g}")
             if set(row) != set(neighbors(cell, g)):
                 raise ValueError(f"cell {cell}: row must cover exactly its in-grid neighbors")
+            if not all(p >= 0.0 for p in row.values()):
+                raise ValueError(f"cell {cell}: probabilities must be finite and non-negative")
             total = sum(row.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"cell {cell}: new row sums to {total}")
@@ -55,12 +57,9 @@ def load_changeset(path, g: int) -> ChangeSet:
     epoch = None
     for row in read_csv_rows(path, ("epoch", "cell_id", "neighbor_cell_id", "probability")):
         try:
-            e = int(row["epoch"])
-            cell = int(row["cell_id"])
-            nbr = int(row["neighbor_cell_id"])
-            p = float(row["probability"])
+            e, cell, nbr, p = int(row[0]), int(row[1]), int(row[2]), float(row[3])
         except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed row {row}") from exc
+            raise FormatError(f"{path}: malformed row {list(row)}") from exc
         if epoch is None:
             epoch = e
         elif e != epoch:

@@ -5,12 +5,18 @@ no code with the package beyond numpy: BFS for distances, explicit set
 frontiers for reachability, repeated dense multiplication for transition
 layers, direct enumeration for geometric sets. The per-origin walk
 wavefront that trained the model before the ring recursion is kept here
-unchanged, as the bitwise reference for training and refresh. The small
-cell helpers that only tests need live here too.
+unchanged, as the bitwise reference for training and refresh. So are the
+serving path's earlier forms, as references for the table-driven ones: the
+DictReader trajectory parser, the per-transition loop that counted the
+single-step matrix, the Counter-per-gram history index and the masked
+distance estimate. The small cell helpers that only tests need live here
+too.
 """
 
+import csv
+import math
 import zlib
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -324,3 +330,118 @@ def wavefront_layers(sstp, max_detour: int) -> np.ndarray:
     for lo in range(0, n, 50):
         _wavefront_into(layers, sstp, np.arange(lo, min(lo + 50, n)), max_detour, L)
     return layers
+
+
+def dictreader_parse(path, grid=None):
+    """(trajectories, malformed, dropped points, dropped trips) of a
+    trajectory CSV, read through csv.DictReader. Raises ValueError where
+    the package raises FormatError."""
+    required = ("trip_id", "seq", "timestamp", "lat", "lon")
+    rows_total = malformed = dropped_points = 0
+    per_trip = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if any(c not in (reader.fieldnames or []) for c in required):
+                raise ValueError("missing columns")
+            for row in reader:
+                rows_total += 1
+                try:
+                    trip = row["trip_id"]
+                    seq = int(row["seq"])
+                    ts = float(row["timestamp"])
+                    lat = float(row["lat"])
+                    lon = float(row["lon"])
+                    if not trip or not (math.isfinite(lat) and math.isfinite(lon)):
+                        raise ValueError
+                except (TypeError, ValueError):
+                    malformed += 1
+                    continue
+                if grid is not None and not grid.contains(lat, lon):
+                    dropped_points += 1
+                    continue
+                per_trip.setdefault(trip, []).append((seq, ts, lat, lon))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(str(exc)) from exc
+    if rows_total and malformed / rows_total > 0.5:
+        raise ValueError("mostly malformed")
+    trajectories = []
+    dropped_trips = 0
+    for trip_id in per_trip:
+        pts = sorted(per_trip[trip_id], key=lambda p: p[0])
+        if len(pts) < 2:
+            dropped_trips += 1
+            continue
+        trajectories.append((trip_id, [(ts, lat, lon) for _, ts, lat, lon in pts]))
+    return trajectories, malformed, dropped_points, dropped_trips
+
+
+def loop_sstp(paths, g: int):
+    """(probs (g, g, 4), visit counts, pair counts, smoothed) by counting
+    one transition at a time; unobserved rows spread evenly over the
+    in-grid neighbours."""
+    n = g * g
+    offsets = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
+    pair_counts = np.zeros((n, 4), dtype=np.int64)
+    for path in paths:
+        for a, b in zip(path.cells, path.cells[1:]):
+            (ra, ca), (rb, cb) = divmod(a, g), divmod(b, g)
+            pair_counts[a, offsets[(rb - ra, cb - ca)]] += 1
+    visit_counts = pair_counts.sum(axis=1)
+    probs = np.zeros((g, g, 4))
+    for cell in range(n):
+        r, c = divmod(cell, g)
+        if visit_counts[cell] > 0:
+            probs[r, c] = pair_counts[cell] / visit_counts[cell]
+        else:
+            row = np.array([r > 0, r < g - 1, c > 0, c < g - 1], dtype=float)
+            probs[r, c] = row / row.sum()
+    return probs, visit_counts, pair_counts, visit_counts == 0
+
+
+class CounterHistoryIndex:
+    """Suffix-gram index keyed by tuples, one Counter of next cells (STOP
+    = -1 when the trip ends) per gram, ranked on every lookup."""
+
+    def __init__(self, paths, max_gram: int = 8):
+        self.max_gram = max_gram
+        self.grams = {}
+        for path in paths:
+            cells = path.cells
+            for p in range(len(cells)):
+                nxt = cells[p + 1] if p + 1 < len(cells) else -1
+                for m in range(1, min(max_gram, p + 1) + 1):
+                    key = tuple(cells[p + 1 - m:p + 1])
+                    self.grams.setdefault(key, Counter())[nxt] += 1
+
+    def continuation(self, cells, k: int):
+        quota = k
+        tally = Counter()
+        for m in range(min(len(cells), self.max_gram), 0, -1):
+            counts = self.grams.get(tuple(cells[-m:]))
+            if not counts:
+                continue
+            for cell, cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+                take = min(cnt, quota)
+                tally[cell] += take
+                quota -= take
+                if quota == 0:
+                    break
+            if quota == 0:
+                break
+        if not tally:
+            return None
+        return min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
+def masked_estimate(h, d_t: float) -> tuple[float, bool]:
+    """(expected total km, extrapolated) over the bins whose upper edge
+    exceeds d_t, selected by a boolean mask on every call."""
+    boundaries = np.arange(len(h.counts) + 1) * h.bin_width_km
+    left_edges = np.arange(len(h.counts)) * h.bin_width_km
+    surviving = boundaries[1:] > d_t
+    mass = int(h.counts[surviving].sum())
+    if mass == 0:
+        return d_t, True
+    num = float((left_edges[surviving] * h.counts[surviving]).sum())
+    return num / mass, False

@@ -1,0 +1,97 @@
+"""Hypothesis strategies for garbled CSV input, shared by the parser and
+change-set property tests."""
+
+import csv
+import io
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+from hypothesis import strategies as st
+
+from edp.grid import neighbors
+
+GARBAGE = st.sampled_from(["", "nan", "inf", "-inf", "abc", "1,5", " 7 ", "1e3", "0x10",
+                           '"q"', "1_0"])
+
+# each column's values as a writer might emit them (an empty trip id
+# included); a garbled row mixes in GARBAGE
+TRAJECTORY_FIELDS = {
+    "trip_id": st.sampled_from(["a", "b", "c,d", " a", "nan", ""]),
+    "seq": st.integers(-2, 30).map(str),
+    "timestamp": st.floats().map(repr),
+    "lat": st.floats(-0.01, 0.04).map(repr),
+    "lon": st.floats(-0.01, 0.04).map(repr),
+}
+
+CELL_IDS = st.integers(-1, 17).map(str)
+CHANGESET_FIELDS = {
+    "epoch": st.integers(0, 3).map(str),
+    "cell_id": CELL_IDS,
+    "neighbor_cell_id": CELL_IDS,
+    "probability": st.one_of(st.sampled_from(["0.5", "0.25", "1.0", "0", "-0.5", "1.5", "nan",
+                                              "inf", "-inf"]),
+                             st.floats().map(repr)),
+}
+
+
+def _write(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@st.composite
+def garbled_csv(draw, fields):
+    """CSV text whose header permutes the columns of `fields` (name ->
+    strategy of well-formed values), adds extra and repeated ones and now
+    and then drops one. Rows are blank, short, long, clean, or garbled
+    with GARBAGE values."""
+    required = list(fields)
+    columns = (required + draw(st.lists(st.sampled_from(["speed", "", "note"]), max_size=2))
+               + draw(st.lists(st.sampled_from(required), max_size=2)))
+    if draw(st.integers(0, 9)) == 0:
+        columns.remove(draw(st.sampled_from(required)))
+    header = draw(st.permutations(columns))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 14))):
+        shape = draw(st.sampled_from(["clean", "clean", "garbled", "blank", "short", "long"]))
+        if shape == "blank":
+            rows.append([])
+            continue
+        if shape == "garbled":
+            row = [draw(st.one_of(fields.get(c, GARBAGE), GARBAGE)) for c in header]
+        else:
+            row = [draw(fields.get(c, GARBAGE)) for c in header]
+        if shape == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(GARBAGE, min_size=1, max_size=3))
+        rows.append(row)
+    return _write(rows)
+
+
+@st.composite
+def corrupted_changeset(draw, g=4):
+    """A change set of one cell's uniform row on a g x g grid, with one
+    field of one row replaced by a drawn value."""
+    cell = draw(st.integers(0, g * g - 1))
+    nbrs = neighbors(cell, g)
+    rows = [["epoch", "cell_id", "neighbor_cell_id", "probability"]]
+    rows += [["1", str(cell), str(nbr), repr(1.0 / len(nbrs))] for nbr in nbrs]
+    # the probability half the time: its checks are the ones a row can slip past
+    column = draw(st.sampled_from(["probability"] * 3
+                                  + ["epoch", "cell_id", "neighbor_cell_id"]))
+    row = draw(st.integers(1, len(nbrs)))
+    rows[row][rows[0].index(column)] = draw(st.one_of(CHANGESET_FIELDS[column], GARBAGE))
+    return _write(rows)
+
+
+@contextmanager
+def text_file(text):
+    """The path of a temporary file holding `text` as written, byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        yield path

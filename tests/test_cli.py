@@ -7,7 +7,7 @@ import oracles
 from edp import cli, ingest, predict
 from edp.cli import main
 from edp.grid import neighbors, unit_grid
-from edp.model import load_model
+from edp.model import load_model, random_sstp, save_model, train_initial
 
 
 @pytest.fixture
@@ -315,6 +315,19 @@ class TestPredict:
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "res.jsonl")]) == 3
         assert "outside g=6" in capsys.readouterr().err
+
+    def test_repeated_record_exits_3(self, tmp_path, synthetic_csv, capsys):
+        csv_path, _ = synthetic_csv
+        model_path = tmp_path / "m.edp"
+        save_model(train_initial(random_sstp(4, 0), ({0: {3: 1, 5: 2}}, {0: 3}), 2), model_path)
+        blob = bytearray(model_path.read_bytes())
+        # the second record (0, 5, 2) becomes (0, 3, 2)
+        struct.pack_into("<I", blob, len(blob) - 4 - 16 + 4, 3)
+        model_path.write_bytes(oracles.recrc(blob))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                     "--queries", str(csv_path), "--unit-grid"]) == 3
+        assert "not strictly ascending" in capsys.readouterr().err
 
     def test_missing_model(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv

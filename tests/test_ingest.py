@@ -3,13 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+import strategies
 from edp.errors import DegenerateTripError, FormatError
-from edp.grid import haversine_km, l1_distance, unit_grid
-from edp.ingest import (CellPath, RawTrajectory, build_histogram, cell_path, discretize,
-                        generate_synthetic, parse_trajectories, synthetic_grid,
+from edp.grid import GridMap, haversine_km, l1_distance, unit_grid
+from edp.ingest import (CellPath, RawTrajectory, _staircase, build_histogram, cell_path,
+                        discretize, generate_synthetic, parse_trajectories, synthetic_grid,
                         write_trajectories_csv)
-from edp.model import _uniform_row, build_sstp
+from edp.model import _uniform_rows, build_sstp
 
 GRID = unit_grid(10)
 
@@ -108,6 +112,30 @@ class TestParse:
         assert res.dropped_trips == 1
 
 
+class TestParseProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(strategies.garbled_csv(strategies.TRAJECTORY_FIELDS), st.booleans())
+    def test_equals_dictreader_oracle(self, text, clip):
+        grid = unit_grid(3) if clip else None
+        with strategies.text_file(text) as f:
+            try:
+                expected = oracles.dictreader_parse(f, grid)
+            except ValueError:
+                with pytest.raises(FormatError):
+                    parse_trajectories(f, grid)
+                return
+            res = parse_trajectories(f, grid)
+        got = ([(t.trip_id, t.points) for t in res.trajectories], res.malformed_rows,
+               res.dropped_points, res.dropped_trips)
+        # repr, so that a nan timestamp compares equal to itself
+        assert repr(got) == repr(expected)
+
+
+# a fraction of a box's span: anywhere, or on a grid line of some g <= 9
+GRID_FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    sorted({k / g for g in range(2, 10) for k in range(g + 1)})))
+
+
 def traj_through(cells, grid=GRID):
     pts = [(i * 60.0, *grid.cell_center(c)) for i, c in enumerate(cells)]
     return RawTrajectory("t", pts)
@@ -146,6 +174,32 @@ class TestDiscretize:
     def test_trip_km_accumulates(self):
         path = discretize(traj_through([0, 1, 2]), GRID)
         assert math.isclose(path.trip_km, 2.0, rel_tol=1e-3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 9), st.lists(st.tuples(GRID_FRACTIONS, GRID_FRACTIONS),
+                                       min_size=1, max_size=12))
+    def test_cells_follow_grid_cell_of(self, g, fractions):
+        """cell_path inlines GridMap.cell_of; on a southern box, with points
+        on grid lines and edges, its cells are those of cell_of, bridged by
+        _staircase."""
+        grid = GridMap(-33.9, -33.7, 151.1, 151.3, g)
+        points = [(0.0, grid.lat_min + fy * (grid.lat_max - grid.lat_min),
+                   grid.lon_min + fx * (grid.lon_max - grid.lon_min)) for fy, fx in fractions]
+        points = [(t, min(lat, grid.lat_max), min(lon, grid.lon_max)) for t, lat, lon in points]
+        expected = []
+        for _, lat, lon in points:
+            cell = grid.cell_of(lat, lon)
+            if expected and cell == expected[-1]:
+                continue
+            if expected and l1_distance(expected[-1], cell, g) > 1:
+                expected.extend(_staircase(expected[-1], cell, g))
+            else:
+                expected.append(cell)
+        assert cell_path(RawTrajectory("t", points), grid).cells == expected
+
+    def test_point_outside_box_rejected(self):
+        with pytest.raises(ValueError, match="outside bounding box"):
+            cell_path(RawTrajectory("t", [(0.0, 0.5, 0.5), (1.0, 99.0, 0.5)]), GRID)
 
     def test_idempotent_on_cell_centers(self):
         first = discretize(traj_through([0, 11, 12, 22]), GRID)
@@ -226,7 +280,7 @@ class TestSyntheticGenerator:
         truth.validate()
         assert truth.smoothed.tolist() == [cell == dest for cell in range(36)]
         r, c = divmod(dest, 6)
-        assert truth.probs[r, c].tolist() == _uniform_row(r, c, 6).tolist()
+        assert truth.probs[r, c].tolist() == _uniform_rows(6)[r, c].tolist()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

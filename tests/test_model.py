@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from edp import model as model_module
 from edp.errors import CorruptModelError, FormatError
+from edp.grid import DIRECTIONS
 from edp.ingest import CellPath
 from edp.model import (SSTPMatrix, TransitionModel, build_sstp, count_start_dest, l1_matrix,
                        load_model, load_sstp, random_sstp, save_model, save_sstp,
@@ -42,6 +43,34 @@ class TestBuildSstp:
     def test_non_adjacent_transition_rejected(self):
         with pytest.raises(ValueError):
             build_sstp([path([0, 5])], 10)
+        # a row-wrapping step is one apart in id but not adjacent
+        with pytest.raises(ValueError, match="9 -> 10 in trip b"):
+            build_sstp([path([0, 1]), CellPath("b", [8, 9, 10], 2.0)], 10)
+
+    def test_cell_outside_grid_rejected(self):
+        with pytest.raises(ValueError, match="cell id 100 out of range"):
+            build_sstp([path([0, 1]), path([99, 100])], 10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.lists(st.tuples(
+        st.integers(0, 35), st.lists(st.sampled_from(DIRECTIONS), max_size=12)), min_size=1,
+        max_size=8))
+    def test_equals_loop_oracle(self, g, walks):
+        paths = []
+        for start, steps in walks:
+            cells = [start % (g * g)]
+            for dr, dc in steps:
+                r, c = divmod(cells[-1], g)
+                if 0 <= r + dr < g and 0 <= c + dc < g:
+                    cells.append((r + dr) * g + c + dc)
+            paths.append(path(cells))
+        sstp = build_sstp(paths, g)
+        probs, visit_counts, pair_counts, smoothed = oracles.loop_sstp(paths, g)
+        assert np.array_equal(sstp.probs, probs)
+        assert np.array_equal(sstp.visit_counts, visit_counts)
+        assert np.array_equal(sstp.pair_counts, pair_counts)
+        assert np.array_equal(sstp.smoothed, smoothed)
+        assert sstp.pair_counts.dtype == np.int64 and sstp.smoothed.dtype == bool
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -260,6 +289,8 @@ class TestPersistence:
         (12, 5),             # odd max_detour
         (-4 - 48, 16),       # first record's start is cell g*g
         (-4 - 48 + 4, 99),   # first record's destination is cell 99
+        (-4 - 32 + 4, 3),    # records (0, 3, 1), (0, 3, 2): a repeated pair
+        (-4 - 16, 0),        # records (0, 5, 2), (0, 1, 4): out of order
     ])
     def test_checksummed_header_contradicting_body(self, tmp_path, offset, value):
         f = tmp_path / "m.edp"

@@ -1,13 +1,18 @@
 import inspect
 import math
+from itertools import pairwise
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from edp import baseline
 from edp.errors import ColdStartError
 from edp.grid import unit_grid
-from edp.ingest import CellPath, build_histogram, generate_synthetic, synthetic_grid
+from edp.ingest import (CellPath, TripDistanceHistogram, build_histogram, generate_synthetic,
+                        synthetic_grid)
 from edp.model import build_sstp, count_start_dest, train_initial
 from edp.predict import (HistoryIndex, PredictionResult, Query,
                          deviation_metrics, estimate_total_distance,
@@ -50,6 +55,34 @@ class TestEstimateTotalDistance:
         h = build_histogram(trips(2.5), 1.0)
         with pytest.raises(ValueError):
             estimate_total_distance(h, -1.0)
+
+
+class TestEstimateProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=15).filter(any),
+           st.sampled_from([0.3, 0.1, 0.7, 1.0, 2.5]),
+           st.floats(0.0, 50.0))
+    def test_equals_masked_sum(self, counts, width, anywhere):
+        """The suffix tables give bitwise the estimate of masking the bins
+        on every call, with d_t on, just beside and between bin edges."""
+        h = TripDistanceHistogram(width, counts)
+        edges = h.boundaries.tolist()
+        d_ts = [anywhere, *edges, *(round(e, 6) for e in edges),
+                *(math.nextafter(e, math.inf) for e in edges),
+                *(math.nextafter(e, 0.0) for e in edges),
+                *((a + b) / 2 for a, b in pairwise(edges))]
+        for d_t in d_ts:
+            est = estimate_total_distance(h, d_t)
+            km, extrapolated = oracles.masked_estimate(h, d_t)
+            assert (float(est.km).hex(), est.extrapolated) == (float(km).hex(), extrapolated)
+
+    def test_histogram_is_read_only(self):
+        counts = np.array([1, 2, 3], dtype=np.int64)
+        h = TripDistanceHistogram(1.0, counts)
+        counts[0] = 9
+        assert h.counts.tolist() == [1, 2, 3]
+        with pytest.raises(ValueError):
+            h.counts[0] = 9
 
 
 class TestPredictedLength:
@@ -125,6 +158,24 @@ class TestInferFutureLocation:
             infer_future_location([], 1.0, HistoryIndex.build([]))
         with pytest.raises(ValueError):
             infer_future_location([0], 1.0, HistoryIndex.build([]), k=0)
+
+
+class TestHistoryIndexProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=10), max_size=8),
+           st.integers(1, 6),
+           st.lists(st.lists(st.integers(0, 6), max_size=9), max_size=6),
+           st.integers(1, 12))
+    def test_continuation_equals_counter_index(self, paths, max_gram, queries, k):
+        """Over few cells, so that grams collide and votes tie, the presorted
+        index answers every context like the Counter-per-gram index."""
+        history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
+        index = HistoryIndex.build(history, max_gram)
+        oracle = oracles.CounterHistoryIndex(history, max_gram)
+        contexts = queries + [cells[:p] for cells in paths for p in range(1, len(cells) + 1)]
+        for cells in contexts:
+            for votes in (1, 3, k):
+                assert index.continuation(cells, votes) == oracle.continuation(cells, votes)
 
 
 def tiny_world(g=5, n_trips=400, seed=11, detour_rate=0.0, max_detour=4):

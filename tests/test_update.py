@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import strategies
 from edp.errors import FormatError
 from edp.grid import decode_cell, l1_distance, neighbors
 from edp.model import l1_matrix, random_sstp, train_initial
@@ -299,6 +302,27 @@ class TestChangeSetIO:
         f.write_bytes(b"epoch,cell_id,neighbor_cell_id,probability\n1,0,\xff,0.5\n")
         with pytest.raises(FormatError):
             load_changeset(f, 4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(strategies.garbled_csv(strategies.CHANGESET_FIELDS),
+                     strategies.corrupted_changeset()))
+    def test_bad_rows_raise_format_or_value_error(self, text):
+        """Garbled change sets end in FormatError or ValueError, never in a
+        TypeError or KeyError; one that loads is a valid change set."""
+        with strategies.text_file(text) as f:
+            try:
+                cs = load_changeset(f, 4)
+            except (FormatError, ValueError):
+                return
+        cs.validate(4)
+        assert all(math.isfinite(p) and p >= 0.0 for row in cs.changed.values()
+                   for p in row.values())
+
+    @pytest.mark.parametrize("row", [{1: float("nan"), 4: 1.0}, {1: -0.5, 4: 1.5}])
+    def test_non_finite_or_negative_probability_rejected(self, row):
+        # neither row fails the sum check: nan compares false, and -0.5 + 1.5 is 1
+        with pytest.raises(ValueError):
+            ChangeSet(1, {0: row}).validate(4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
