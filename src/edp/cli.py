@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baseline, ingest, predict, update
 from .errors import ColdStartError, CorruptModelError, FormatError
-from .grid import GridMap, unit_grid
+from .grid import GridMap, neighbors, unit_grid
 from .model import (build_sstp, count_start_dest, load_model, load_sstp, random_sstp,
                     save_model, save_sstp, train_initial)
 
@@ -263,12 +263,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _refresh_ms(model, sstp, cells) -> float:
+    """The fastest of BENCH_REPEATS exact refreshes that give `cells`
+    uniform rows, each checked bitwise against retraining."""
+    rows = {}
+    for cell in cells:
+        nbrs = neighbors(cell, sstp.g)
+        rows[cell] = {b: 1.0 / len(nbrs) for b in nbrs}
+    change = update.ChangeSet(model.epoch + 1, rows)
+    best, reference = math.inf, None
+    for _ in range(BENCH_REPEATS):
+        live = sstp.copy()
+        t0 = time.perf_counter()
+        refreshed, _ = update.apply_update(model, live, change)
+        best = min(best, time.perf_counter() - t0)
+        if reference is None:
+            reference = train_initial(live, None, model.max_detour)
+        if not (np.array_equal(refreshed.layers, reference.layers)
+                and np.array_equal(refreshed.totals, reference.totals)):
+            raise RuntimeError(f"refresh of cells {cells} differs from retraining at g={sstp.g}")
+    return best * 1e3
+
+
 def cmd_bench(args) -> int:
     max_detour = _resolve(args, "max_detour", int, 8)
     seed = _resolve(args, "seed", int, 0)
     grids = [int(x) for x in args.grids.split(",")]
     with _output(args) as out:
-        out.write("g,edp_ms,smm_ms,speedup\n")
+        out.write("g,edp_ms,smm_ms,speedup,corner_ms,cluster_ms\n")
         for g in grids:
             if g < 2:
                 raise ValueError(f"grid side must be >= 2, got {g}")
@@ -286,8 +308,15 @@ def cmd_bench(args) -> int:
             err = float(np.abs(model.totals - totals).max())
             if err > 1e-9:
                 raise RuntimeError(f"trainers disagree at g={g}: {err}")
+            del dense, totals
+            # the corner cell, then the 2x2 block at the centre
+            h = g // 2 - 1
+            corner_ms = _refresh_ms(model, sstp, [0])
+            cluster_ms = _refresh_ms(model, sstp, [h * g + h, h * g + h + 1,
+                                                   (h + 1) * g + h, (h + 1) * g + h + 1])
             edp_ms, smm_ms = edp_s * 1e3, smm_s * 1e3
-            out.write(f"{g},{edp_ms:.1f},{smm_ms:.1f},{smm_ms / edp_ms:.2f}\n")
+            out.write(f"{g},{edp_ms:.1f},{smm_ms:.1f},{smm_ms / edp_ms:.2f},"
+                      f"{corner_ms:.1f},{cluster_ms:.1f}\n")
             out.flush()
     return 0
 
@@ -399,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="trainer speed vs the matrix-power baseline")
+    p = sub.add_parser("bench", help="trainer speed vs the matrix-power baseline, "
+                       "and refresh speed")
     common(p)
     p.add_argument("--grids", required=True, help="comma list of grid sides")
     p.add_argument("--max-detour", dest="max_detour", type=int, default=None)

@@ -7,6 +7,7 @@ hops; the only legal single step is to one of the 4 orthogonal neighbors.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 EARTH_RADIUS_KM = 6371.0088
 # one meridian degree on the same sphere haversine_km uses, so grid pitch
@@ -16,9 +17,9 @@ KM_PER_DEG_LON_EQ = KM_PER_DEG_LAT
 
 # Neighbor offsets in the fixed order (up, down, left, right). An offset's
 # position is its direction index, the last axis of SSTPMatrix.probs. The
-# wavefront kernel, which both training and incremental refresh run, adds
-# contributions in this order, so reordering it changes trained values in
-# the last bits.
+# training recursion (model._ring_recursion), which incremental refresh also
+# runs, adds its terms in this direction order, so reordering them changes
+# trained values in the last bits.
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 DIRECTION_INDEX = {offset: k for k, offset in enumerate(DIRECTIONS)}
 
@@ -61,8 +62,9 @@ class GridMap:
         mid = math.radians((self.lat_min + self.lat_max) / 2)
         return (self.lon_max - self.lon_min) / self.g * KM_PER_DEG_LON_EQ * math.cos(mid)
 
-    @property
+    @cached_property
     def mean_pitch_km(self) -> float:
+        # computed once per grid: every query reads it as its step length
         return (self.cell_width_km + self.cell_height_km) / 2
 
     def contains(self, lat: float, lon: float) -> bool:

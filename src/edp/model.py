@@ -8,7 +8,8 @@ the dense matrix-power baseline computes the expensive way. Training
 computes only them: with d the L1 distance from the origin, layer 0
 (shortest routes) grows ring by ring from d - 1 to d, and layer k at ring
 d comes from layer k at ring d - 1 and layer k - 1 at ring d + 1. The
-incremental refresh runs the same recursion over the affected pairs only.
+incremental refresh runs the same recursion, starting each pair at the
+first layer a change reaches.
 """
 
 import math
@@ -273,39 +274,7 @@ class TransitionModel:
 _IN_NEIGHBOURS = ((1, 0, _DIR_UP), (-1, 0, _DIR_DOWN), (0, 1, _DIR_LEFT), (0, -1, _DIR_RIGHT))
 
 
-def _ring_groups(g: int, mask: np.ndarray | None = None):
-    """Flat pair indices o*n + j grouped by ring and quadrant.
-
-    The ring is d = L(o, j) and the quadrant is the sign of j's row and
-    column offset from o. Returns the indices, ascending within a group,
-    and (lo, hi, d, sign_r, sign_c) per group, d ascending. Only the pairs
-    in `mask` are kept when it is given.
-    """
-    n = g * g
-    # int16 keys sort by radix and hold rings up to g = 1800; int32 indices
-    # (and their +-g neighbours) hold every pair up to g = 215
-    index_type = np.int32 if n * n + g < 2**31 else np.int64
-    r, c = np.divmod(np.arange(n, dtype=np.int16), g)
-    dr = r - r[:, None]
-    dc = c - c[:, None]
-    key = ((np.abs(dr) + np.abs(dc)) * 9 + np.sign(dr) * 3 + np.sign(dc) + 4).ravel()
-    if mask is None:
-        idx = np.argsort(key, kind="stable").astype(index_type)
-    else:
-        idx = np.flatnonzero(mask).astype(index_type)
-        idx = idx[np.argsort(key[idx], kind="stable")]
-    counts = np.bincount(key[idx], minlength=int(key.max()) + 1)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    groups = []
-    for kv in np.flatnonzero(counts):
-        d, quadrant = divmod(int(kv), 9)
-        groups.append((int(starts[kv]), int(ends[kv]), d, quadrant // 3 - 1, quadrant % 3 - 1))
-    return idx, groups
-
-
-def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix,
-                    mask: np.ndarray | None = None) -> None:
+def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | None = None) -> None:
     """Compute stored layer entries in place from other stored entries.
 
     With d = L(o, j), layers[k, o, j] is the sum over the in-neighbours m
@@ -313,45 +282,109 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix,
     is on ring d - 1 and layers[k - 1, o, m] when m is on ring d + 1 (none
     for k = 0). This is one step of the walk from o, restricted to the
     entries that are ever stored, so k runs outer and d inner. Terms are
-    added in _IN_NEIGHBOURS order; a neighbour off the grid adds an exact
-    0.0 and a missing layer adds nothing, so an entry is bitwise the same
-    whichever other pairs are computed.
+    added in _IN_NEIGHBOURS order; a neighbour off the grid, or the empty
+    second term of a layer-0 pair on o's row or column, adds an exact 0.0,
+    so an entry is bitwise the same whichever other pairs are computed.
 
-    layers[0, o, o] must hold 1.0. Only the pairs in `mask` are computed
-    (all when None); the rest are read as stored.
+    layers[0, o, o] must hold 1.0. Pair (o, j) is computed from layer
+    first[o, j] up and read as stored below it, so not at all when
+    first[o, j] >= len(layers); first=None computes every entry.
+
+    Pairs are sorted by (ring, first layer, quadrant), the quadrant being
+    the signs of j's row and column offsets from o. The pairs of ring d
+    computed at layer k are then one prefix of the ring, and each (ring,
+    layer) is one (terms, pairs) block whose per-term offsets repeat a
+    per-quadrant table over the runs of that prefix.
     """
     if not layers.flags.c_contiguous:
         raise ValueError("layers must be C-contiguous: entries are written through a flat view")
+    n_layers = len(layers)
     g, n = sstp.g, sstp.n_cells
     N = n * n
-    rows = layers.reshape(len(layers), N)
+    rows = layers.reshape(n_layers, N)
     flat = rows.reshape(-1)
     padded = np.zeros((g + 2, g + 2, 4))
     padded[1:-1, 1:-1] = sstp.probs
     # P(m -> j) indexed by j, zero where m is off the grid: an offset that
-    # wraps a row edge or leaves the array always meets a zero here
-    p_in = np.stack([padded[1 + mr:1 + mr + g, 1 + mc:1 + mc + g, direction].ravel()
-                     for mr, mc, direction in _IN_NEIGHBOURS])
-    steps = np.array([mr * g + mc for mr, mc, _ in _IN_NEIGHBOURS])
-    idx, groups = _ring_groups(g, mask)
-    plans = []
-    for lo, hi, d, sr, sc in groups:
-        # m is on ring d - 1 (layer k) when its step from j heads back
-        # toward o, else on ring d + 1 (layer k - 1), which k = 0 lacks
-        back = np.array([sr * mr + sc * mc != -1 for mr, mc, _ in _IN_NEIGHBOURS])
-        offsets = steps - back * N   # into flat, from the pair's own entry in layer k
-        sel = idx[lo:hi]
-        plans.append((sel, sel % n, d, (offsets[~back], p_in[~back]), (offsets, p_in)))
-    for k in range(len(layers)):
-        for sel, j, d, first, later in plans:
-            if k == 0 and d == 0:
+    # wraps a row edge or leaves the array always meets a zero here. Row 4
+    # is all zero, for the empty term.
+    p_in = np.zeros((5, n))
+    p_in[:4] = [padded[1 + mr:1 + mr + g, 1 + mc:1 + mc + g, direction].ravel()
+                for mr, mc, direction in _IN_NEIGHBOURS]
+    # int32 pair indices and offsets (with their +-g neighbours) reach every
+    # entry of the stored layers up to g = 143 at max_detour = 8
+    index_type = np.int32 if n_layers * N + g < 2**31 else np.int64
+    steps = np.array([mr * g + mc for mr, mc, _ in _IN_NEIGHBOURS], dtype=index_type)
+    # per quadrant q = (sign of the row offset + 1) * 3 + sign of the column
+    # offset + 1: m is on ring d - 1 (layer k) when its step into j heads
+    # away from o, else on ring d + 1 (layer k - 1)
+    sr, sc = np.divmod(np.arange(9), 3)
+    inward = np.array([(sr - 1) * mr + (sc - 1) * mc == -1 for mr, mc, _ in _IN_NEIGHBOURS])
+    # k >= 1: four terms, as offsets into flat from the pair's own entry in
+    # layer k, tiled once per first layer
+    off_k = np.tile(steps[:, None] - ~inward * index_type(N), n_layers)
+    # k = 0: the inward vertical term, then the inward horizontal one; where
+    # there is none, term 4 (P = 0) reads the other term's value
+    term = np.full((2, 9), 4, dtype=index_type)
+    for t, (_, mc, _) in enumerate(_IN_NEIGHBOURS):
+        term[int(mc != 0), inward[t]] = t
+    off_0 = np.append(steps, 0)[term]
+    off_0 = np.where(term < 4, off_0, off_0[::-1])
+    p_0 = term * n
+
+    # the sort key is 9 * (n_layers * d + first) + q; d and q add over the two axes
+    rings = 2 * g - 1
+    # int16 keys sort by radix
+    key_type = np.int16 if 9 * n_layers * rings < 2**15 else np.int32
+    a = np.arange(g, dtype=key_type)
+    dx = a - a[:, None]
+    ring = np.abs(dx) * (9 * n_layers)
+    key = ((ring + 3 * (np.sign(dx) + 1))[:, None, :, None]
+           + (ring + np.sign(dx) + 1)[None, :, None, :]).reshape(N)
+    if first is None:
+        idx = np.argsort(key, kind="stable")
+    else:
+        first = first.reshape(N)
+        idx = np.flatnonzero(first < n_layers)
+        key = key[idx] + 9 * first[idx].astype(key_type)
+        idx = idx[np.argsort(key, kind="stable")]
+    idx = idx.astype(index_type)
+    j = idx % n
+    # counts[d, 9 * f + q]: the run of pairs on ring d with first layer f in quadrant q
+    counts = np.bincount(key, minlength=9 * n_layers * rings).reshape(rings, 9 * n_layers)
+    ring_lo = np.cumsum(counts.sum(axis=1)) - counts.sum(axis=1)
+    prefix = np.cumsum(counts.reshape(rings, n_layers, 9).sum(axis=2), axis=1)
+    # scratch for the largest block, reused: fresh arrays of a ring's size
+    # for every block cost page faults on large grids
+    largest = int(prefix[:, -1].max())
+    at_buf = np.empty(4 * largest, dtype=np.int64)
+    terms_buf = np.empty(4 * largest)
+    sums_buf = np.empty(largest)
+    for k in range(n_layers):
+        table = off_k[:, :9 * (k + 1)] + k * N
+        out = rows[k]
+        # layer 0 on ring 0 is the stored 1.0
+        for d in range(1 if k == 0 else 0, rings):
+            lo = ring_lo[d]
+            size = prefix[d, k]
+            if size == 0:
                 continue
-            offsets, p = first if k == 0 else later
+            sel, sj = idx[lo:lo + size], j[lo:lo + size]
             # one (terms, pairs) block; reducing over axis 0 adds the terms
-            # one after another, in _IN_NEIGHBOURS order
-            terms = flat.take(sel + (offsets + k * N)[:, None], mode="clip")
-            terms *= p.take(j, axis=1)
-            rows[k, sel] = terms.sum(axis=0)
+            # one after another, in order
+            at = at_buf[:4 * size].reshape(4, size)
+            if k == 0:
+                runs = counts[d, :9]
+                at = np.add(off_0.repeat(runs, axis=1), sel, out=at[:2])
+                terms = flat.take(at, mode="clip", out=terms_buf[:2 * size].reshape(2, size))
+                at = np.add(p_0.repeat(runs, axis=1), sj, out=at)
+                terms *= p_in.take(at, mode="clip", out=terms_buf[2 * size:4 * size].reshape(2, size))
+            else:
+                np.add(table.repeat(counts[d, :9 * (k + 1)], axis=1), sel, out=at)
+                terms = flat.take(at, mode="clip", out=terms_buf[:4 * size].reshape(4, size))
+                # the offsets are spent, so their memory takes P(m -> j)
+                terms *= p_in[:4].take(sj, axis=1, mode="clip", out=at.view(np.float64))
+            out[sel] = np.add.reduce(terms, axis=0, out=sums_buf[:size])
 
 
 def train_initial(sstp: SSTPMatrix, start_dest_counts=None,

@@ -1,18 +1,19 @@
 """Incremental model refresh after single-step probability changes.
 
-When a cell's outgoing probabilities change, only trips whose routes can
-pass through that cell within their detour budget are affected: the pairs
-(o, j) whose best route through a changed cell fits L(o, j) + max_detour.
-The refresh runs the training recursion (`model._ring_recursion`) on the
-new single-step matrix over exactly those pairs, layer by layer and ring
-by ring, and reads every other neighbour entry as stored. An unaffected
-entry already holds its retrained value bit for bit, so the result equals
-full retraining bitwise.
+When a cell's outgoing probabilities change, an entry of the model is
+affected only when one of the routes it counts leaves that cell. For a
+pair (o, j) those are the entries from one layer up, its first affected
+layer, a closed form in the rows and columns by which the changed cells
+lie outside the o-j rectangle. The refresh runs the training recursion
+(`model._ring_recursion`) on the new single-step matrix over exactly the
+entries at or above that layer and reads every other entry as stored. An
+unaffected entry already holds its retrained value bit for bit, so the
+result equals full retraining bitwise.
 
-Two region constructions are provided. `exact` is the affected set
-above. `paper` anchors each origin at its nearest changed cell and grows
-the beyond-rectangle border by border, one step per two units of detour;
-it runs the exact pass and then puts the old values back outside its own
+Two modes are provided. `exact` refreshes every affected entry. `paper`
+anchors each origin at its nearest changed cell and grows the
+beyond-rectangle border by border, one step per two units of detour; it
+runs the exact pass and then puts the old values back outside its own
 region. So in-region entries are the retrained values, and `paper` mode
 differs from retraining only where its region misses an affected entry,
 which then keeps its stale value.
@@ -76,10 +77,10 @@ def load_changeset(path, g: int) -> ChangeSet:
 class UpdateStats:
     """What one refresh did.
 
-    entries_recomputed counts the layer entries that take new values (the
-    refresh region's pairs times stored layers), against entries_full for
-    the whole model; origins_recomputed counts the origins with at least
-    one such pair.
+    entries_recomputed counts the (layer, pair) entries the refresh
+    recomputed, in paper mode only those inside its region, against
+    entries_full for the whole model; origins_recomputed counts the
+    origins with at least one such entry.
     """
 
     mode: str
@@ -90,13 +91,25 @@ class UpdateStats:
     wall_ms: float
 
 
-def _affected_mask_exact(L: np.ndarray, changed_cells: list[int], max_detour: int) -> np.ndarray:
-    """(n, n) mask of pairs whose best route via a changed cell fits the budget."""
-    n = L.shape[0]
-    via = np.full((n, n), np.iinfo(L.dtype).max, dtype=L.dtype)
+def _first_affected_layer(g: int, changed_cells: list[int]) -> np.ndarray:
+    """(n, n) first[o, j]: the lowest layer whose (o, j) entry a change reaches.
+
+    Entry k of (o, j) counts the routes of length L(o, j) + 2k, so it uses
+    cell c's row when some such route leaves c: L(o, c) + L(c, j) <= L(o, j)
+    + 2k. Half that excess is the rows plus the columns by which c lies
+    outside the o-j rectangle. A route that ends at c leaves it only after
+    a return trip, so column c starts at layer 1. Every entry below first
+    is bitwise its retrained value.
+    """
+    a = np.arange(g, dtype=np.int16)
+    lo, hi = np.minimum.outer(a, a), np.maximum.outer(a, a)
+    first = None
     for c in changed_cells:
-        np.minimum(via, L[:, c:c + 1] + L[c:c + 1, :], out=via)
-    return via <= L + max_detour
+        outside = [np.maximum(lo - x, 0) + np.maximum(x - hi, 0) for x in divmod(c, g)]
+        layer = (outside[0][:, None, :, None] + outside[1][None, :, None, :]).reshape(g * g, g * g)
+        layer[:, c] = 1
+        first = layer if first is None else np.minimum(first, layer, out=first)
+    return first
 
 
 def _affected_mask_paper(L: np.ndarray, changed_cells: list[int], max_detour: int,
@@ -148,12 +161,12 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
     for cell, row in cs.changed.items():
         sstp.replace_row(cell, row)
     g, n = model.g, model.n_cells
-    L = l1_matrix(g)
     changed = sorted(cs.changed)
-    mask = _affected_mask_exact(L, changed, model.max_detour)
+    first = _first_affected_layer(g, changed)
     out = model.copy()
     out.epoch = cs.epoch
-    _ring_recursion(out.layers, sstp, mask)
+    _ring_recursion(out.layers, sstp, first)
+    mask = first < model.n_layers
     # totals add the layers in the order training's layers.sum(axis=0) does
     pairs = np.flatnonzero(mask)
     flat = out.layers.reshape(model.n_layers, n * n)
@@ -162,16 +175,16 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         sums += layer.take(pairs)
     np.put(out.totals, pairs, sums)
     if mode == "paper":
-        region = _affected_mask_paper(L, changed, model.max_detour, g)
+        region = _affected_mask_paper(l1_matrix(g), changed, model.max_detour, g)
         stale = mask & ~region
         out.layers[:, stale] = model.layers[:, stale]
         out.totals[stale] = model.totals[stale]
-        mask = region
+        mask &= region
     stats = UpdateStats(
         mode=mode,
         epoch=cs.epoch,
         origins_recomputed=int(mask.any(axis=1).sum()),
-        entries_recomputed=int(mask.sum()) * model.n_layers,
+        entries_recomputed=int((model.n_layers - first[mask]).sum()),
         entries_full=n * n * model.n_layers,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -224,6 +224,33 @@ def paper_mask(changed: list[int], max_detour: int, g: int) -> np.ndarray:
     return mask
 
 
+def first_affected_layer(changed: list[int], n_layers: int, g: int) -> np.ndarray:
+    """(n, n) lowest layer of each pair whose entry a change reaches, or
+    n_layers where none does, by taint over the stored entries.
+
+    Entry (k, o, j) sums its in-grid in-neighbours m: layer k of (o, m) for
+    m one step nearer o, layer k - 1 for m one step farther. It is affected
+    when such an m is a changed cell (its row enters the term) or holds an
+    affected entry. Layer 0 of (o, o) is the constant 1.0. Entries are
+    visited by walk length L(o, j) + 2k, so every term is settled first.
+    """
+    n = g * g
+    changed = set(changed)
+    first = np.full((n, n), n_layers, dtype=np.int64)
+    for o in range(n):
+        dist = [bfs_hops(o, j, g) for j in range(n)]
+        entries = sorted((dist[j] + 2 * k, k, j) for k in range(n_layers) for j in range(n))
+        affected = set()
+        for _, k, j in entries:
+            for m in grid_neighbors(j, g):
+                km = k if dist[m] < dist[j] else k - 1
+                if km >= 0 and (m in changed or (km, m) in affected):
+                    affected.add((k, j))
+                    first[o, j] = min(first[o, j], k)
+                    break
+    return first
+
+
 def compute_etp(sstp, origin: int) -> np.ndarray:
     """Shortest-route transition probabilities from one origin to every cell.
 

@@ -370,8 +370,9 @@ class TestBench:
         rc = main(["bench", "--grids", "3,4", "--max-detour", "2"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "g,edp_ms,smm_ms,speedup"
+        assert lines[0] == "g,edp_ms,smm_ms,speedup,corner_ms,cluster_ms"
         assert len(lines) == 3
+        assert all(float(v) > 0 for line in lines[1:] for v in line.split(",")[4:])
 
     def test_rejects_tiny_grid(self):
         assert main(["bench", "--grids", "1,4"]) == 2

@@ -187,6 +187,12 @@ class TestGridMap:
         # parallel arc itself
         assert math.isclose(haversine_km(a_lat, a_lon, b_lat, b_lon), 1.0, rel_tol=1e-4)
 
+    def test_mean_pitch_computed_once(self):
+        grid = GridMap(-33.9, -33.7, 151.1, 151.3, 16)
+        assert "mean_pitch_km" not in vars(grid)
+        assert grid.mean_pitch_km == (grid.cell_width_km + grid.cell_height_km) / 2
+        assert vars(grid)["mean_pitch_km"] == grid.mean_pitch_km
+
     def test_neighbors_order(self):
         # (up, down, left, right) with out-of-grid entries skipped
         assert neighbors(0, 3) == [3, 1]

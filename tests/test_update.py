@@ -10,7 +10,8 @@ import strategies
 from edp.errors import FormatError
 from edp.grid import decode_cell, l1_distance, neighbors
 from edp.model import l1_matrix, random_sstp, train_initial
-from edp.update import ChangeSet, _affected_mask_paper, apply_update, load_changeset
+from edp.update import (ChangeSet, _affected_mask_paper, _first_affected_layer, apply_update,
+                        load_changeset)
 
 
 def uniform_rows(cells, g):
@@ -140,7 +141,8 @@ class TestApplyUpdateExact:
 
     def test_central_change_with_big_budget_touches_everything(self):
         # the detour budget reaches around a central change on a small grid,
-        # so nothing survives; still exact, just not cheaper than retraining
+        # so every origin is refreshed; the low layers of pairs far from the
+        # change are still read as stored
         g = 5
         sstp = random_sstp(g, 1)
         model = train_initial(sstp, None, 8)
@@ -148,7 +150,20 @@ class TestApplyUpdateExact:
         updated, stats = apply_update(model, sstp.copy(), ChangeSet(1, rows))
         reference = retrain_reference(sstp, rows, 8)
         assert np.array_equal(updated.layers, reference.layers)
-        assert stats.entries_recomputed == stats.entries_full
+        assert stats.origins_recomputed == g * g
+        first = oracles.first_affected_layer([12], model.n_layers, g)
+        assert stats.entries_recomputed == int((model.n_layers - first).sum())
+
+    @pytest.mark.parametrize("g", [5, 35])
+    def test_corner_change_at_zero_detour_refreshes_its_row_and_column(self, g):
+        # a shortest route uses the corner's row only when it starts there or
+        # passes through it, and only routes from row 0 or column 0 can
+        sstp = random_sstp(g, 3)
+        model = train_initial(sstp, None, 0)
+        rows = skewed_rows([0], g, 4)
+        updated, stats = apply_update(model, sstp.copy(), ChangeSet(1, rows))
+        assert stats.origins_recomputed == 2 * g - 1
+        assert np.array_equal(updated.layers, retrain_reference(sstp, rows, 0).layers)
 
     def test_noop_change_preserves_values(self):
         g = 6
@@ -191,6 +206,19 @@ class TestApplyUpdateExact:
         rows = uniform_rows([5], g)
         apply_update(model, sstp, ChangeSet(1, rows))
         assert sstp.prob(5, 1) == rows[5][1]
+
+
+class TestFirstAffectedLayer:
+    """The refresh recomputes exactly the entries a change reaches."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(change_sets())
+    def test_matches_taint_oracle(self, case):
+        g, changed, max_detour = case
+        n_layers = max_detour // 2 + 1
+        first = _first_affected_layer(g, changed)
+        assert np.array_equal(np.minimum(first, n_layers),
+                              oracles.first_affected_layer(changed, n_layers, g))
 
 
 class TestApplyUpdatePaper:
