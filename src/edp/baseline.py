@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import DIRECTIONS, step_mask
 from .model import l1_matrix
 
 
@@ -20,11 +21,10 @@ def structural_adjacency(g: int) -> np.ndarray:
     """Boolean 4-adjacency matrix of the g x g grid, zero diagonal."""
     n = g * g
     A = np.zeros((n, n), dtype=bool)
-    rows, cols = np.divmod(np.arange(n), g)
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        rr, cc = rows + dr, cols + dc
-        ok = (rr >= 0) & (rr < g) & (cc >= 0) & (cc < g)
-        A[np.arange(n)[ok], rr[ok] * g + cc[ok]] = True
+    inside = step_mask(g).reshape(n, 4)
+    for d, (dr, dc) in enumerate(DIRECTIONS):
+        src = np.flatnonzero(inside[:, d])
+        A[src, src + dr * g + dc] = True
     return A
 
 

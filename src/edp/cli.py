@@ -200,6 +200,8 @@ def _predict_or_fallback(model, q, hist, index, grid, alpha, k, force=False):
 
 
 def cmd_eval(args) -> int:
+    if not 0 < args.train_frac < 1:
+        raise ValueError(f"--train-frac must lie in (0, 1), got {args.train_frac}")
     max_detour = _resolve(args, "max_detour", int, 8)
     alpha = _resolve(args, "alpha", float, 0.004)
     k = _resolve(args, "knn", int, 10)

@@ -9,17 +9,21 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 EARTH_RADIUS_KM = 6371.0088
 # one meridian degree on the same sphere haversine_km uses, so grid pitch
 # in km and great-circle distances agree
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 KM_PER_DEG_LON_EQ = KM_PER_DEG_LAT
 
-# Neighbor offsets in the fixed order (up, down, left, right). An offset's
-# position is its direction index, the last axis of SSTPMatrix.probs. The
-# training recursion (model._ring_recursion), which incremental refresh also
-# runs, adds its terms in this direction order, so reordering them changes
-# trained values in the last bits.
+# Neighbor offsets in the fixed order (up, down, left, right), the single
+# source of the grid's step rules. An offset's position is its direction
+# index, the last axis of SSTPMatrix.probs. DIRECTION_INDEX, step_mask,
+# neighbors, model._IN_NEIGHBOURS, model._STEP_DIRECTION, SSTPMatrix.to_dense
+# and baseline.structural_adjacency all derive from it. The training
+# recursion, which refresh also runs, adds its terms in this order, so
+# reordering them changes trained values in the last bits.
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 DIRECTION_INDEX = {offset: k for k, offset in enumerate(DIRECTIONS)}
 
@@ -124,6 +128,30 @@ def neighbors(cell: int, g: int) -> list[int]:
         if 0 <= r < g and 0 <= c < g:
             out.append(r * g + c)
     return out
+
+
+def step_mask(g: int) -> np.ndarray:
+    """(g, g, 4) bool table: [r, c, d] holds when the step DIRECTIONS[d]
+    from (r, c) stays on the grid."""
+    line = np.arange(g)
+    dr, dc = np.array(DIRECTIONS).T
+    rows, cols = line[:, None, None] + dr, line[None, :, None] + dc
+    return (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
+
+
+def check_row(cell: int, row: dict[int, float], g: int) -> None:
+    """Raise ValueError unless `row` is a probability row for leaving cell:
+    it covers exactly the in-grid neighbors, every value is finite and
+    non-negative, and the values sum to 1 within 1e-9."""
+    nbrs = neighbors(cell, g)
+    if set(row) != set(nbrs):
+        raise ValueError(f"cell {cell}: row must cover exactly its in-grid neighbors "
+                         f"{sorted(nbrs)}")
+    if not all(math.isfinite(p) and p >= 0.0 for p in row.values()):
+        raise ValueError(f"cell {cell}: probabilities must be finite and non-negative")
+    total = sum(row.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"cell {cell}: row sums to {total}, expected 1")
 
 
 def step_direction(a: int, b: int, g: int) -> int:

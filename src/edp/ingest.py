@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DegenerateTripError, FormatError
 from .grid import (GridMap, decode_cell, haversine_km, l1_distance, neighbors, step_direction,
-                   unit_grid)
+                   step_mask, unit_grid)
 from .model import SSTPMatrix, _uniform_rows
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
@@ -351,10 +351,7 @@ def generate_synthetic(g: int, n_trips: int, seed: int, detour_rate: float = 0.0
     n = g * g
     rng = np.random.default_rng(seed)
     pref = rng.random((g, g, 4)) + 0.1
-    pref[0, :, 0] = 0.0
-    pref[-1, :, 1] = 0.0
-    pref[:, 0, 2] = 0.0
-    pref[:, -1, 3] = 0.0
+    pref[~step_mask(g)] = 0.0
 
     if n_attractors is not None:
         if not 1 <= n_attractors <= n:

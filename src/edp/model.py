@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptModelError, FormatError
-from .grid import DIRECTION_INDEX, check_cell, decode_cell, neighbors, step_direction
+from .grid import (DIRECTION_INDEX, DIRECTIONS, check_cell, check_row, decode_cell,
+                   step_direction, step_mask)
 
 MODEL_MAGIC = b"EDP1"
 SSTP_MAGIC = b"SST1"
 FORMAT_VERSION = 1
-
-# probs[..., k] follows grid.DIRECTIONS: 0=up 1=down 2=left 3=right
-_DIR_UP, _DIR_DOWN, _DIR_LEFT, _DIR_RIGHT = range(4)
 
 
 @dataclass
@@ -65,16 +63,9 @@ class SSTPMatrix:
     def replace_row(self, a: int, new_row: dict[int, float]) -> None:
         """Overwrite cell a's outgoing probabilities.
 
-        new_row must cover exactly the in-grid neighbors and sum to 1.
+        new_row must pass grid.check_row.
         """
-        nbrs = neighbors(a, self.g)
-        if set(new_row) != set(nbrs):
-            raise ValueError(f"row for cell {a} must cover neighbors {sorted(nbrs)}")
-        if any(p < 0 for p in new_row.values()):
-            raise ValueError(f"row for cell {a} has negative probabilities")
-        total = sum(new_row.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"row for cell {a} sums to {total}, expected 1")
+        check_row(a, new_row, self.g)
         ra, ca = decode_cell(a, self.g)
         self.probs[ra, ca, :] = 0.0
         for b, p in new_row.items():
@@ -85,17 +76,11 @@ class SSTPMatrix:
         """Dense (n, n) single-step matrix."""
         g, n = self.g, self.n_cells
         M = np.zeros((n, n))
-        for r in range(g):
-            for c in range(g):
-                i = r * g + c
-                if r > 0:
-                    M[i, i - g] = self.probs[r, c, _DIR_UP]
-                if r < g - 1:
-                    M[i, i + g] = self.probs[r, c, _DIR_DOWN]
-                if c > 0:
-                    M[i, i - 1] = self.probs[r, c, _DIR_LEFT]
-                if c < g - 1:
-                    M[i, i + 1] = self.probs[r, c, _DIR_RIGHT]
+        inside = step_mask(g).reshape(n, 4)
+        probs = self.probs.reshape(n, 4)
+        for d, (dr, dc) in enumerate(DIRECTIONS):
+            src = np.flatnonzero(inside[:, d])
+            M[src, src + dr * g + dc] = probs[src, d]
         return M
 
     def copy(self) -> "SSTPMatrix":
@@ -108,25 +93,18 @@ class SSTPMatrix:
         )
 
     def validate(self, tol: float = 1e-12) -> None:
-        g = self.g
         sums = self.probs.sum(axis=2).ravel()
         bad = np.flatnonzero(~np.isfinite(sums) | (np.abs(sums - 1.0) > tol))
         if bad.size:
             raise ValueError(f"rows {bad[:5].tolist()} do not sum to 1")
-        if np.any(self.probs[0, :, _DIR_UP]) or np.any(self.probs[-1, :, _DIR_DOWN]):
-            raise ValueError("probability mass leaves the grid vertically")
-        if np.any(self.probs[:, 0, _DIR_LEFT]) or np.any(self.probs[:, -1, _DIR_RIGHT]):
-            raise ValueError("probability mass leaves the grid horizontally")
+        if np.any(self.probs[~step_mask(self.g)]):
+            raise ValueError("probability mass leaves the grid")
 
 
 def _uniform_rows(g: int) -> np.ndarray:
     """(g, g, 4) table: each cell's probabilities spread evenly over its
     in-grid neighbours, the row a cell never observed leaving is given."""
-    inside = np.ones((g, g, 4))
-    inside[0, :, _DIR_UP] = 0.0
-    inside[-1, :, _DIR_DOWN] = 0.0
-    inside[:, 0, _DIR_LEFT] = 0.0
-    inside[:, -1, _DIR_RIGHT] = 0.0
+    inside = step_mask(g)
     return inside / inside.sum(axis=2, keepdims=True)
 
 
@@ -180,10 +158,7 @@ def random_sstp(g: int, seed: int) -> SSTPMatrix:
     """
     rng = np.random.default_rng(seed)
     probs = rng.random((g, g, 4)) + 0.05
-    probs[0, :, _DIR_UP] = 0.0
-    probs[-1, :, _DIR_DOWN] = 0.0
-    probs[:, 0, _DIR_LEFT] = 0.0
-    probs[:, -1, _DIR_RIGHT] = 0.0
+    probs[~step_mask(g)] = 0.0
     probs /= probs.sum(axis=2, keepdims=True)
     return SSTPMatrix(g=g, probs=probs)
 
@@ -271,7 +246,7 @@ class TransitionModel:
 # The in-neighbours m = j + (dr, dc) of a cell j and the direction m leaves
 # in to enter j, in the order their terms are added: from below, from above,
 # from the right, from the left
-_IN_NEIGHBOURS = ((1, 0, _DIR_UP), (-1, 0, _DIR_DOWN), (0, 1, _DIR_LEFT), (0, -1, _DIR_RIGHT))
+_IN_NEIGHBOURS = tuple((-dr, -dc, d) for d, (dr, dc) in enumerate(DIRECTIONS))
 
 
 def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | None = None) -> None:

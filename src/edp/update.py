@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .grid import neighbors
+from .grid import check_row
 from .ingest import read_csv_rows
-from .model import SSTPMatrix, TransitionModel, _ring_recursion, l1_matrix
+from .model import SSTPMatrix, TransitionModel, _ring_recursion
 
 
 @dataclass
@@ -41,15 +41,7 @@ class ChangeSet:
         if not self.changed:
             raise ValueError("change set is empty")
         for cell, row in self.changed.items():
-            if not 0 <= cell < g * g:
-                raise ValueError(f"changed cell {cell} out of range for g={g}")
-            if set(row) != set(neighbors(cell, g)):
-                raise ValueError(f"cell {cell}: row must cover exactly its in-grid neighbors")
-            if not all(p >= 0.0 for p in row.values()):
-                raise ValueError(f"cell {cell}: probabilities must be finite and non-negative")
-            total = sum(row.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"cell {cell}: new row sums to {total}")
+            check_row(cell, row, g)
 
 
 def load_changeset(path, g: int) -> ChangeSet:
@@ -112,8 +104,7 @@ def _first_affected_layer(g: int, changed_cells: list[int]) -> np.ndarray:
     return first
 
 
-def _affected_mask_paper(L: np.ndarray, changed_cells: list[int], max_detour: int,
-                         g: int) -> np.ndarray:
+def _affected_mask_paper(changed_cells: list[int], max_detour: int, g: int) -> np.ndarray:
     """(n, n) mask of the paper's border-growth region per origin.
 
     Each origin is anchored at its nearest changed cell, ties to the
@@ -125,14 +116,16 @@ def _affected_mask_paper(L: np.ndarray, changed_cells: list[int], max_detour: in
     """
     if max_detour < 0 or max_detour % 2 != 0:
         raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
-    n = L.shape[0]
+    n = g * g
     changed = np.unique(changed_cells)
-    anchor = changed[np.argmin(L[:, changed], axis=1)]
+    rows, cols = np.divmod(np.arange(n), g)
+    anchor = changed[np.argmin(np.abs(rows[:, None] - changed // g)
+                               + np.abs(cols[:, None] - changed % g), axis=1)]
     budget = max_detour // 2
     # (n, g) per axis: how many lines each grid line lies past the anchor's,
     # toward the origin; an origin on the anchor's line allows only that line
     excess = []
-    for origin, line in zip(np.divmod(np.arange(n), g), np.divmod(anchor, g)):
+    for origin, line in zip((rows, cols), np.divmod(anchor, g)):
         toward = np.sign(origin - line)[:, None]
         offset = np.arange(g) - line[:, None]
         excess.append(np.where(toward == 0, np.where(offset == 0, 0, budget + 1),
@@ -175,7 +168,7 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         sums += layer.take(pairs)
     np.put(out.totals, pairs, sums)
     if mode == "paper":
-        region = _affected_mask_paper(l1_matrix(g), changed, model.max_detour, g)
+        region = _affected_mask_paper(changed, model.max_detour, g)
         stale = mask & ~region
         out.layers[:, stale] = model.layers[:, stale]
         out.totals[stale] = model.totals[stale]

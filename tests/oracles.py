@@ -5,12 +5,12 @@ no code with the package beyond numpy: BFS for distances, explicit set
 frontiers for reachability, repeated dense multiplication for transition
 layers, direct enumeration for geometric sets. The per-origin walk
 wavefront that trained the model before the ring recursion is kept here
-unchanged, as the bitwise reference for training and refresh. So are the
-serving path's earlier forms, as references for the table-driven ones: the
-DictReader trajectory parser, the per-transition loop that counted the
-single-step matrix, the Counter-per-gram history index and the masked
-distance estimate. The small cell helpers that only tests need live here
-too.
+unchanged, as the bitwise reference for training and refresh, and so is
+the four-branch dense single-step matrix. So are the serving path's
+earlier forms, as references for the table-driven ones: the DictReader
+trajectory parser, the per-transition loop that counted the single-step
+matrix, the Counter-per-gram history index and the masked distance
+estimate. The small cell helpers that only tests need live here too.
 """
 
 import csv
@@ -277,6 +277,25 @@ def compute_etp(sstp, origin: int) -> np.ndarray:
 
 # probs[..., k] follows grid.DIRECTIONS: 0=up 1=down 2=left 3=right
 _DIR_UP, _DIR_DOWN, _DIR_LEFT, _DIR_RIGHT = range(4)
+
+
+def sstp_dense(sstp) -> np.ndarray:
+    """Dense (n, n) single-step matrix, one branch per grid edge."""
+    g = sstp.g
+    n = g * g
+    M = np.zeros((n, n))
+    for r in range(g):
+        for c in range(g):
+            i = r * g + c
+            if r > 0:
+                M[i, i - g] = sstp.probs[r, c, _DIR_UP]
+            if r < g - 1:
+                M[i, i + g] = sstp.probs[r, c, _DIR_DOWN]
+            if c > 0:
+                M[i, i - 1] = sstp.probs[r, c, _DIR_LEFT]
+            if c < g - 1:
+                M[i, i + 1] = sstp.probs[r, c, _DIR_RIGHT]
+    return M
 
 
 def _step_kernel(cur, nxt, tmp, Pu, Pd, Pl, Pr):

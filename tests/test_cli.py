@@ -364,6 +364,14 @@ class TestEval:
                    "--completion", "1.4"])
         assert rc == 2
 
+    @pytest.mark.parametrize("frac", ["1.5", "1.0", "0"])
+    def test_train_frac_out_of_range(self, synthetic_csv, capsys, frac):
+        csv_path, _ = synthetic_csv
+        rc = main(["eval", "--input", str(csv_path), "--grid", "6", "--unit-grid",
+                   f"--train-frac={frac}"])
+        assert rc == 2
+        assert "--train-frac" in capsys.readouterr().err
+
 
 class TestBench:
     def test_smoke(self, capsys):

@@ -2,11 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from edp.grid import GridMap, decode_cell, haversine_km, l1_distance, neighbors, unit_grid
-from edp.model import l1_matrix
+from edp.grid import (DIRECTIONS, GridMap, decode_cell, haversine_km, l1_distance, neighbors,
+                      step_mask, unit_grid)
 from edp.update import _affected_mask_paper
+
+
+class TestStepMask:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12))
+    def test_matches_neighbors(self, g):
+        mask = step_mask(g)
+        assert mask.shape == (g, g, 4) and mask.dtype == bool
+        for r in range(g):
+            for c in range(g):
+                inside = {divmod(x, g) for x in neighbors(r * g + c, g)}
+                for d, (dr, dc) in enumerate(DIRECTIONS):
+                    assert mask[r, c, d] == ((r + dr, c + dc) in inside)
 
 
 class TestL1Distance:
@@ -95,7 +110,7 @@ class TestRelativeAdjacentPair:
 def beyond_rows(j, g):
     """Zero-detour paper-mode mask for a change at j: row i is the
     rectangle beyond j as seen from origin i."""
-    return _affected_mask_paper(l1_matrix(g), [j], 0, g)
+    return _affected_mask_paper([j], 0, g)
 
 
 def cells(row):

@@ -1,5 +1,6 @@
 import errno
 import io
+import math
 import struct
 import tracemalloc
 
@@ -84,6 +85,9 @@ class TestBuildSstp:
             sstp.replace_row(5, {1: 0.6, 9: 0.6, 4: -0.1, 6: -0.1})
         with pytest.raises(ValueError):
             sstp.replace_row(5, {1: 1.0})
+        with pytest.raises(ValueError):
+            sstp.replace_row(5, {1: math.nan, 9: 0.5, 4: 0.25, 6: 0.25})
+        assert sstp.prob(5, 9) == 0.25
 
 
 class TestCountStartDest:
@@ -456,6 +460,18 @@ class TestRandomSstp:
         sstp.probs[1, 2] = np.nan
         with pytest.raises(ValueError, match="rows \\[6\\]"):
             sstp.validate()
+
+    def test_validate_rejects_mass_off_grid(self):
+        sstp = random_sstp(4, 0)
+        sstp.probs[0, 2] = 0.25
+        with pytest.raises(ValueError, match="leaves the grid"):
+            sstp.validate()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_to_dense_equals_branch_oracle(self, g, seed):
+        sstp = random_sstp(g, seed)
+        assert np.array_equal(sstp.to_dense(), oracles.sstp_dense(sstp))
 
     def test_l1_matrix(self):
         L = l1_matrix(3)

@@ -9,7 +9,7 @@ import oracles
 import strategies
 from edp.errors import FormatError
 from edp.grid import decode_cell, l1_distance, neighbors
-from edp.model import l1_matrix, random_sstp, train_initial
+from edp.model import random_sstp, train_initial
 from edp.update import (ChangeSet, _affected_mask_paper, _first_affected_layer, apply_update,
                         load_changeset)
 
@@ -34,7 +34,7 @@ def skewed_rows(cells, g, seed=0):
 
 
 def paper_mask(changed, max_detour, g):
-    return _affected_mask_paper(l1_matrix(g), changed, max_detour, g)
+    return _affected_mask_paper(changed, max_detour, g)
 
 
 def region(origin, changed, max_detour, g):
