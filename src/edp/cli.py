@@ -16,8 +16,8 @@ import numpy as np
 from . import baseline, ingest, predict, update
 from .errors import ColdStartError, CorruptModelError, FormatError
 from .grid import GridMap, neighbors, unit_grid
-from .model import (build_sstp, count_start_dest, load_model, load_sstp, random_sstp,
-                    save_model, save_sstp, train_initial)
+from .model import (TransitionModel, build_sstp, count_start_dest, load_model, load_sstp,
+                    random_sstp, save_model, save_sstp, train_initial)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -199,6 +199,19 @@ def _predict_or_fallback(model, q, hist, index, grid, alpha, k, force=False):
             predicted_length_km=0.0, estimated_total_km=0.0), True
 
 
+def _shortest_route_model(model: TransitionModel) -> TransitionModel:
+    """The first-order baseline: `model` cut to its shortest-route layer.
+
+    Layer 0's entries read no detour layer, so they are bitwise those of
+    train_initial(sstp, counts, 0), and this is that model without a
+    second training. It shares the layer's memory and the counts with
+    `model`.
+    """
+    return TransitionModel(g=model.g, max_detour=0, layers=model.layers[:1],
+                           totals=model.layers[0], start_counts=model.start_counts,
+                           start_totals=model.start_totals, epoch=model.epoch)
+
+
 def cmd_eval(args) -> int:
     if not 0 < args.train_frac < 1:
         raise ValueError(f"--train-frac must lie in (0, 1), got {args.train_frac}")
@@ -220,9 +233,7 @@ def cmd_eval(args) -> int:
     model = train_initial(sstp, counts, max_detour)
     hist = ingest.build_histogram(train, _resolve(args, "bin_width_km", float, 1.0))
     index = predict.HistoryIndex.build(train)
-    baseline_model = None
-    if args.compare_baseline:
-        baseline_model = train_initial(sstp, counts, 0)
+    baseline_model = _shortest_route_model(model) if args.compare_baseline else None
     train_seqs = {tuple(p.cells) for p in train}
     completions = [float(x) for x in args.completion.split(",")]
     alphas = [alpha]

@@ -23,17 +23,46 @@ class RawTrajectory:
     points: list[tuple[float, float, float]]  # (timestamp, lat, lon)
 
 
-@dataclass
 class CellPath:
     """A trip discretized to grid cells.
 
     Consecutive cells are always 4-adjacent and never equal; trip_km is the
-    length of the underlying point sequence, not the cell count.
+    length of the underlying point sequence, not the cell count. A path
+    made by cell_path keeps a reference to its trajectory's points and sums
+    their pairwise haversine lengths on the first read of trip_km, then
+    caches the sum and drops the points. Training reads only `cells`, so
+    it computes no trip length; the histogram and queries read it once.
     """
 
-    trip_id: str
-    cells: list[int]
-    trip_km: float
+    __slots__ = ("trip_id", "cells", "_trip_km", "_points")
+    __match_args__ = ("trip_id", "cells", "trip_km")
+
+    def __init__(self, trip_id: str, cells: list[int], trip_km: float):
+        self.trip_id = trip_id
+        self.cells = cells
+        self._trip_km = trip_km
+        self._points = None
+
+    @property
+    def trip_km(self) -> float:
+        if self._points is not None:
+            km = 0.0
+            for (_, la1, lo1), (_, la2, lo2) in pairwise(self._points):
+                km += haversine_km(la1, lo1, la2, lo2)
+            self._trip_km, self._points = km, None
+        return self._trip_km
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.trip_id, self.cells, self.trip_km)
+                == (other.trip_id, other.cells, other.trip_km))
+
+    __hash__ = None  # mutable, as a dataclass with eq=True would be
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(trip_id={self.trip_id!r}, "
+                f"cells={self.cells!r}, trip_km={self.trip_km!r})")
 
     def check(self, g: int) -> None:
         if len(self.cells) < 2:
@@ -151,7 +180,8 @@ def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
     the bounding box raises ValueError. Consecutive duplicates collapse;
     sampling gaps that jump cells are bridged with a deterministic
     vertical-first staircase so every stored transition stays on the
-    4-adjacency support.
+    4-adjacency support. The path's trip_km is summed from traj.points
+    when first read, so they must not change before then.
     """
     g = grid.g
     lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
@@ -177,10 +207,9 @@ def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
         else:
             cells.append(cell)
         prev, prev_row, prev_col = cell, row, col
-    km = 0.0
-    for (_, la1, lo1), (_, la2, lo2) in pairwise(traj.points):
-        km += haversine_km(la1, lo1, la2, lo2)
-    return CellPath(traj.trip_id, cells, km)
+    path = CellPath(traj.trip_id, cells, 0.0)
+    path._points = traj.points    # summed into trip_km on first read
+    return path
 
 
 def discretize(traj: RawTrajectory, grid: GridMap) -> CellPath:

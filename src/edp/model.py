@@ -53,13 +53,6 @@ class SSTPMatrix:
     def n_cells(self) -> int:
         return self.g * self.g
 
-    def prob(self, a: int, b: int) -> float:
-        """P(a -> b); zero unless b is a 4-neighbor of a."""
-        ra, ca = decode_cell(a, self.g)
-        rb, cb = decode_cell(b, self.g)
-        d = DIRECTION_INDEX.get((rb - ra, cb - ca))
-        return 0.0 if d is None else float(self.probs[ra, ca, d])
-
     def replace_row(self, a: int, new_row: dict[int, float]) -> None:
         """Overwrite cell a's outgoing probabilities.
 

@@ -113,9 +113,17 @@ def relative_adjacent_pair(i: int, j: int, g: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def sstp_prob(sstp, a: int, b: int) -> float:
+    """P(a -> b) read from sstp.probs; zero unless b is a 4-neighbor of a."""
+    (ra, ca), (rb, cb) = divmod(a, sstp.g), divmod(b, sstp.g)
+    d = {(-1, 0): _DIR_UP, (1, 0): _DIR_DOWN, (0, -1): _DIR_LEFT,
+         (0, 1): _DIR_RIGHT}.get((rb - ra, cb - ca))
+    return 0.0 if d is None else float(sstp.probs[ra, ca, d])
+
+
 def sstp_row(sstp, a: int) -> dict[int, float]:
     """Outgoing probabilities of cell a keyed by neighbor id."""
-    return {b: sstp.prob(a, b) for b in grid_neighbors(a, sstp.g)}
+    return {b: sstp_prob(sstp, a, b) for b in grid_neighbors(a, sstp.g)}
 
 
 def recrc(blob) -> bytes:
@@ -270,7 +278,7 @@ def compute_etp(sstp, origin: int) -> np.ndarray:
             continue
         acc = 0.0
         for p in sorted(brute_rap(origin, j, g)):
-            acc += etp[p] * sstp.prob(p, j)
+            acc += etp[p] * sstp_prob(sstp, p, j)
         etp[j] = acc
     return etp
 

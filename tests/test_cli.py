@@ -7,7 +7,8 @@ import oracles
 from edp import cli, ingest, predict
 from edp.cli import main
 from edp.grid import neighbors, unit_grid
-from edp.model import load_model, random_sstp, save_model, train_initial
+from edp.model import (build_sstp, count_start_dest, load_model, random_sstp, save_model,
+                       train_initial)
 
 
 @pytest.fixture
@@ -113,6 +114,21 @@ class TestTrain:
         assert main(["train", "--input", str(noisy), "--grid", "6",
                      "--out", str(tmp_path / "m.edp")]) == 0
         assert "malformed_rows=1" in capsys.readouterr().out
+
+    def test_reads_no_trip_length(self, tmp_path, synthetic_csv, monkeypatch):
+        """Training uses only the cell paths: with haversine_km failing it
+        still writes the same model and sidecar bytes."""
+        model_path = train_model(tmp_path, synthetic_csv)
+        files = model_path, tmp_path / "m.edp.sstp"
+        expected = [f.read_bytes() for f in files]
+        for f in files:
+            f.unlink()
+
+        def no_length(*_):
+            raise AssertionError("edp train read a trip length")
+        monkeypatch.setattr(ingest, "haversine_km", no_length)
+        train_model(tmp_path, synthetic_csv)
+        assert [f.read_bytes() for f in files] == expected
 
     def test_non_utf8_input_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -348,6 +364,14 @@ class TestEval:
         lines = out.strip().splitlines()
         assert lines[0] == "alpha,completion,bucket,queries,edp_deviation_km,baseline_deviation_km"
         assert len(lines) >= 3
+
+    @pytest.mark.parametrize("g,max_detour", [(6, 4), (11, 8)])
+    def test_baseline_is_the_shortest_route_layer(self, g, max_detour):
+        paths, _ = ingest.generate_synthetic(g, 200, seed=g, detour_rate=0.2, n_attractors=3)
+        sstp = build_sstp(paths, g)
+        counts = count_start_dest(paths)
+        reused = cli._shortest_route_model(train_initial(sstp, counts, max_detour))
+        assert reused.equals(train_initial(sstp, counts, 0))
 
     def test_alpha_sweep(self, tmp_path, synthetic_csv, capsys):
         csv_path, _ = synthetic_csv

@@ -197,6 +197,25 @@ class TestDiscretize:
                 expected.append(cell)
         assert cell_path(RawTrajectory("t", points), grid).cells == expected
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 5, 9]), st.lists(st.tuples(GRID_FRACTIONS, GRID_FRACTIONS),
+                                                min_size=2, max_size=12))
+    def test_trip_km_is_the_eager_haversine_sum(self, g, fractions):
+        """trip_km, summed on first read, is bitwise the pairwise haversine
+        sum over the points, and a second read gives it again."""
+        grid = GridMap(-33.9, -33.7, 151.1, 151.3, g)
+        points = [(0.0, grid.lat_min + fy * (grid.lat_max - grid.lat_min),
+                   grid.lon_min + fx * (grid.lon_max - grid.lon_min)) for fy, fx in fractions]
+        points = [(t, min(lat, grid.lat_max), min(lon, grid.lon_max)) for t, lat, lon in points]
+        eager = 0.0
+        for (_, la1, lo1), (_, la2, lo2) in zip(points, points[1:]):
+            eager += haversine_km(la1, lo1, la2, lo2)
+        path = cell_path(RawTrajectory("t", points), grid)
+        assert path.trip_km == eager
+        assert path.trip_km == eager
+        assert path == CellPath("t", path.cells, eager)
+        assert repr(path) == repr(CellPath("t", path.cells, eager))
+
     def test_point_outside_box_rejected(self):
         with pytest.raises(ValueError, match="outside bounding box"):
             cell_path(RawTrajectory("t", [(0.0, 0.5, 0.5), (1.0, 99.0, 0.5)]), GRID)

@@ -26,16 +26,16 @@ def path(cells):
 class TestBuildSstp:
     def test_single_path_counts(self):
         sstp = build_sstp([path([0, 1, 2])], 10)
-        assert sstp.prob(0, 1) == 1.0
-        assert sstp.prob(1, 2) == 1.0
+        assert oracles.sstp_prob(sstp, 0, 1) == 1.0
+        assert oracles.sstp_prob(sstp, 1, 2) == 1.0
         assert not sstp.smoothed[0] and not sstp.smoothed[1]
         assert sstp.smoothed[2]  # never observed leaving
         assert sstp.smoothed[3:].all()
 
     def test_two_way_split(self):
         sstp = build_sstp([path([0, 1]), path([0, 10])], 10)
-        assert sstp.prob(0, 1) == 0.5
-        assert sstp.prob(0, 10) == 0.5
+        assert oracles.sstp_prob(sstp, 0, 1) == 0.5
+        assert oracles.sstp_prob(sstp, 0, 10) == 0.5
 
     def test_rows_stochastic(self):
         sstp = build_sstp([path([0, 1, 2, 12, 11])], 10)
@@ -80,14 +80,14 @@ class TestBuildSstp:
     def test_replace_row(self):
         sstp = build_sstp([path([0, 1, 2])], 4)
         sstp.replace_row(5, {1: 0.25, 9: 0.25, 4: 0.25, 6: 0.25})
-        assert sstp.prob(5, 9) == 0.25
+        assert oracles.sstp_prob(sstp, 5, 9) == 0.25
         with pytest.raises(ValueError):
             sstp.replace_row(5, {1: 0.6, 9: 0.6, 4: -0.1, 6: -0.1})
         with pytest.raises(ValueError):
             sstp.replace_row(5, {1: 1.0})
         with pytest.raises(ValueError):
             sstp.replace_row(5, {1: math.nan, 9: 0.5, 4: 0.25, 6: 0.25})
-        assert sstp.prob(5, 9) == 0.25
+        assert oracles.sstp_prob(sstp, 5, 9) == 0.25
 
 
 class TestCountStartDest:
@@ -103,7 +103,7 @@ class TestComputeEtp:
         sstp = random_sstp(4, 0)
         etp = oracles.compute_etp(sstp, 5)
         for nb in (1, 9, 4, 6):
-            assert etp[nb] == pytest.approx(sstp.prob(5, nb), abs=1e-15)
+            assert etp[nb] == pytest.approx(oracles.sstp_prob(sstp, 5, nb), abs=1e-15)
 
     def test_two_step_expansion_uniform(self):
         # g=3 uniform rows: corner 0 splits 1/2 to {1, 3}, each of which
@@ -112,7 +112,8 @@ class TestComputeEtp:
         uni.replace_row(0, {1: 0.5, 3: 0.5})
         uni.replace_row(1, {0: 1 / 3, 4: 1 / 3, 2: 1 / 3})
         etp = oracles.compute_etp(uni, 0)
-        expected = uni.prob(0, 1) * uni.prob(1, 4) + uni.prob(0, 3) * uni.prob(3, 4)
+        prob = oracles.sstp_prob
+        expected = prob(uni, 0, 1) * prob(uni, 1, 4) + prob(uni, 0, 3) * prob(uni, 3, 4)
         assert etp[4] == pytest.approx(expected, abs=1e-15)
         assert etp[4] == pytest.approx(1 / 3, abs=1e-12)
 
@@ -192,7 +193,8 @@ class TestTrainInitial:
     def test_two_by_two_zero_detour(self):
         sstp = random_sstp(2, 5)
         model = train_initial(sstp, None, 0)
-        expected = sstp.prob(0, 1) * sstp.prob(1, 3) + sstp.prob(0, 2) * sstp.prob(2, 3)
+        prob = oracles.sstp_prob
+        expected = prob(sstp, 0, 1) * prob(sstp, 1, 3) + prob(sstp, 0, 2) * prob(sstp, 2, 3)
         assert model.totals[0, 3] == pytest.approx(expected, abs=1e-15)
 
     def test_default_detour_budget(self):

@@ -205,7 +205,7 @@ class TestApplyUpdateExact:
         model = train_initial(sstp, None, 0)
         rows = uniform_rows([5], g)
         apply_update(model, sstp, ChangeSet(1, rows))
-        assert sstp.prob(5, 1) == rows[5][1]
+        assert oracles.sstp_prob(sstp, 5, 1) == rows[5][1]
 
 
 class TestFirstAffectedLayer:
