@@ -185,7 +185,6 @@ class CensusRow:
     z_smm: float
     z_etp: float
     ratio: float
-    z_smm_closed: float = 0.0
     smm_match: bool = False
     etp_match: bool = False
 
@@ -219,7 +218,6 @@ def census(g: int, steps: int) -> list[CensusRow]:
         rows.append(CensusRow(
             g=g, s=s, empirical=emp[s - 1], z_smm=z_s, z_etp=z_e,
             ratio=emp[s - 1] / (n * n),
-            z_smm_closed=analytic_z_smm(s, n, form="closed"),
             smm_match=(emp[s - 1] == z_s),
             etp_match=(s <= 2 * (g - 1) and ring[s] == z_e),
         ))

@@ -16,8 +16,8 @@ import numpy as np
 from . import baseline, ingest, predict, update
 from .errors import ColdStartError, CorruptModelError, FormatError
 from .grid import GridMap, neighbors, unit_grid
-from .model import (TransitionModel, build_sstp, count_start_dest, load_model, load_sstp,
-                    random_sstp, save_model, save_sstp, train_initial)
+from .model import (TransitionModel, atomic_write, build_sstp, count_start_dest, load_model,
+                    load_sstp, random_sstp, save_model, save_sstp, train_initial)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -27,6 +27,18 @@ BENCH_REPEATS = 3   # timed runs per trainer and grid in `edp bench`
 # negative first coordinate has to be attached with "="
 BBOX_HELP = ("lat_min,lat_max,lon_min,lon_max; write --bbox=-33.9,-33.7,151.1,151.3 "
              "when lat_min is negative")
+
+# The settings a --config file may set, {key: (type, default)}. main fills
+# each one a command takes from the command line, else the config file,
+# else this default.
+SETTINGS = {
+    "grid": (int, None),
+    "max_detour": (int, 8),
+    "alpha": (float, 0.004),
+    "knn": (int, 10),
+    "bin_width_km": (float, 1.0),
+    "seed": (int, 0),
+}
 
 
 def _read_config(path) -> dict[str, str]:
@@ -45,16 +57,6 @@ def _read_config(path) -> dict[str, str]:
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
     return out
-
-
-def _resolve(args, key, cast, fallback):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cast(cfg[key])
-    return fallback
 
 
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:
@@ -81,16 +83,15 @@ def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:
     points outside it. Otherwise the grid is the padded bounding box of
     every parsed point, so nothing lies outside it.
     """
-    g = _resolve(args, "grid", int, None)
-    if g is None:
+    if args.grid is None:
         raise ValueError("--grid is required")
     if args.unit_grid:
-        grid = unit_grid(g)
+        grid = unit_grid(args.grid)
     elif args.bbox is not None:
-        grid = GridMap(*_parse_bbox(args.bbox), g)
+        grid = GridMap(*_parse_bbox(args.bbox), args.grid)
     else:
         result = ingest.parse_trajectories(path)
-        return GridMap(*_bbox_of_points(result), g), result
+        return GridMap(*_bbox_of_points(result), args.grid), result
     return grid, ingest.parse_trajectories(path, grid)
 
 
@@ -106,18 +107,17 @@ def _discretize_all(result: ingest.ParseResult, grid: GridMap):
 
 @contextmanager
 def _output(args):
-    """The --out file, opened for writing and closed on exit, or stdout."""
+    """The --out file, written atomically, or stdout."""
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out, "w") as fh:
         yield fh
 
 
 def cmd_train(args) -> int:
-    max_detour = _resolve(args, "max_detour", int, 8)
-    if max_detour < 0 or max_detour % 2 != 0:
-        raise ValueError(f"--max-detour must be even and >= 0, got {max_detour}")
+    if args.max_detour < 0 or args.max_detour % 2 != 0:
+        raise ValueError(f"--max-detour must be even and >= 0, got {args.max_detour}")
     grid, result = _load_trips(args, args.input)
     paths, degenerate = _discretize_all(result, grid)
     if not paths:
@@ -125,12 +125,12 @@ def cmd_train(args) -> int:
     sstp = build_sstp(paths, grid.g)
     counts = count_start_dest(paths)
     t0 = time.perf_counter()
-    model = train_initial(sstp, counts, max_detour)
+    model = train_initial(sstp, counts, args.max_detour)
     elapsed = (time.perf_counter() - t0) * 1e3
     save_model(model, args.out)
     save_sstp(sstp, args.out + ".sstp")
     n = grid.g * grid.g
-    print(f"trained g={grid.g} max_detour={max_detour} trips={len(paths)} "
+    print(f"trained g={grid.g} max_detour={args.max_detour} trips={len(paths)} "
           f"degenerate={degenerate} malformed_rows={result.malformed_rows} "
           f"entries={n * n * model.n_layers} train_ms={elapsed:.1f}")
     print(f"model written to {args.out} (+{args.out}.sstp)")
@@ -169,21 +169,20 @@ def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    args.grid = _resolve(args, "grid", int, model.g)
-    if args.grid != model.g:
+    if args.grid not in (None, model.g):
         raise ValueError(f"--grid {args.grid} does not match the model's g={model.g}")
+    args.grid = model.g
     grid, hist_result = _load_trips(args, args.history)
     history, _ = _discretize_all(hist_result, grid)
-    hist = ingest.build_histogram(history, _resolve(args, "bin_width_km", float, 1.0))
+    hist = ingest.build_histogram(history, args.bin_width_km)
     index = predict.HistoryIndex.build(history)
-    alpha = _resolve(args, "alpha", float, 0.004)
-    k = _resolve(args, "knn", int, 10)
     q_result = ingest.parse_trajectories(args.queries, grid)
     with _output(args) as out:
         for traj in q_result.trajectories:
             path = ingest.cell_path(traj, grid)
             q = predict.Query(path.cells, path.trip_km, top_k=args.top)
-            res, cold = _predict_or_fallback(model, q, hist, index, grid, alpha, k)
+            res, cold = _predict_or_fallback(model, q, hist, index, grid, args.alpha,
+                                             args.knn)
             out.write(_result_json(traj.trip_id, res, cold) + "\n")
     return 0
 
@@ -215,30 +214,27 @@ def _shortest_route_model(model: TransitionModel) -> TransitionModel:
 def cmd_eval(args) -> int:
     if not 0 < args.train_frac < 1:
         raise ValueError(f"--train-frac must lie in (0, 1), got {args.train_frac}")
-    max_detour = _resolve(args, "max_detour", int, 8)
-    alpha = _resolve(args, "alpha", float, 0.004)
-    k = _resolve(args, "knn", int, 10)
-    seed = _resolve(args, "seed", int, 0)
+    completions = [float(x) for x in args.completion.split(",")]
+    outside = [f for f in completions if not 0 < f <= 1]
+    if outside:
+        raise ValueError(f"completion point {outside[0]} outside (0, 1]")
+    alphas = [float(x) for x in args.alpha_sweep.split(",")] if args.alpha_sweep else [args.alpha]
     grid, result = _load_trips(args, args.input)
     paths, _ = _discretize_all(result, grid)
     if len(paths) < 10:
         raise ValueError("need at least 10 trips to evaluate")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(paths))
     n_test = max(1, int(len(paths) * (1 - args.train_frac)))
     test = [paths[i] for i in order[:n_test]]
     train = [paths[i] for i in order[n_test:]]
     sstp = build_sstp(train, grid.g)
     counts = count_start_dest(train)
-    model = train_initial(sstp, counts, max_detour)
-    hist = ingest.build_histogram(train, _resolve(args, "bin_width_km", float, 1.0))
+    model = train_initial(sstp, counts, args.max_detour)
+    hist = ingest.build_histogram(train, args.bin_width_km)
     index = predict.HistoryIndex.build(train)
     baseline_model = _shortest_route_model(model) if args.compare_baseline else None
     train_seqs = {tuple(p.cells) for p in train}
-    completions = [float(x) for x in args.completion.split(",")]
-    alphas = [alpha]
-    if args.alpha_sweep:
-        alphas = [float(x) for x in args.alpha_sweep.split(",")]
     with _output(args) as out:
         cols = "alpha,completion,bucket,queries,edp_deviation_km"
         if baseline_model is not None:
@@ -246,19 +242,17 @@ def cmd_eval(args) -> int:
         out.write(cols + "\n")
         for a in alphas:
             for f in completions:
-                if not 0 < f <= 1:
-                    raise ValueError(f"completion point {f} outside (0, 1]")
                 buckets: dict[str, list[tuple[float, float]]] = {}
                 for trip in test:
                     cut = max(1, math.ceil(len(trip.cells) * f))
                     q = predict.Query(trip.cells[:cut], trip.trip_km * f, top_k=args.top)
-                    res, _ = _predict_or_fallback(model, q, hist, index, grid, a, k)
+                    res, _ = _predict_or_fallback(model, q, hist, index, grid, a, args.knn)
                     dev = predict.deviation_metrics([res], [trip.cells[-1]], grid,
                                                     top_n=args.top).mean_km
                     base_dev = float("nan")
                     if baseline_model is not None:
                         bres, _ = _predict_or_fallback(baseline_model, q, hist, index,
-                                                       grid, a, k, force=True)
+                                                       grid, a, args.knn, force=True)
                         base_dev = predict.deviation_metrics(
                             [bres], [trip.cells[-1]], grid, top_n=args.top).mean_km
                     bucket = "all"
@@ -299,24 +293,23 @@ def _refresh_ms(model, sstp, cells) -> float:
 
 
 def cmd_bench(args) -> int:
-    max_detour = _resolve(args, "max_detour", int, 8)
-    seed = _resolve(args, "seed", int, 0)
     grids = [int(x) for x in args.grids.split(",")]
+    small = [g for g in grids if g < 2]
+    if small:
+        raise ValueError(f"grid side must be >= 2, got {small[0]}")
     with _output(args) as out:
         out.write("g,edp_ms,smm_ms,speedup,corner_ms,cluster_ms\n")
         for g in grids:
-            if g < 2:
-                raise ValueError(f"grid side must be >= 2, got {g}")
-            sstp = random_sstp(g, seed)
+            sstp = random_sstp(g, args.seed)
             dense = sstp.to_dense()
             # the minimum of a few runs: a single one swings by an order of
             # magnitude on small grids
             edp_s = smm_s = math.inf
             for _ in range(BENCH_REPEATS):
                 t0 = time.perf_counter()
-                model = train_initial(sstp, None, max_detour)
+                model = train_initial(sstp, None, args.max_detour)
                 edp_s = min(edp_s, time.perf_counter() - t0)
-                totals, elapsed = baseline.matrix_power_train(dense, max_detour)
+                totals, elapsed = baseline.matrix_power_train(dense, args.max_detour)
                 smm_s = min(smm_s, elapsed)
             err = float(np.abs(model.totals - totals).max())
             if err > 1e-9:
@@ -335,7 +328,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_census(args) -> int:
-    g = _resolve(args, "grid", int, None)
+    g = args.grid
     if g is None or g < 2:
         raise ValueError("--grid >= 2 is required")
     steps = 2 * g if args.steps is None else args.steps
@@ -363,12 +356,11 @@ def cmd_census(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    g = _resolve(args, "grid", int, None)
+    g = args.grid
     if g is None or g < 2:
         raise ValueError("--grid >= 2 is required")
-    seed = _resolve(args, "seed", int, 0)
     paths, truth = ingest.generate_synthetic(
-        g, args.trips, seed, detour_rate=args.detour_rate,
+        g, args.trips, args.seed, detour_rate=args.detour_rate,
         n_attractors=args.attractors)
     grid = ingest.synthetic_grid(g)
     ingest.write_trajectories_csv(paths, grid, args.out + ".csv")
@@ -383,88 +375,63 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="grid destination prediction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value file overriding defaults")
-        p.add_argument("--seed", type=int, default=None)
+    grid, box, detour, scoring, seed, out, config = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    grid.add_argument("--grid", type=int)
+    box.add_argument("--bbox", help=BBOX_HELP)
+    box.add_argument("--unit-grid", action="store_true",
+                     help="1 km cells anchored at the origin (synthetic data)")
+    detour.add_argument("--max-detour", type=int)
+    scoring.add_argument("--top", type=int, default=3)
+    scoring.add_argument("--alpha", type=float)
+    scoring.add_argument("--knn", type=int)
+    scoring.add_argument("--bin-width-km", type=float)
+    seed.add_argument("--seed", type=int)
+    out.add_argument("--out")
+    config.add_argument("--config", help="key=value file of settings: " + ", ".join(SETTINGS))
 
-    p = sub.add_parser("train", help="train a model from a trajectory CSV")
-    common(p)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[config, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("train", cmd_train, "train a model from a trajectory CSV", grid, box, detour)
     p.add_argument("--input", required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--bbox", help=BBOX_HELP)
-    p.add_argument("--unit-grid", action="store_true",
-                   help="1 km cells anchored at the origin (synthetic data)")
-    p.add_argument("--max-detour", dest="max_detour", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("update", help="apply a change set to a trained model")
-    common(p)
+    p = command("update", cmd_update, "apply a change set to a trained model", out)
     p.add_argument("--model", required=True)
     p.add_argument("--changes", required=True)
     p.add_argument("--sstp", help="single-step matrix file (default <model>.sstp)")
     p.add_argument("--mode", choices=("paper", "exact"), default="exact")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_update)
 
-    p = sub.add_parser("predict", help="answer destination queries")
-    common(p)
+    p = command("predict", cmd_predict, "answer destination queries", grid, box, scoring, out)
     p.add_argument("--model", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--bbox", help=BBOX_HELP)
-    p.add_argument("--unit-grid", action="store_true")
-    p.add_argument("--top", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--knn", type=int, default=None)
-    p.add_argument("--bin-width-km", dest="bin_width_km", type=float, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="held-out accuracy at completion points")
-    common(p)
+    p = command("eval", cmd_eval, "held-out accuracy at completion points",
+                grid, box, detour, scoring, seed, out)
     p.add_argument("--input", required=True)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--bbox", help=BBOX_HELP)
-    p.add_argument("--unit-grid", action="store_true")
     p.add_argument("--completion", default="0.3,0.7")
-    p.add_argument("--top", type=int, default=3)
     p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--max-detour", dest="max_detour", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alpha-sweep", help="comma list of decay factors")
-    p.add_argument("--knn", type=int, default=None)
-    p.add_argument("--bin-width-km", dest="bin_width_km", type=float, default=None)
     p.add_argument("--match-ratio-buckets", action="store_true")
     p.add_argument("--compare-baseline", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="trainer speed vs the matrix-power baseline, "
-                       "and refresh speed")
-    common(p)
+    p = command("bench", cmd_bench, "trainer speed vs the matrix-power baseline, "
+                "and refresh speed", detour, seed, out)
     p.add_argument("--grids", required=True, help="comma list of grid sides")
-    p.add_argument("--max-detour", dest="max_detour", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("census", help="structural nonzero counts per step")
-    common(p)
-    p.add_argument("--grid", type=int, default=None)
+    p = command("census", cmd_census, "structural nonzero counts per step", grid, out)
     p.add_argument("--steps", type=int)
     p.add_argument("--analytic", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("gen", help="generate a synthetic trajectory dataset")
-    common(p)
-    p.add_argument("--grid", type=int, default=None)
+    p = command("gen", cmd_gen, "generate a synthetic trajectory dataset", grid, seed)
     p.add_argument("--trips", type=int, required=True)
-    p.add_argument("--detour-rate", dest="detour_rate", type=float, default=0.0)
-    p.add_argument("--attractors", type=int, default=None)
+    p.add_argument("--detour-rate", type=float, default=0.0)
+    p.add_argument("--attractors", type=int)
     p.add_argument("--out", required=True, help="output prefix")
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
@@ -472,7 +439,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _read_config(args.config) if args.config else {}
+        config = _read_config(args.config) if args.config else {}
+        for key, (cast, default) in SETTINGS.items():
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, cast(config[key]) if key in config else default)
         return args.func(args)
     except (FormatError, CorruptModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,10 @@ KM_PER_DEG_LON_EQ = KM_PER_DEG_LAT
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 DIRECTION_INDEX = {offset: k for k, offset in enumerate(DIRECTIONS)}
 
+# how far a probability row's sum may stray from 1: check_row and
+# SSTPMatrix.validate apply the same rule
+ROW_SUM_TOL = 1e-9
+
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in kilometers."""
@@ -142,7 +146,7 @@ def step_mask(g: int) -> np.ndarray:
 def check_row(cell: int, row: dict[int, float], g: int) -> None:
     """Raise ValueError unless `row` is a probability row for leaving cell:
     it covers exactly the in-grid neighbors, every value is finite and
-    non-negative, and the values sum to 1 within 1e-9."""
+    non-negative, and the values sum to 1 within ROW_SUM_TOL."""
     nbrs = neighbors(cell, g)
     if set(row) != set(nbrs):
         raise ValueError(f"cell {cell}: row must cover exactly its in-grid neighbors "
@@ -150,7 +154,7 @@ def check_row(cell: int, row: dict[int, float], g: int) -> None:
     if not all(math.isfinite(p) and p >= 0.0 for p in row.values()):
         raise ValueError(f"cell {cell}: probabilities must be finite and non-negative")
     total = sum(row.values())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"cell {cell}: row sums to {total}, expected 1")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DegenerateTripError, FormatError
 from .grid import (GridMap, decode_cell, haversine_km, l1_distance, neighbors, step_direction,
                    step_mask, unit_grid)
-from .model import SSTPMatrix, _uniform_rows
+from .model import SSTPMatrix, _uniform_rows, atomic_write
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
 
@@ -423,8 +423,8 @@ def generate_synthetic(g: int, n_trips: int, seed: int, detour_rate: float = 0.0
 
 
 def write_trajectories_csv(paths: list[CellPath], grid: GridMap, out_path) -> None:
-    """Emit cell-center point sequences in the trajectory CSV schema."""
-    with open(out_path, "w", newline="") as fh:
+    """Emit cell-center point sequences in the trajectory CSV schema, atomically."""
+    with atomic_write(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
         for p in paths:

@@ -16,13 +16,14 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CorruptModelError, FormatError
-from .grid import (DIRECTION_INDEX, DIRECTIONS, check_cell, check_row, decode_cell,
-                   step_direction, step_mask)
+from .grid import (DIRECTION_INDEX, DIRECTIONS, ROW_SUM_TOL, check_cell, check_row,
+                   decode_cell, step_direction, step_mask)
 
 MODEL_MAGIC = b"EDP1"
 SSTP_MAGIC = b"SST1"
@@ -85,11 +86,16 @@ class SSTPMatrix:
             smoothed=self.smoothed.copy(),
         )
 
-    def validate(self, tol: float = 1e-12) -> None:
-        sums = self.probs.sum(axis=2).ravel()
-        bad = np.flatnonzero(~np.isfinite(sums) | (np.abs(sums - 1.0) > tol))
+    def validate(self) -> None:
+        """Raise ValueError unless every row keeps grid.check_row's rule:
+        finite, non-negative values that sum to 1 within ROW_SUM_TOL, and
+        none on a step off the grid."""
+        rows = self.probs.reshape(-1, 4)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | (rows < 0).any(axis=1)
+                             | (np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL))
         if bad.size:
-            raise ValueError(f"rows {bad[:5].tolist()} do not sum to 1")
+            raise ValueError(f"rows {bad[:5].tolist()} do not hold finite, non-negative "
+                             "values summing to 1")
         if np.any(self.probs[~step_mask(self.g)]):
             raise ValueError("probability mass leaves the grid")
 
@@ -387,25 +393,32 @@ _SSTP_HEADER = "IB"       # g, has-counts flag
 _RECORD = np.dtype([("start", "<u4"), ("dest", "<u4"), ("count", "<u8")])
 
 
-def _write_checksummed(path, magic: bytes, header_fmt: str, fields, sections) -> None:
-    """Write the header, each section straight from memory (C-contiguous,
-    little-endian) and the crc32 of them all to a temporary file beside
-    path, then rename it over path, so a failed write leaves the old file
-    whole."""
+@contextmanager
+def atomic_write(path, mode="wb", **open_kwargs):
+    """Open a temporary file beside path for writing and rename it over
+    path when the block exits cleanly, so a failed write leaves the old
+    file whole; on an error the temporary file is removed."""
     tmp = f"{os.fspath(path)}.tmp"
-    crc = 0
     try:
-        with open(tmp, "wb") as fh:
-            for part in (struct.pack("<4sI" + header_fmt, magic, FORMAT_VERSION, *fields),
-                         *sections):
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(struct.pack("<I", crc))
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_checksummed(path, magic: bytes, header_fmt: str, fields, sections) -> None:
+    """Write the header, each section straight from memory (C-contiguous,
+    little-endian) and the crc32 of them all, atomically."""
+    crc = 0
+    with atomic_write(path) as fh:
+        for part in (struct.pack("<4sI" + header_fmt, magic, FORMAT_VERSION, *fields),
+                     *sections):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def _read_checksummed(path, magic: bytes, header_fmt: str, layout):
@@ -498,9 +511,17 @@ def save_sstp(sstp: SSTPMatrix, path) -> None:
 
 
 def load_sstp(path) -> SSTPMatrix:
-    """The matrix saved in `path`; its probabilities are a view into one buffer."""
+    """The matrix saved in `path`; its probabilities are a view into one buffer.
+
+    A matrix whose rows break SSTPMatrix.validate raises CorruptModelError.
+    """
     (g, _), (probs, smoothed, *counts) = _read_checksummed(
         path, SSTP_MAGIC, _SSTP_HEADER, _sstp_layout)
     visit, pair = (c.astype(np.int64) for c in counts) if counts else (None, None)
-    return SSTPMatrix(g=g, probs=probs, visit_counts=visit, pair_counts=pair,
+    sstp = SSTPMatrix(g=g, probs=probs, visit_counts=visit, pair_counts=pair,
                       smoothed=smoothed.astype(bool))
+    try:
+        sstp.validate()
+    except ValueError as exc:
+        raise CorruptModelError(f"{path}: {exc}") from None
+    return sstp

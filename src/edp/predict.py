@@ -191,7 +191,6 @@ class PredictionResult:
     estimated_total_km: float
     extrapolated: bool = False
     future_no_match: bool = False
-    trip_id: str = ""
 
 
 def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogram,

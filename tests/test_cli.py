@@ -1,14 +1,19 @@
 import json
+import shlex
 import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
 from edp import cli, ingest, predict
 from edp.cli import main
 from edp.grid import neighbors, unit_grid
-from edp.model import (build_sstp, count_start_dest, load_model, random_sstp, save_model,
-                       train_initial)
+from edp.model import (build_sstp, count_start_dest, load_model, load_sstp, random_sstp,
+                       save_model, save_sstp, train_initial)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -138,6 +143,76 @@ class TestTrain:
         assert rc == 3
 
 
+class TestSettings:
+    """Each of the six settings comes from the command line, else the
+    --config file, else its default."""
+
+    # key: (flag, default, a config file value, a command-line value)
+    CASES = {
+        "grid": ("--grid", None, 5, 7),
+        "max_detour": ("--max-detour", 8, 2, 4),
+        "alpha": ("--alpha", 0.004, 0.01, 0.2),
+        "knn": ("--knn", 10, 3, 5),
+        "bin_width_km": ("--bin-width-km", 1.0, 0.5, 2.0),
+        "seed": ("--seed", 0, 3, 9),
+    }
+
+    @pytest.fixture
+    def settings_of(self, tmp_path, monkeypatch):
+        """Run `edp eval`, which takes all six settings, and return the
+        arguments its command function receives."""
+        seen = {}
+
+        def record(args):
+            seen.update(vars(args))
+            return 0
+        monkeypatch.setattr(cli, "cmd_eval", record)
+
+        def run(*argv, config=None):
+            seen.clear()
+            if config is not None:
+                (tmp_path / "edp.cfg").write_text(config)
+                argv = (*argv, "--config", str(tmp_path / "edp.cfg"))
+            assert main(["eval", "--input", "trips.csv", *argv]) == 0
+            return seen
+        return run
+
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_command_line_beats_config_beats_default(self, settings_of, key):
+        flag, default, from_config, from_cli = self.CASES[key]
+        assert settings_of()[key] == default
+        got = settings_of(config=f"{key}={from_config}\n")[key]
+        assert got == from_config and type(got) is type(from_config)
+        got = settings_of(flag, str(from_cli), config=f"{key}={from_config}\n")[key]
+        assert got == from_cli and type(got) is type(from_cli)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--input", "t.csv", "--out", "m.edp"],
+        ["update", "--model", "m.edp", "--changes", "c.csv"],
+        ["predict", "--model", "m.edp", "--history", "t.csv", "--queries", "q.csv"],
+        ["census"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "edp", line
+        try:
+            commands.add(cli.build_parser().parse_args(argv[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+    assert commands == {"train", "update", "predict", "eval", "bench", "census", "gen"}
+
+
 @pytest.mark.parametrize("grid_flags", [["--unit-grid"], []], ids=["unit-grid", "inferred"])
 class TestParseOnce:
     @pytest.fixture
@@ -231,6 +306,34 @@ class TestUpdate:
         assert main(argv) == 0
         assert model_path.read_bytes() == clean.read_bytes()
         assert (tmp_path / "m.edp.sstp").read_bytes() == (tmp_path / "clean.edp.sstp").read_bytes()
+
+    @pytest.mark.parametrize("row", [(np.nan, 0.5, 0.25, 0.25), (1.5, -0.5, 0.0, 0.0)],
+                             ids=["nan", "negative"])
+    def test_invalid_sidecar_exits_3(self, tmp_path, synthetic_csv, capsys, row):
+        model_path = train_model(tmp_path, synthetic_csv)
+        sidecar = tmp_path / "m.edp.sstp"
+        sstp = load_sstp(sidecar)
+        sstp.probs[1, 1] = row
+        save_sstp(sstp, sidecar)
+        before = model_path.read_bytes()
+        changes = self.write_changes(tmp_path, cell=8)
+        capsys.readouterr()
+        assert main(["update", "--model", str(model_path), "--changes", str(changes)]) == 3
+        assert "rows [7]" in capsys.readouterr().err
+        assert model_path.read_bytes() == before
+
+    def test_row_inside_tolerance_survives_two_updates(self, tmp_path, synthetic_csv):
+        """A change row 2e-10 short of 1 passes the change-set check, and so
+        must the sidecar an update writes with it."""
+        model_path = train_model(tmp_path, synthetic_csv)
+        row = zip(neighbors(8, 6), (0.25 - 2e-10, 0.25, 0.25, 0.25))
+        lines = [f"8,{b},{p!r}" for b, p in row]
+        for epoch in (1, 2):
+            changes = tmp_path / f"short{epoch}.csv"
+            changes.write_text("epoch,cell_id,neighbor_cell_id,probability\n"
+                               + "".join(f"{epoch},{line}\n" for line in lines))
+            assert main(["update", "--model", str(model_path), "--changes", str(changes)]) == 0
+        assert load_model(model_path).epoch == 2
 
     def test_layer_count_contradicting_header_exits_3(self, tmp_path, synthetic_csv, capsys):
         model_path = train_model(tmp_path, synthetic_csv)
@@ -388,6 +491,17 @@ class TestEval:
                    "--completion", "1.4"])
         assert rc == 2
 
+    def test_completion_points_checked_before_parsing(self, synthetic_csv, monkeypatch,
+                                                      capsys):
+        csv_path, _ = synthetic_csv
+
+        def no_parse(*_):
+            raise AssertionError("edp eval parsed its input before checking --completion")
+        monkeypatch.setattr(ingest, "parse_trajectories", no_parse)
+        assert main(["eval", "--input", str(csv_path), "--grid", "6", "--unit-grid",
+                     "--completion", "0.3,1.5"]) == 2
+        assert "completion point 1.5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("frac", ["1.5", "1.0", "0"])
     def test_train_frac_out_of_range(self, synthetic_csv, capsys, frac):
         csv_path, _ = synthetic_csv
@@ -408,6 +522,41 @@ class TestBench:
 
     def test_rejects_tiny_grid(self):
         assert main(["bench", "--grids", "1,4"]) == 2
+
+    def test_grid_sides_checked_before_timing(self, monkeypatch, capsys):
+        def no_training(*_):
+            raise AssertionError("edp bench trained before checking --grids")
+        monkeypatch.setattr(cli, "train_initial", no_training)
+        assert main(["bench", "--grids", "6,1"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestFailedRunKeepsOut:
+    """A command that fails leaves an existing --out file as it was."""
+
+    OLD = b"an earlier run's output\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--unit-grid", "--alpha", "2"],
+        ["eval", "--unit-grid", "--completion", "0.3,1.5"],
+        ["eval", "--unit-grid", "--completion", "0.5", "--alpha-sweep", "0.004,2"],
+        ["bench", "--grids", "6,1"],
+        ["bench", "--grids", "3", "--max-detour", "3"],
+    ], ids=["predict-alpha", "eval-completion", "eval-alpha-sweep", "bench-grids",
+            "bench-detour"])
+    def test_out_file_unchanged(self, tmp_path, synthetic_csv, argv):
+        csv_path, _ = synthetic_csv
+        if argv[0] == "predict":
+            model_path = train_model(tmp_path, synthetic_csv)
+            argv = [*argv, "--model", str(model_path), "--history", str(csv_path),
+                    "--queries", str(csv_path)]
+        elif argv[0] == "eval":
+            argv = [*argv, "--input", str(csv_path), "--grid", "6", "--max-detour", "2"]
+        out = tmp_path / "out.txt"
+        out.write_bytes(self.OLD)
+        assert main([*argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == self.OLD
+        assert not (tmp_path / "out.txt.tmp").exists()
 
 
 class TestCensus:

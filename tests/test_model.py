@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from edp import model as model_module
 from edp.errors import CorruptModelError, FormatError
-from edp.grid import DIRECTIONS
+from edp.grid import DIRECTIONS, check_row, neighbors
 from edp.ingest import CellPath
 from edp.model import (SSTPMatrix, TransitionModel, build_sstp, count_start_dest, l1_matrix,
                        load_model, load_sstp, random_sstp, save_model, save_sstp,
@@ -316,6 +316,16 @@ class TestPersistence:
         with pytest.raises(CorruptModelError):
             load_sstp(f)
 
+    @pytest.mark.parametrize("row", [(np.nan, 0.5, 0.25, 0.25), (1.5, -0.5, 0.0, 0.0)],
+                             ids=["nan", "negative"])
+    def test_sstp_with_invalid_row_is_corrupt(self, tmp_path, row):
+        sstp = random_sstp(4, 0)
+        sstp.probs[1, 2] = row
+        f = tmp_path / "m.sstp"
+        save_sstp(sstp, f)
+        with pytest.raises(CorruptModelError, match="rows \\[6\\]"):
+            load_sstp(f)
+
     def test_peak_memory_against_file_size(self, tmp_path):
         model = self._model(g=12, detour=8)
         f = tmp_path / "m.edp"
@@ -468,6 +478,29 @@ class TestRandomSstp:
         sstp.probs[0, 2] = 0.25
         with pytest.raises(ValueError, match="leaves the grid"):
             sstp.validate()
+
+    def test_validate_rejects_negative_row(self):
+        sstp = random_sstp(4, 0)
+        sstp.probs[1, 2] = (1.5, -0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="rows \\[6\\]"):
+            sstp.validate()
+
+    @pytest.mark.parametrize("shortfall", [2e-10, 2e-9])
+    def test_validate_applies_check_rows_rule(self, shortfall):
+        """A row passes validate exactly when it passes grid.check_row."""
+        nbrs = neighbors(6, 4)   # an inner cell: all four, in DIRECTIONS order
+        row = {b: 0.25 for b in nbrs}
+        row[nbrs[-1]] -= shortfall
+        sstp = random_sstp(4, 0)
+        sstp.probs[1, 2] = [row[b] for b in nbrs]
+
+        def passes(check, *args):
+            try:
+                check(*args)
+            except ValueError:
+                return False
+            return True
+        assert passes(check_row, 6, row, 4) == passes(sstp.validate) == (shortfall < 1e-9)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
