@@ -41,7 +41,8 @@ SETTINGS = {
 }
 
 
-def _read_config(path) -> dict[str, str]:
+def _read_config(path) -> dict:
+    """The settings a key=value file sets, each cast to its SETTINGS type."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -54,8 +55,15 @@ def _read_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise FormatError(f"{path}: expected key=value, got {line!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in SETTINGS:
+            raise FormatError(f"{path}: unknown key {key!r}; a config sets "
+                              + ", ".join(SETTINGS))
+        cast = SETTINGS[key][0]
+        try:
+            out[key] = cast(val)
+        except ValueError:
+            raise ValueError(f"{path}: {key}={val!r} is not a valid {cast.__name__}") from None
     return out
 
 
@@ -105,6 +113,22 @@ def _discretize_all(result: ingest.ParseResult, grid: GridMap):
     return paths, degenerate
 
 
+def _check_max_detour(args) -> None:
+    if args.max_detour < 0 or args.max_detour % 2 != 0:
+        raise ValueError(f"--max-detour must be even and >= 0, got {args.max_detour}")
+
+
+def _check_scoring(args, alphas, alpha_flag="--alpha") -> None:
+    """Reject the query settings before any model or CSV is read."""
+    outside = [a for a in alphas if not 0.0 < a < 1.0]
+    if outside:
+        raise ValueError(f"{alpha_flag} value {outside[0]} outside (0, 1)")
+    if args.knn < 1:
+        raise ValueError(f"--knn must be >= 1, got {args.knn}")
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
+
+
 @contextmanager
 def _output(args):
     """The --out file, written atomically, or stdout."""
@@ -116,8 +140,7 @@ def _output(args):
 
 
 def cmd_train(args) -> int:
-    if args.max_detour < 0 or args.max_detour % 2 != 0:
-        raise ValueError(f"--max-detour must be even and >= 0, got {args.max_detour}")
+    _check_max_detour(args)
     grid, result = _load_trips(args, args.input)
     paths, degenerate = _discretize_all(result, grid)
     if not paths:
@@ -160,6 +183,8 @@ def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
         "trip_id": trip_id,
         "cold_start": cold,
         "future_location": res.future_location,
+        "future_no_match": res.future_no_match,
+        "future_steps": res.future_steps,
         "predicted_length_km": round(res.predicted_length_km, 6),
         "estimated_total_km": round(res.estimated_total_km, 6),
         "extrapolated": res.extrapolated,
@@ -168,6 +193,7 @@ def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
 
 
 def cmd_predict(args) -> int:
+    _check_scoring(args, [args.alpha])
     model = load_model(args.model)
     if args.grid not in (None, model.g):
         raise ValueError(f"--grid {args.grid} does not match the model's g={model.g}")
@@ -219,6 +245,8 @@ def cmd_eval(args) -> int:
     if outside:
         raise ValueError(f"completion point {outside[0]} outside (0, 1]")
     alphas = [float(x) for x in args.alpha_sweep.split(",")] if args.alpha_sweep else [args.alpha]
+    _check_scoring(args, alphas, "--alpha-sweep" if args.alpha_sweep else "--alpha")
+    _check_max_detour(args)
     grid, result = _load_trips(args, args.input)
     paths, _ = _discretize_all(result, grid)
     if len(paths) < 10:
@@ -297,6 +325,7 @@ def cmd_bench(args) -> int:
     small = [g for g in grids if g < 2]
     if small:
         raise ValueError(f"grid side must be >= 2, got {small[0]}")
+    _check_max_detour(args)
     with _output(args) as out:
         out.write("g,edp_ms,smm_ms,speedup,corner_ms,cluster_ms\n")
         for g in grids:

@@ -196,6 +196,8 @@ class TransitionModel:
     start_counts: dict[int, dict[int, int]]
     start_totals: dict[int, int]
     epoch: int = 0
+    _candidates: dict[int, tuple[tuple[int, float], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_layers(self) -> int:
@@ -205,19 +207,22 @@ class TransitionModel:
     def n_cells(self) -> int:
         return self.g * self.g
 
-    def transition_mass(self, a: int, b: int) -> float:
-        """Total probability p(a -> b) summed over detour layers."""
-        return float(self.totals[a, b])
+    def candidates(self, s: int) -> tuple[tuple[int, float], ...]:
+        """(d, P(destination = d | start = s)) for each destination d != s
+        that start s has produced, in ascending d.
 
-    def dest_given_start(self, d: int, s: int) -> float:
-        """Empirical P(destination = d | start = s) from trip counts."""
-        total = self.start_totals.get(s, 0)
-        if total == 0:
-            return 0.0
-        return self.start_counts.get(s, {}).get(d, 0) / total
-
-    def dests_from(self, s: int) -> list[int]:
-        return sorted(self.start_counts.get(s, {}))
+        The table is built from the trip counts the first time s is asked
+        for and then kept. A model's counts do not change after it is
+        built: copy() and apply_update make a new model, whose tables start
+        empty.
+        """
+        table = self._candidates.get(s)
+        if table is None:
+            total = self.start_totals.get(s, 0)
+            counts = self.start_counts.get(s, {}) if total > 0 else {}
+            table = self._candidates[s] = tuple(
+                (d, counts[d] / total) for d in sorted(counts) if d != s and counts[d] > 0)
+        return table
 
     def copy(self) -> "TransitionModel":
         return TransitionModel(

@@ -67,7 +67,7 @@ class FutureLocation(NamedTuple):
 
 
 class HistoryIndex:
-    """Suffix-gram index over historical cell paths.
+    """Suffix-gram index over historical cell paths, with a table of votes.
 
     Maps each contiguous window of up to max_gram cells to the cells
     observed immediately after it, with their counts. A trip ending right
@@ -75,6 +75,16 @@ class HistoryIndex:
     walk can halt where history says journeys finish instead of sailing
     past them. Each window's continuations are stored once, at build time,
     as (cell, count) pairs in ranking order: count descending, then cell.
+
+    build indexes every window length ending at every position, so the
+    suffixes of a context that match the index always run from length 1
+    up to a longest one, the deepest matching gram. A continuation's vote
+    pools only that gram and its own suffixes, so it is a pure function of
+    the index, the gram and k. Each vote is pooled the first time it is
+    asked for and kept in a table keyed by (k, gram): at most one entry per
+    gram for each k in use, never keyed by a query. Queries fill the table
+    but never change an entry, so concurrent queries under CPython's GIL at
+    worst pool a vote more than once and store equal values.
     """
 
     STOP = -1
@@ -82,6 +92,7 @@ class HistoryIndex:
     def __init__(self, max_gram: int = 8):
         self.max_gram = max_gram
         self._grams: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+        self._votes: dict[int, dict[tuple[int, ...], int]] = {}
 
     @classmethod
     def build(cls, paths: list[CellPath], max_gram: int = 8) -> "HistoryIndex":
@@ -108,20 +119,37 @@ class HistoryIndex:
     def continuation(self, cells: list[int], k: int) -> int | None:
         """Majority next cell among the k best suffix matches.
 
-        Matches rank by suffix length first, then frequency, then cell id;
-        the quota pools down to shorter suffixes when longer ones are rare.
-        Returns STOP when ending the trip wins the vote and None when no
+        Returns the vote of the context's deepest matching gram (see
+        _pool), STOP when ending the trip wins the vote and None when no
         suffix matches at all.
         """
         grams = self._grams
         tail = tuple(cells[-self.max_gram:])
+        for lo in range(len(tail)):
+            gram = tail[lo:]
+            if gram in grams:
+                votes = self._votes.get(k)
+                if votes is None:
+                    votes = self._votes[k] = {}
+                vote = votes.get(gram)
+                if vote is None:
+                    vote = votes[gram] = self._pool(gram, k)
+                return vote
+        return None
+
+    def _pool(self, gram: tuple[int, ...], k: int) -> int:
+        """The majority next cell among the k best matches of `gram` and
+        its suffixes, all of which the index holds.
+
+        Matches rank by suffix length first, then frequency, then cell id;
+        the quota pools down to shorter suffixes when longer ones are rare.
+        Ties go to the smaller cell.
+        """
+        grams = self._grams
         quota = k
         tally: dict[int, int] = {}
-        for lo in range(len(tail)):
-            ranked = grams.get(tail[lo:])
-            if ranked is None:
-                continue
-            for cell, cnt in ranked:
+        for lo in range(len(gram)):
+            for cell, cnt in grams[gram[lo:]]:
                 take = cnt if cnt < quota else quota
                 tally[cell] = tally.get(cell, 0) + take
                 quota -= take
@@ -144,7 +172,9 @@ def infer_future_location(partial: list[int], dp_km: float, history: HistoryInde
                           k: int = 10, step_km: float = 1.0) -> FutureLocation:
     """Walk the majority continuation until the forward budget is spent.
 
-    With no matching history the current cell is returned, flagged, which
+    Each step asks history.continuation once; a walk that ends on a stop
+    vote or on no match makes one more call, which adds no step. With no
+    matching history the current cell is returned, flagged, which
     degrades the predictor to its two-endpoint baseline behavior.
     """
     if not partial:
@@ -191,6 +221,7 @@ class PredictionResult:
     estimated_total_km: float
     extrapolated: bool = False
     future_no_match: bool = False
+    future_steps: int = 0
 
 
 def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogram,
@@ -199,8 +230,11 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     """Rank candidate destinations for a partial trip.
 
     Candidates are the destinations the start cell has historically
-    produced and that the model can route to. Raises ColdStartError with a
-    forward-mass fallback ranking when that set is empty.
+    produced and that the model can route to. Their P(d | start) comes from
+    the model's per-start candidate table (TransitionModel.candidates),
+    built once per start cell; p(start -> d) and p(future -> d) are read
+    from totals on every query. Raises ColdStartError with a forward-mass
+    fallback ranking when that set is empty.
     """
     s, c = q.cells[0], q.cells[-1]
     est = estimate_total_distance(h, q.d_t)
@@ -214,20 +248,17 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
         future = infer_future_location(q.cells, dp, history, k, step_km=grid.mean_pitch_km)
     lp = future.cell
 
+    totals = model.totals
     scores: dict[int, float] = {}
-    for d in model.dests_from(s):
-        if d == s:
+    for d, p_d_given_s in model.candidates(s):
+        p_sd = totals.item(s, d)
+        if p_sd <= 0.0:
             continue
-        p_sd = model.transition_mass(s, d)
-        p_d_given_s = model.dest_given_start(d, s)
-        if p_sd <= 0.0 or p_d_given_s <= 0.0:
-            continue
-        p_ld = 1.0 if d == lp else model.transition_mass(lp, d)
+        p_ld = 1.0 if d == lp else totals.item(lp, d)
         scores[d] = p_ld * p_d_given_s / p_sd
     total = sum(scores.values())
     if not scores or total <= 0.0:
-        fallback = [(d, float(model.totals[lp, d])) for d in range(model.n_cells)
-                    if d != s and model.totals[lp, d] > 0.0]
+        fallback = [(d, p) for d, p in enumerate(totals[lp].tolist()) if d != s and p > 0.0]
         fb_total = sum(p for _, p in fallback)
         fallback = sorted(
             ((d, p / fb_total) for d, p in fallback), key=lambda kv: (-kv[1], kv[0])
@@ -242,6 +273,7 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
         estimated_total_km=est.km,
         extrapolated=est.extrapolated,
         future_no_match=future.no_match,
+        future_steps=future.steps,
     )
 
 

@@ -9,8 +9,9 @@ unchanged, as the bitwise reference for training and refresh, and so is
 the four-branch dense single-step matrix. So are the serving path's
 earlier forms, as references for the table-driven ones: the DictReader
 trajectory parser, the per-transition loop that counted the single-step
-matrix, the Counter-per-gram history index and the masked distance
-estimate. The small cell helpers that only tests need live here too.
+matrix, the Counter-per-gram history index, the masked distance
+estimate, and the destination scoring loop that read the model one
+candidate at a time. The small cell helpers that only tests need live here too.
 """
 
 import csv
@@ -499,3 +500,49 @@ def masked_estimate(h, d_t: float) -> tuple[float, bool]:
         return d_t, True
     num = float((left_edges[surviving] * h.counts[surviving]).sum())
     return num / mass, False
+
+
+def dests_from(model, s: int) -> list[int]:
+    return sorted(model.start_counts.get(s, {}))
+
+
+def transition_mass(model, a: int, b: int) -> float:
+    """Total probability p(a -> b) summed over detour layers."""
+    return float(model.totals[a, b])
+
+
+def dest_given_start(model, d: int, s: int) -> float:
+    """Empirical P(destination = d | start = s) from trip counts."""
+    total = model.start_totals.get(s, 0)
+    if total == 0:
+        return 0.0
+    return model.start_counts.get(s, {}).get(d, 0) / total
+
+
+def score_destinations(model, s: int, lp: int):
+    """(ranked, fallback) for start s and future location lp, one of them
+    None: the scoring loop of predict_destination reading the model
+    through the three helpers above, and its cold-start fallback reading
+    totals one cell at a time."""
+    scores: dict[int, float] = {}
+    for d in dests_from(model, s):
+        if d == s:
+            continue
+        p_sd = transition_mass(model, s, d)
+        p_d_given_s = dest_given_start(model, d, s)
+        if p_sd <= 0.0 or p_d_given_s <= 0.0:
+            continue
+        p_ld = 1.0 if d == lp else transition_mass(model, lp, d)
+        scores[d] = p_ld * p_d_given_s / p_sd
+    total = sum(scores.values())
+    if not scores or total <= 0.0:
+        fallback = [(d, float(model.totals[lp, d])) for d in range(model.n_cells)
+                    if d != s and model.totals[lp, d] > 0.0]
+        fb_total = sum(p for _, p in fallback)
+        fallback = sorted(
+            ((d, p / fb_total) for d, p in fallback), key=lambda kv: (-kv[1], kv[0])
+        )
+        return None, fallback
+    ranked = sorted(((d, p / total) for d, p in scores.items()),
+                    key=lambda kv: (-kv[1], kv[0]))
+    return ranked, None

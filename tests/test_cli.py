@@ -93,6 +93,23 @@ class TestTrain:
         assert "edp.cfg" in capsys.readouterr().err
         assert not (tmp_path / "m.edp").exists()
 
+    @pytest.mark.parametrize("line, code, named", [
+        ("max-detour=2", 3, "'max-detour'"),
+        ("max_detour=abc", 2, "max_detour='abc'"),
+        ("alpha=", 2, "alpha=''"),
+    ], ids=["unknown-key", "bad-int", "empty-float"])
+    def test_config_key_and_value_checked(self, tmp_path, synthetic_csv, capsys, line,
+                                          code, named):
+        csv_path, _ = synthetic_csv
+        cfg = tmp_path / "edp.cfg"
+        cfg.write_text(f"# settings\n{line}\n")
+        rc = main(["train", "--input", str(csv_path), "--grid", "6", "--unit-grid",
+                   "--config", str(cfg), "--out", str(tmp_path / "m.edp")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert str(cfg) in err and named in err
+        assert not (tmp_path / "m.edp").exists()
+
     def test_bbox_flag(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
         rc = main(["train", "--input", str(csv_path), "--grid", "6",
@@ -374,6 +391,8 @@ class TestPredict:
         assert rows[0]["trip_id"] == "syn000000"
         assert 1 <= len(rows[0]["ranked"]) <= 3
         assert "future_location" in rows[0]
+        assert type(rows[0]["future_no_match"]) is bool
+        assert type(rows[0]["future_steps"]) is int and rows[0]["future_steps"] >= 0
 
     def test_one_cell_query_answered(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
@@ -529,6 +548,53 @@ class TestBench:
         monkeypatch.setattr(cli, "train_initial", no_training)
         assert main(["bench", "--grids", "6,1"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestQuerySettingsFirst:
+    """Bad query settings exit 2, naming the flag, before any model is
+    loaded or CSV parsed; a bad --max-detour in `edp bench` before any
+    matrix is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("work started before the settings were checked")
+        monkeypatch.setattr(cli, "load_model", refuse)
+        monkeypatch.setattr(cli, "random_sstp", refuse)
+        monkeypatch.setattr(ingest, "parse_trajectories", refuse)
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--alpha", "2"], "--alpha"),
+        (["--alpha", "0"], "--alpha"),
+        (["--alpha=-0.5"], "--alpha"),
+        (["--alpha", "nan"], "--alpha"),
+        (["--knn", "0"], "--knn"),
+        (["--top", "0"], "--top"),
+    ])
+    def test_predict_and_eval(self, capsys, command, flags, named):
+        if command == "predict":
+            argv = ["predict", "--model", "m.edp", "--history", "h.csv", "--queries", "q.csv"]
+        else:
+            argv = ["eval", "--input", "t.csv", "--grid", "6", "--unit-grid"]
+        assert main([*argv, *flags]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["0.004,2", "1,0.004", "0.004,0"])
+    def test_alpha_sweep(self, capsys, sweep):
+        assert main(["eval", "--input", "t.csv", "--grid", "6", "--unit-grid",
+                     "--alpha-sweep", sweep]) == 2
+        assert "--alpha-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detour", ["3", "-2"])
+    def test_bench_max_detour(self, capsys, detour):
+        assert main(["bench", "--grids", "3", f"--max-detour={detour}"]) == 2
+        assert "--max-detour" in capsys.readouterr().err
+
+    def test_eval_max_detour(self, capsys):
+        assert main(["eval", "--input", "t.csv", "--grid", "6", "--unit-grid",
+                     "--max-detour", "3"]) == 2
+        assert "--max-detour" in capsys.readouterr().err
 
 
 class TestFailedRunKeepsOut:

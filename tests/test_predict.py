@@ -1,5 +1,8 @@
 import inspect
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import pairwise
 
 import numpy as np
@@ -10,13 +13,18 @@ from hypothesis import strategies as st
 import oracles
 from edp import baseline
 from edp.errors import ColdStartError
-from edp.grid import unit_grid
+from edp.grid import neighbors, unit_grid
 from edp.ingest import (CellPath, TripDistanceHistogram, build_histogram, generate_synthetic,
                         synthetic_grid)
 from edp.model import build_sstp, count_start_dest, train_initial
+from edp.update import ChangeSet, apply_update
 from edp.predict import (HistoryIndex, PredictionResult, Query,
                          deviation_metrics, estimate_total_distance,
                          infer_future_location, predict_destination, predicted_length)
+
+
+def bitwise(pairs):
+    return [(d, float(p).hex()) for d, p in pairs]
 
 
 def trips(*kms):
@@ -165,17 +173,51 @@ class TestHistoryIndexProperties:
     @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=10), max_size=8),
            st.integers(1, 6),
            st.lists(st.lists(st.integers(0, 6), max_size=9), max_size=6),
-           st.integers(1, 12))
-    def test_continuation_equals_counter_index(self, paths, max_gram, queries, k):
-        """Over few cells, so that grams collide and votes tie, the presorted
-        index answers every context like the Counter-per-gram index."""
+           st.integers(1, 12),
+           st.randoms(use_true_random=False))
+    def test_continuation_equals_counter_index(self, paths, max_gram, queries, k, rng):
+        """Over few cells, so that grams collide and votes tie, one index
+        answers every context like the Counter-per-gram index, whatever
+        order the contexts and vote counts arrive in and so whichever of
+        them fills each entry of the vote table."""
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
         oracle = oracles.CounterHistoryIndex(history, max_gram)
         contexts = queries + [cells[:p] for cells in paths for p in range(1, len(cells) + 1)]
-        for cells in contexts:
-            for votes in (1, 3, k):
-                assert index.continuation(cells, votes) == oracle.continuation(cells, votes)
+        calls = [(cells, votes) for cells in contexts for votes in (1, 3, k)] * 2
+        rng.shuffle(calls)
+        for cells, votes in calls:
+            assert index.continuation(cells, votes) == oracle.continuation(cells, votes)
+        # one entry at most per indexed gram and vote count, none per query
+        for votes, table in index._votes.items():
+            assert votes in (1, 3, k)
+            assert table.keys() <= index._grams.keys()
+
+    def test_walk_calls_continuation_once_per_step(self):
+        """A walk asks for one continuation per step, and one more only when
+        a stop vote or no match ends it before the budget is spent."""
+        paths, grid, *_, index = tiny_world()
+        calls = []
+        real = index.continuation
+
+        def counting(cells, k):
+            calls.append(tuple(cells))
+            return real(cells, k)
+        index.continuation = counting
+        rng = np.random.default_rng(3)
+        ended_early = 0
+        for _ in range(200):
+            trip = paths[int(rng.integers(len(paths)))]
+            cut = int(rng.integers(1, len(trip.cells) + 1))
+            budget = float(rng.integers(0, 12))
+            calls.clear()
+            loc = infer_future_location(trip.cells[:cut], budget, index)
+            early = loc.steps < budget
+            assert len(calls) == loc.steps + early
+            # each call extends the context by the step before it
+            assert [len(c) for c in calls] == [cut + i for i in range(len(calls))]
+            ended_early += early
+        assert 0 < ended_early < 200
 
 
 def tiny_world(g=5, n_trips=400, seed=11, detour_rate=0.0, max_detour=4):
@@ -298,6 +340,96 @@ class TestPredictDestination:
         res = predict_destination(model, q, hist, empty_index, grid)
         assert res.future_location == trip.cells[1]
         assert res.future_no_match
+
+    @pytest.mark.parametrize("g, n_trips, seed, detour_rate", [
+        (4, 30, 5, 0.0), (5, 60, 11, 0.3), (6, 150, 2, 0.2)])
+    def test_equals_scoring_loop_before_and_after_snapshot(self, g, n_trips, seed,
+                                                           detour_rate):
+        """Scores from the per-start candidate table are bitwise those of
+        the loop that read the model one candidate at a time, for every
+        start and future cell, cold starts and round trips included, on a
+        trained model and on an apply_update snapshot of it."""
+        paths, _ = generate_synthetic(g, n_trips, seed, detour_rate)
+        # trips that end where they start, whose start is no candidate
+        paths += [CellPath(f"round{c}", [c, c + 1, c], 2.0) for c in (0, g + 1, 2 * g + 2)]
+        grid, n = synthetic_grid(g), g * g
+        sstp = build_sstp(paths, g)
+        model = train_initial(sstp, count_start_dest(paths), 4)
+        hist, index = build_histogram(paths, 1.0), HistoryIndex.build(paths)
+
+        def check(m):
+            cold = 0
+            for s in range(n):
+                for lp in range(n):
+                    q = Query([s, lp], 1.0, top_k=n)
+                    ranked, fallback = oracles.score_destinations(m, s, lp)
+                    try:
+                        res = predict_destination(m, q, hist, index, grid,
+                                                  force_future_to_current=True)
+                    except ColdStartError as exc:
+                        assert ranked is None
+                        assert bitwise(exc.fallback) == bitwise(fallback)
+                        cold += 1
+                        continue
+                    assert res.future_location == lp
+                    assert bitwise(res.ranked) == bitwise(ranked)
+            # and with the walk choosing the future cell
+            for trip in paths[:80]:
+                q = Query(trip.cells[:max(1, len(trip.cells) // 2)], 1.0, top_k=n)
+                try:
+                    res = predict_destination(m, q, hist, index, grid)
+                except ColdStartError:
+                    continue
+                ranked, _ = oracles.score_destinations(m, q.cells[0], res.future_location)
+                assert bitwise(res.ranked) == bitwise(ranked)
+            return cold
+
+        assert 0 < check(model) < n * n
+        frozen = [model.candidates(s) for s in range(n)]
+        rows = {}
+        for cell in (0, n // 2):
+            nbrs = neighbors(cell, g)
+            rows[cell] = {b: (i + 1) / (len(nbrs) * (len(nbrs) + 1) / 2)
+                          for i, b in enumerate(nbrs)}
+        snap, _ = apply_update(model, sstp, ChangeSet(model.epoch + 1, rows))
+        assert not np.array_equal(snap.totals, model.totals)
+        check(snap)
+        # the snapshot built its own tables, and the model kept its own
+        assert all(snap.candidates(s) is not frozen[s] or not frozen[s] for s in range(n))
+        assert [model.candidates(s) for s in range(n)] == frozen
+        check(model)
+
+    def test_concurrent_queries_match_sequential(self):
+        """Four threads sharing one fresh model and index, whose tables the
+        queries fill as they go, answer as one thread does."""
+        paths, grid, _, model, hist, index = tiny_world(g=6, n_trips=500, seed=4)
+        queries = [Query(t.cells[:cut], float(cut - 1), top_k=5)
+                   for t in paths[:150] for cut in range(1, len(t.cells) + 1)]
+
+        def answers(m, idx, order):
+            out = {}
+            for i in order:
+                try:
+                    res = predict_destination(m, queries[i], hist, idx, grid)
+                    out[i] = (res.future_location, res.future_steps, bitwise(res.ranked))
+                except ColdStartError as exc:
+                    out[i] = bitwise(exc.fallback)
+            return out
+
+        expected = answers(model, index, range(len(queries)))
+        shared_model, shared_index = model.copy(), HistoryIndex.build(paths)
+        orders = [list(range(len(queries))) for _ in range(4)]
+        for seed, order in enumerate(orders):
+            random.Random(seed).shuffle(order)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda o: answers(shared_model, shared_index, o), orders,
+                                    timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == expected for g in got)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
