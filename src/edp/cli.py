@@ -214,14 +214,17 @@ def cmd_predict(args) -> int:
 
 
 def _predict_or_fallback(model, q, hist, index, grid, alpha, k, force=False):
-    """(result, cold_start): the prediction, or the start cell's fallback ranking."""
+    """(result, cold_start): the prediction, or the fallback ranking from
+    the cell the history walk reached, reported with that walk."""
     try:
         return predict.predict_destination(model, q, hist, index, grid, alpha=alpha,
                                            k=k, force_future_to_current=force), False
     except ColdStartError as exc:
+        future = exc.future
         return predict.PredictionResult(
-            ranked=exc.fallback[:q.top_k], future_location=q.cells[-1],
-            predicted_length_km=0.0, estimated_total_km=0.0), True
+            ranked=exc.fallback[:q.top_k], future_location=future.cell,
+            predicted_length_km=0.0, estimated_total_km=0.0,
+            future_no_match=future.no_match, future_steps=future.steps), True
 
 
 def _shortest_route_model(model: TransitionModel) -> TransitionModel:

@@ -21,9 +21,11 @@ class ColdStartError(EdpError):
     """No candidate destination survives the query filters.
 
     Carries a fallback ranking based on forward transition mass alone so
-    callers can still answer, degraded.
+    callers can still answer, degraded, and the history walk's
+    FutureLocation (cell, steps, no_match) the fallback was ranked from.
     """
 
-    def __init__(self, message: str, fallback: list[tuple[int, float]]):
+    def __init__(self, message: str, fallback: list[tuple[int, float]], future):
         super().__init__(message)
         self.fallback = fallback
+        self.future = future

@@ -196,7 +196,7 @@ class TransitionModel:
     start_counts: dict[int, dict[int, int]]
     start_totals: dict[int, int]
     epoch: int = 0
-    _candidates: dict[int, tuple[tuple[int, float], ...]] = field(
+    _candidates: dict[int, tuple[tuple[int, float, float], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -207,21 +207,24 @@ class TransitionModel:
     def n_cells(self) -> int:
         return self.g * self.g
 
-    def candidates(self, s: int) -> tuple[tuple[int, float], ...]:
-        """(d, P(destination = d | start = s)) for each destination d != s
-        that start s has produced, in ascending d.
+    def candidates(self, s: int) -> tuple[tuple[int, float, float], ...]:
+        """(d, P(destination = d | start = s), p(s -> d)) for each
+        destination d != s that start s has produced and that the model
+        routes to (p(s -> d) > 0), in ascending d.
 
-        The table is built from the trip counts the first time s is asked
-        for and then kept. A model's counts do not change after it is
-        built: copy() and apply_update make a new model, whose tables start
-        empty.
+        The table is built from the trip counts and totals the first time s
+        is asked for and then kept. A model's counts and totals do not
+        change after it is built: copy() and apply_update make a new model,
+        whose tables start empty.
         """
         table = self._candidates.get(s)
         if table is None:
             total = self.start_totals.get(s, 0)
             counts = self.start_counts.get(s, {}) if total > 0 else {}
+            row = self.totals[s]
             table = self._candidates[s] = tuple(
-                (d, counts[d] / total) for d in sorted(counts) if d != s and counts[d] > 0)
+                (d, counts[d] / total, p_sd) for d in sorted(counts)
+                if d != s and counts[d] > 0 and (p_sd := row.item(d)) > 0.0)
         return table
 
     def copy(self) -> "TransitionModel":

@@ -36,6 +36,8 @@ def estimate_total_distance(h: TripDistanceHistogram, d_t: float) -> DistanceEst
     bins are always a suffix, so the sums come from the histogram's
     precomputed suffix tables.
     """
+    if not math.isfinite(d_t):
+        raise ValueError("traveled distance must be finite")
     if d_t < 0:
         raise ValueError("traveled distance cannot be negative")
     if h.total == 0:
@@ -66,8 +68,12 @@ class FutureLocation(NamedTuple):
     no_match: bool
 
 
+Gram = tuple[int, ...]
+Hop = tuple[int, Gram | None]
+
+
 class HistoryIndex:
-    """Suffix-gram index over historical cell paths, with a table of votes.
+    """Suffix-gram index over historical cell paths, walked gram to gram.
 
     Maps each contiguous window of up to max_gram cells to the cells
     observed immediately after it, with their counts. A trip ending right
@@ -80,19 +86,27 @@ class HistoryIndex:
     suffixes of a context that match the index always run from length 1
     up to a longest one, the deepest matching gram. A continuation's vote
     pools only that gram and its own suffixes, so it is a pure function of
-    the index, the gram and k. Each vote is pooled the first time it is
-    asked for and kept in a table keyed by (k, gram): at most one entry per
-    gram for each k in use, never keyed by a query. Queries fill the table
-    but never change an entry, so concurrent queries under CPython's GIL at
-    worst pool a vote more than once and store equal values.
+    the index, the gram and k.
+
+    The walk is an automaton over the indexed grams. If G is the deepest
+    gram of a context and v its vote, the deepest gram of the context
+    extended by v is the deepest gram of (G + (v,))[-max_gram:]: any
+    indexed S + (v,) has its prefix S indexed too, so S is a suffix of the
+    context no longer than G, hence a suffix of G. So each step is one hop
+    (k, gram) -> (vote, next gram), next gram None on a stop vote. A hop
+    is filled the first time it is asked for and kept in a table keyed by
+    (k, gram): at most one entry per indexed gram for each k in use, never
+    keyed by a query. Queries fill the table but never change an entry, so
+    concurrent queries under CPython's GIL at worst fill a hop more than
+    once and store equal values.
     """
 
     STOP = -1
 
     def __init__(self, max_gram: int = 8):
         self.max_gram = max_gram
-        self._grams: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-        self._votes: dict[int, dict[tuple[int, ...], int]] = {}
+        self._grams: dict[Gram, tuple[tuple[int, int], ...]] = {}
+        self._hops: dict[int, dict[Gram, Hop]] = {}
 
     @classmethod
     def build(cls, paths: list[CellPath], max_gram: int = 8) -> "HistoryIndex":
@@ -116,28 +130,37 @@ class HistoryIndex:
             grams[key] = tuple(sorted(counts.items(), key=_by_rank))
         return idx
 
-    def continuation(self, cells: list[int], k: int) -> int | None:
-        """Majority next cell among the k best suffix matches.
-
-        Returns the vote of the context's deepest matching gram (see
-        _pool), STOP when ending the trip wins the vote and None when no
-        suffix matches at all.
-        """
+    def deepest(self, cells) -> Gram | None:
+        """The longest suffix of `cells`, at most max_gram long, that the
+        index holds; None when not even the last cell is indexed."""
         grams = self._grams
         tail = tuple(cells[-self.max_gram:])
         for lo in range(len(tail)):
             gram = tail[lo:]
             if gram in grams:
-                votes = self._votes.get(k)
-                if votes is None:
-                    votes = self._votes[k] = {}
-                vote = votes.get(gram)
-                if vote is None:
-                    vote = votes[gram] = self._pool(gram, k)
-                return vote
+                return gram
         return None
 
-    def _pool(self, gram: tuple[int, ...], k: int) -> int:
+    def continuation(self, cells, k: int) -> int | None:
+        """Majority next cell among the k best suffix matches.
+
+        Returns the vote of the context's deepest matching gram (see
+        _pool), STOP when ending the trip wins the vote and None when no
+        suffix matches at all. Nothing is cached: the walk keeps its votes
+        in the hop table.
+        """
+        gram = self.deepest(cells)
+        return None if gram is None else self._pool(gram, k)
+
+    def _fill_hop(self, gram: Gram, k: int) -> Hop:
+        """Compute and store the hop from an indexed gram: its vote, and
+        the deepest gram of gram + (vote,), or None on a stop vote."""
+        vote = self.continuation(gram, k)
+        hop = (vote, None if vote == self.STOP else self.deepest(gram + (vote,)))
+        self._hops.setdefault(k, {})[gram] = hop
+        return hop
+
+    def _pool(self, gram: Gram, k: int) -> int:
         """The majority next cell among the k best matches of `gram` and
         its suffixes, all of which the index holds.
 
@@ -172,30 +195,40 @@ def infer_future_location(partial: list[int], dp_km: float, history: HistoryInde
                           k: int = 10, step_km: float = 1.0) -> FutureLocation:
     """Walk the majority continuation until the forward budget is spent.
 
-    Each step asks history.continuation once; a walk that ends on a stop
-    vote or on no match makes one more call, which adds no step. With no
-    matching history the current cell is returned, flagged, which
-    degrades the predictor to its two-endpoint baseline behavior.
+    The walk searches the context once for its deepest indexed gram, then
+    takes one hop of history's table per step (see HistoryIndex), filling
+    a hop the first time it is needed. It ends when the budget is spent
+    or on a stop vote. With no matching history the current cell is
+    returned, flagged, which degrades the predictor to its two-endpoint
+    baseline behavior.
     """
     if not partial:
         raise ValueError("partial path is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    cells = list(partial)
+    if not math.isfinite(dp_km):
+        raise ValueError("forward budget must be finite")
+    if not (math.isfinite(step_km) and step_km > 0.0):
+        raise ValueError("step length must be finite and positive")
+    cell = partial[-1]
     spent = 0.0
     steps = 0
-    no_match = False
-    while spent < dp_km:
-        nxt = history.continuation(cells, k)
-        if nxt is None:
-            no_match = steps == 0
-            break
-        if nxt == HistoryIndex.STOP:
-            break
-        cells.append(nxt)
-        steps += 1
-        spent += step_km
-    return FutureLocation(cells[-1], steps, no_match)
+    if dp_km > 0.0:
+        gram = history.deepest(partial)
+        if gram is None:
+            return FutureLocation(cell, 0, True)
+        hops = history._hops.setdefault(k, {})
+        while spent < dp_km:
+            hop = hops.get(gram)
+            if hop is None:
+                hop = history._fill_hop(gram, k)
+            vote, gram = hop
+            if gram is None:
+                break
+            cell = vote
+            steps += 1
+            spent += step_km
+    return FutureLocation(cell, steps, False)
 
 
 @dataclass
@@ -207,6 +240,8 @@ class Query:
     def __post_init__(self):
         if not self.cells:
             raise ValueError("query needs at least one traveled cell")
+        if not math.isfinite(self.d_t):
+            raise ValueError("traveled distance must be finite")
         if self.d_t < 0:
             raise ValueError("traveled distance cannot be negative")
         if self.top_k < 1:
@@ -230,11 +265,12 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     """Rank candidate destinations for a partial trip.
 
     Candidates are the destinations the start cell has historically
-    produced and that the model can route to. Their P(d | start) comes from
-    the model's per-start candidate table (TransitionModel.candidates),
-    built once per start cell; p(start -> d) and p(future -> d) are read
-    from totals on every query. Raises ColdStartError with a forward-mass
-    fallback ranking when that set is empty.
+    produced and that the model can route to. Their P(d | start) and
+    p(start -> d) come from the model's per-start candidate table
+    (TransitionModel.candidates), built once per start cell; p(future -> d)
+    is read from totals on every query. Raises ColdStartError, carrying a
+    forward-mass fallback ranking from the walked future cell and the walk
+    itself, when that set is empty.
     """
     s, c = q.cells[0], q.cells[-1]
     est = estimate_total_distance(h, q.d_t)
@@ -250,10 +286,7 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
 
     totals = model.totals
     scores: dict[int, float] = {}
-    for d, p_d_given_s in model.candidates(s):
-        p_sd = totals.item(s, d)
-        if p_sd <= 0.0:
-            continue
+    for d, p_d_given_s, p_sd in model.candidates(s):
         p_ld = 1.0 if d == lp else totals.item(lp, d)
         scores[d] = p_ld * p_d_given_s / p_sd
     total = sum(scores.values())
@@ -263,7 +296,7 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
         fallback = sorted(
             ((d, p / fb_total) for d, p in fallback), key=lambda kv: (-kv[1], kv[0])
         )
-        raise ColdStartError(f"no candidate destinations for start cell {s}", fallback)
+        raise ColdStartError(f"no candidate destinations for start cell {s}", fallback, future)
     ranked = sorted(((d, p / total) for d, p in scores.items()),
                     key=lambda kv: (-kv[1], kv[0]))
     return PredictionResult(

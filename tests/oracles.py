@@ -489,6 +489,26 @@ class CounterHistoryIndex:
         return min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
+def step_walk(partial, dp_km: float, history, k: int = 10, step_km: float = 1.0):
+    """(cell, steps, no_match) of the continuation walk that asks `history`
+    for one continuation per step with the whole grown context."""
+    cells = list(partial)
+    spent = 0.0
+    steps = 0
+    no_match = False
+    while spent < dp_km:
+        nxt = history.continuation(cells, k)
+        if nxt is None:
+            no_match = steps == 0
+            break
+        if nxt == -1:
+            break
+        cells.append(nxt)
+        steps += 1
+        spent += step_km
+    return cells[-1], steps, no_match
+
+
 def masked_estimate(h, d_t: float) -> tuple[float, bool]:
     """(expected total km, extrapolated) over the bins whose upper edge
     exceeds d_t, selected by a boolean mask on every call."""

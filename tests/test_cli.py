@@ -421,6 +421,43 @@ class TestPredict:
             predict.HistoryIndex.build(history), grid, 0.004, 10)
         assert rows[0] == cli._result_json("still", res, cold)
 
+    def test_cold_start_lines_report_the_walk(self, tmp_path):
+        """A cold-start line reports the cell, steps and no-match flag of
+        the history walk whose cell its fallback was ranked from. The walk
+        reads only the history, so a model that knows every start reports
+        the same walk for every query."""
+        world, few = tmp_path / "world", tmp_path / "few"
+        assert main(["gen", "--grid", "12", "--trips", "300", "--seed", "3",
+                     "--detour-rate", "0.2", "--out", str(world)]) == 0
+        assert main(["gen", "--grid", "12", "--trips", "40", "--seed", "5",
+                     "--out", str(few)]) == 0
+        csv_path = world.with_suffix(".csv")
+        rows = {}
+        for name in ("few", "world"):
+            model_path = tmp_path / f"{name}.edp"
+            assert main(["train", "--input", str(tmp_path / f"{name}.csv"), "--grid", "12",
+                         "--unit-grid", "--max-detour", "4", "--out", str(model_path)]) == 0
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                         "--queries", str(csv_path), "--unit-grid", "--out", str(out)]) == 0
+            rows[name] = [json.loads(l) for l in out.read_text().splitlines()]
+
+        def walk(r):
+            return r["trip_id"], r["future_location"], r["future_steps"], r["future_no_match"]
+        assert list(map(walk, rows["few"])) == list(map(walk, rows["world"]))
+        cold = [r for r in rows["few"] if r["cold_start"]]
+        assert len(cold) > len(rows["few"]) / 2
+        assert any(r["future_steps"] > 0 for r in cold)
+        grid = unit_grid(12)
+        starts = {t.trip_id: ingest.cell_path(t, grid).cells[0]
+                  for t in ingest.parse_trajectories(csv_path, grid).trajectories}
+        model = load_model(tmp_path / "few.edp")
+        for r in cold:
+            ranked, fallback = oracles.score_destinations(model, starts[r["trip_id"]],
+                                                          r["future_location"])
+            assert ranked is None
+            assert [(c["cell"], c["p"]) for c in r["ranked"]] == fallback[:3]
+
     def predict_argv(self, tmp_path, synthetic_csv, *grid_flags):
         csv_path, _ = synthetic_csv
         model_path = train_model(tmp_path, synthetic_csv)

@@ -64,6 +64,12 @@ class TestEstimateTotalDistance:
         with pytest.raises(ValueError):
             estimate_total_distance(h, -1.0)
 
+    @pytest.mark.parametrize("d_t", [math.nan, math.inf])
+    def test_non_finite_rejected(self, d_t):
+        h = build_histogram(trips(2.5), 1.0)
+        with pytest.raises(ValueError):
+            estimate_total_distance(h, d_t)
+
 
 class TestEstimateProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -167,6 +173,16 @@ class TestInferFutureLocation:
         with pytest.raises(ValueError):
             infer_future_location([0], 1.0, HistoryIndex.build([]), k=0)
 
+    @pytest.mark.parametrize("dp_km, step_km", [
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+        (math.inf, 1.0), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_budget_and_step_must_be_finite(self, dp_km, step_km):
+        """A zero step on a history that never votes to stop used to walk
+        forever; such a budget or step is rejected before the walk."""
+        idx = HistoryIndex.build([CellPath("loop", [0, 1] * 20, 39.0)])
+        with pytest.raises(ValueError):
+            infer_future_location([0, 1], dp_km, idx, step_km=step_km)
+
 
 class TestHistoryIndexProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -178,8 +194,9 @@ class TestHistoryIndexProperties:
     def test_continuation_equals_counter_index(self, paths, max_gram, queries, k, rng):
         """Over few cells, so that grams collide and votes tie, one index
         answers every context like the Counter-per-gram index, whatever
-        order the contexts and vote counts arrive in and so whichever of
-        them fills each entry of the vote table."""
+        order the contexts and vote counts arrive in; and every hop the
+        walks fill leads from an indexed gram to the deepest indexed
+        suffix of that gram extended by its vote."""
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
         oracle = oracles.CounterHistoryIndex(history, max_gram)
@@ -188,36 +205,75 @@ class TestHistoryIndexProperties:
         rng.shuffle(calls)
         for cells, votes in calls:
             assert index.continuation(cells, votes) == oracle.continuation(cells, votes)
+            if cells:
+                infer_future_location(cells, 12.0, index, votes)
         # one entry at most per indexed gram and vote count, none per query
-        for votes, table in index._votes.items():
+        for votes, table in index._hops.items():
             assert votes in (1, 3, k)
             assert table.keys() <= index._grams.keys()
+            for gram, (vote, nxt) in table.items():
+                assert vote == oracle.continuation(gram, votes)
+                if vote == HistoryIndex.STOP:
+                    assert nxt is None
+                    continue
+                grown = gram + (vote,)
+                assert nxt in index._grams and grown[-len(nxt):] == nxt
+                assert len(nxt) == max(m for m in range(1, min(max_gram, len(grown)) + 1)
+                                       if grown[-m:] in oracle.grams)
 
-    def test_walk_calls_continuation_once_per_step(self):
-        """A walk asks for one continuation per step, and one more only when
-        a stop vote or no match ends it before the budget is spent."""
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=12), max_size=8),
+           st.integers(1, 6),
+           st.lists(st.tuples(st.lists(st.integers(0, 6), min_size=1, max_size=9),
+                              st.one_of(st.just(0.0), st.floats(0.0, 3.0),
+                                        st.floats(3.0, 200.0)),
+                              st.sampled_from([1.0, 0.25, 0.7, 2.5]),
+                              st.integers(1, 12)), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_walk_equals_step_walk(self, paths, max_gram, drawn, rng):
+        """Hop by hop over one shared index, the walk ends where the walk
+        that asks for a continuation of the whole grown context on every
+        step ends, for any budget, step length and vote count, whichever
+        walk filled each hop."""
+        history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
+        index = HistoryIndex.build(history, max_gram)
+        oracle = oracles.CounterHistoryIndex(history, max_gram)
+        walks = drawn + [(cells[:p], budget, 1.0, k) for cells in paths
+                         for p in range(1, len(cells) + 1)
+                         for budget, k in ((0.5, 1), (40.0, 3), (40.0, 10))]
+        walks *= 2
+        rng.shuffle(walks)
+        for cells, budget, step_km, k in walks:
+            assert tuple(infer_future_location(cells, budget, index, k, step_km)) == \
+                oracles.step_walk(cells, budget, oracle, k, step_km)
+
+    def test_walk_fills_each_hop_once(self):
+        """Over a shuffled batch of walks, continuation is called only to
+        fill a hop that is missing, so at most once per (k, gram); a second
+        pass over the batch calls it never and answers the same."""
         paths, grid, *_, index = tiny_world()
         calls = []
         real = index.continuation
 
         def counting(cells, k):
-            calls.append(tuple(cells))
+            assert tuple(cells) not in index._hops.get(k, {})
+            calls.append((k, tuple(cells)))
             return real(cells, k)
         index.continuation = counting
         rng = np.random.default_rng(3)
-        ended_early = 0
-        for _ in range(200):
+        batch = []
+        for _ in range(300):
             trip = paths[int(rng.integers(len(paths)))]
             cut = int(rng.integers(1, len(trip.cells) + 1))
-            budget = float(rng.integers(0, 12))
-            calls.clear()
-            loc = infer_future_location(trip.cells[:cut], budget, index)
-            early = loc.steps < budget
-            assert len(calls) == loc.steps + early
-            # each call extends the context by the step before it
-            assert [len(c) for c in calls] == [cut + i for i in range(len(calls))]
-            ended_early += early
-        assert 0 < ended_early < 200
+            batch.append((trip.cells[:cut], float(rng.integers(0, 12)), int(rng.choice([1, 10]))))
+        first = [infer_future_location(cells, budget, index, k) for cells, budget, k in batch]
+        assert len(calls) == len(set(calls)) > 0
+        assert set(calls) == {(k, gram) for k, table in index._hops.items() for gram in table}
+        assert any(loc.steps > 1 for loc in first)
+        calls.clear()
+        assert [infer_future_location(cells, budget, index, k)
+                for cells, budget, k in batch] == first
+        assert calls == []
 
 
 def tiny_world(g=5, n_trips=400, seed=11, detour_rate=0.0, max_detour=4):
@@ -243,6 +299,18 @@ class TestPredictDestination:
         res = predict_destination(model, Query([0, 1], 1.0), h, idx, grid)
         assert res.ranked[0][0] == 2
         assert res.ranked[0][1] == pytest.approx(1.0)
+
+    def test_destination_the_model_cannot_reach_is_no_candidate(self):
+        """A start's recorded destination with p(start -> d) = 0 stays out
+        of the candidate table, so no query divides by it."""
+        g, paths = 4, [CellPath("a", [0, 1, 2], 2.0)]
+        # cell 0 only ever stepped east, so within a detour of 2 nothing reaches cell 4
+        model = train_initial(build_sstp(paths, g), ({0: {2: 1, 4: 1}}, {0: 2}), 2)
+        assert model.totals[0, 4] == 0.0 < model.totals[0, 2]
+        assert model.candidates(0) == ((2, 0.5, model.totals.item(0, 2)),)
+        res = predict_destination(model, Query([0], 0.0), build_histogram(paths, 1.0),
+                                  HistoryIndex.build(paths), unit_grid(g))
+        assert res.ranked == [(2, 1.0)]
 
     def test_probabilities_normalized(self):
         paths, grid, _, model, hist, index = tiny_world()
@@ -436,6 +504,10 @@ class TestPredictDestination:
             Query([], 0.0)
         with pytest.raises(ValueError):
             Query([0], -1.0)
+        with pytest.raises(ValueError):
+            Query([0], math.nan)
+        with pytest.raises(ValueError):
+            Query([0], math.inf)
         with pytest.raises(ValueError):
             Query([0], 0.0, top_k=0)
 
