@@ -127,6 +127,8 @@ def _check_scoring(args, alphas, alpha_flag="--alpha") -> None:
         raise ValueError(f"--knn must be >= 1, got {args.knn}")
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
+    if not (math.isfinite(args.bin_width_km) and args.bin_width_km > 0):
+        raise ValueError(f"--bin-width-km must be finite and > 0, got {args.bin_width_km}")
 
 
 @contextmanager

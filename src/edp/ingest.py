@@ -4,14 +4,14 @@ histogram, and the seeded synthetic-world generator."""
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateTripError, FormatError
-from .grid import (GridMap, decode_cell, haversine_km, l1_distance, neighbors, step_direction,
-                   step_mask, unit_grid)
+from .grid import (EARTH_RADIUS_KM, GridMap, decode_cell, l1_distance, neighbors,
+                   step_direction, step_mask, unit_grid)
 from .model import SSTPMatrix, _uniform_rows, atomic_write
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
@@ -45,10 +45,30 @@ class CellPath:
 
     @property
     def trip_km(self) -> float:
-        if self._points is not None:
+        """The trip's length in km, summed from the points on first read.
+
+        The sum is haversine_km over consecutive points, in order, with
+        haversine_km's own expressions, so it is bitwise the pairwise sum;
+        but each point's latitude in radians and its cosine are computed
+        once, where the pairwise sum computes them for both of its pairs.
+        Fewer than two points make 0.0.
+        """
+        points = self._points
+        if points is not None:
             km = 0.0
-            for (_, la1, lo1), (_, la2, lo2) in pairwise(self._points):
-                km += haversine_km(la1, lo1, la2, lo2)
+            if len(points) > 1:
+                radians, sin, cos = math.radians, math.sin, math.cos
+                asin, sqrt = math.asin, math.sqrt
+                two_r = 2 * EARTH_RADIUS_KM
+                _, lat, lon1 = points[0]
+                p1 = radians(lat)
+                cos1 = cos(p1)
+                for _, lat, lon2 in islice(points, 1, None):
+                    p2 = radians(lat)
+                    cos2 = cos(p2)
+                    a = sin((p2 - p1) / 2) ** 2 + cos1 * cos2 * sin(radians(lon2 - lon1) / 2) ** 2
+                    km += two_r * asin(sqrt(a))
+                    p1, cos1, lon1 = p2, cos2, lon2
             self._trip_km, self._points = km, None
         return self._trip_km
 
@@ -271,8 +291,8 @@ class TripDistanceHistogram:
 def build_histogram(paths: list[CellPath], bin_width_km: float = 1.0) -> TripDistanceHistogram:
     if not paths:
         raise ValueError("cannot build a histogram from zero trips")
-    if bin_width_km <= 0:
-        raise ValueError("bin width must be positive")
+    if not (math.isfinite(bin_width_km) and bin_width_km > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width_km}")
     idx = [int(p.trip_km // bin_width_km) for p in paths]
     counts = np.zeros(max(idx) + 1, dtype=np.int64)
     for i in idx:

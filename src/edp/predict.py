@@ -13,7 +13,10 @@ normalized over the candidates that the start's trip history supports.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ColdStartError
 from .grid import GridMap, l1_distance
@@ -104,30 +107,24 @@ class HistoryIndex:
     STOP = -1
 
     def __init__(self, max_gram: int = 8):
+        if max_gram < 1:
+            raise ValueError(f"max_gram must be >= 1, got {max_gram}")
         self.max_gram = max_gram
         self._grams: dict[Gram, tuple[tuple[int, int], ...]] = {}
         self._hops: dict[int, dict[Gram, Hop]] = {}
 
     @classmethod
     def build(cls, paths: list[CellPath], max_gram: int = 8) -> "HistoryIndex":
+        """Index every window of up to max_gram cells of every path.
+
+        The windows are counted in array passes over all paths' cells,
+        concatenated, one pass per window length (see _gram_levels); the
+        index holds plain Python ints only. Cells must be >= 0, since -1
+        is STOP.
+        """
         idx = cls(max_gram)
-        grams = idx._grams
-        stop = cls.STOP
-        for path in paths:
-            cells = tuple(path.cells)
-            last = len(cells) - 1
-            for p in range(last + 1):
-                nxt = cells[p + 1] if p < last else stop
-                for lo in range(max(0, p + 1 - max_gram), p + 1):
-                    key = cells[lo:p + 1]
-                    counts = grams.get(key)
-                    if counts is None:
-                        grams[key] = {nxt: 1}
-                    else:
-                        counts[nxt] = counts.get(nxt, 0) + 1
-        # freeze in place: replacing values while iterating adds no keys
-        for key, counts in grams.items():
-            grams[key] = tuple(sorted(counts.items(), key=_by_rank))
+        for keys, values in _gram_levels([path.cells for path in paths], max_gram):
+            idx._grams.update(zip(keys, values))
         return idx
 
     def deepest(self, cells) -> Gram | None:
@@ -187,8 +184,76 @@ class HistoryIndex:
         return best
 
 
-def _by_rank(pair: tuple[int, int]) -> tuple[int, int]:
-    return -pair[1], pair[0]
+def _gram_levels(seqs: list[list[int]], max_gram: int):
+    """Every gram of length 1..max_gram with its ranked (cell, count)
+    pairs, yielded as (keys, values) iterables, one per length and number
+    of continuations.
+
+    One array pass per length w over all cells, concatenated. Cells are
+    replaced by their ranks among the distinct cells, and each window
+    ending at position p is coded by a gram id. A continuation is coded
+    gram id * (n_cells + 1) + (next cell's rank + 1, or 0 for STOP), and
+    one np.unique counts each code. A code that is not a STOP is also the
+    window of length w + 1 ending at p + 1, so its rank among the codes
+    is that window's gram id, and the next pass is over just those
+    positions. Every code stays under n * (n_cells + 1) for n cells in
+    all: int32 where that fits, else int64, which holds it for any
+    history that fits in memory. Keys are slices of one tuple of all
+    cells, so the index holds plain Python ints. Equal (cell, count)
+    pairs share one tuple, and so do the values of the grams with one
+    continuation.
+    """
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    n = int(lengths.sum())
+    if n == 0:
+        return
+    cells = np.fromiter(chain.from_iterable(seqs), np.int64, n)
+    if cells.min() < 0:
+        raise ValueError(f"cannot index cell {cells.min()}: cells must be >= 0")
+    labels, rank = np.unique(cells, return_inverse=True)
+    radix = len(labels) + 1
+    code = np.int32 if n * radix <= np.iinfo(np.int32).max else np.int64
+    ends = np.cumsum(lengths)
+    follow = np.empty(n, code)
+    follow[:-1] = rank[1:]
+    follow += 1
+    follow[ends[lengths > 0] - 1] = 0
+    next_cell = np.concatenate(([HistoryIndex.STOP], labels))
+    flat = tuple(cells.tolist())
+    at = np.arange(n, dtype=code)      # where each window of length w ends
+    ids = rank.astype(code)            # and its gram id, below n_ids
+    n_ids = radix - 1
+    del cells, rank, lengths, ends
+    for w in range(1, max_gram + 1):
+        nexts = follow[at]
+        keyed, inv, counts = np.unique(ids * radix + nexts, return_inverse=True,
+                                       return_counts=True)
+        gram, nxt = np.divmod(keyed, radix)
+        # stable, and keyed is ascending: a tie in count keeps cells ascending
+        order = np.lexsort((-counts, gram))
+        distinct, pair = np.unique(counts[order] * radix + nxt[order], return_inverse=True)
+        pairs = list(zip(next_cell[distinct % radix].tolist(), (distinct // radix).tolist()))
+        singles = list(zip(pairs))
+        width = np.bincount(gram, minlength=n_ids)
+        first = np.cumsum(width) - width
+        end = np.empty(n_ids, code)
+        end[ids] = at
+        for m in np.unique(width).tolist():
+            if m == 0:
+                continue         # an id of a STOP continuation, not a gram
+            of_m = np.flatnonzero(width == m)
+            keys = [flat[lo:lo + w] for lo in (end[of_m] - (w - 1)).tolist()]
+            head = first[of_m]
+            if m == 1:
+                values = map(singles.__getitem__, pair[head].tolist())
+            else:
+                values = zip(*(map(pairs.__getitem__, pair[head + j].tolist())
+                               for j in range(m)))
+            yield keys, values
+        grows = nexts != 0
+        at, ids, n_ids = at[grows] + 1, inv[grows].astype(code), len(keyed)
+        if not len(at):
+            return
 
 
 def infer_future_location(partial: list[int], dp_km: float, history: HistoryIndex,

@@ -9,7 +9,8 @@ unchanged, as the bitwise reference for training and refresh, and so is
 the four-branch dense single-step matrix. So are the serving path's
 earlier forms, as references for the table-driven ones: the DictReader
 trajectory parser, the per-transition loop that counted the single-step
-matrix, the Counter-per-gram history index, the masked distance
+matrix, the Counter-per-gram history index, the per-window loop that
+built the history index's gram table, the masked distance
 estimate, and the destination scoring loop that read the model one
 candidate at a time. The small cell helpers that only tests need live here too.
 """
@@ -487,6 +488,29 @@ class CounterHistoryIndex:
         if not tally:
             return None
         return min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
+def loop_history_grams(paths, max_gram: int = 8) -> dict:
+    """HistoryIndex._grams as the per-window loop built it: one dict of
+    next-cell counts per gram (STOP = -1 when the trip ends), each frozen
+    to (cell, count) pairs sorted by count descending, then cell."""
+    grams = {}
+    stop = -1
+    for path in paths:
+        cells = tuple(path.cells)
+        last = len(cells) - 1
+        for p in range(last + 1):
+            nxt = cells[p + 1] if p < last else stop
+            for lo in range(max(0, p + 1 - max_gram), p + 1):
+                key = cells[lo:p + 1]
+                counts = grams.get(key)
+                if counts is None:
+                    grams[key] = {nxt: 1}
+                else:
+                    counts[nxt] = counts.get(nxt, 0) + 1
+    for key, counts in grams.items():
+        grams[key] = tuple(sorted(counts.items(), key=lambda pair: (-pair[1], pair[0])))
+    return grams
 
 
 def step_walk(partial, dp_km: float, history, k: int = 10, step_km: float = 1.0):

@@ -138,8 +138,8 @@ class TestTrain:
         assert "malformed_rows=1" in capsys.readouterr().out
 
     def test_reads_no_trip_length(self, tmp_path, synthetic_csv, monkeypatch):
-        """Training uses only the cell paths: with haversine_km failing it
-        still writes the same model and sidecar bytes."""
+        """Training uses only the cell paths: with every read of a trip
+        length failing it still writes the same model and sidecar bytes."""
         model_path = train_model(tmp_path, synthetic_csv)
         files = model_path, tmp_path / "m.edp.sstp"
         expected = [f.read_bytes() for f in files]
@@ -148,7 +148,7 @@ class TestTrain:
 
         def no_length(*_):
             raise AssertionError("edp train read a trip length")
-        monkeypatch.setattr(ingest, "haversine_km", no_length)
+        monkeypatch.setattr(ingest.CellPath, "trip_km", property(no_length))
         train_model(tmp_path, synthetic_csv)
         assert [f.read_bytes() for f in files] == expected
 
@@ -608,6 +608,10 @@ class TestQuerySettingsFirst:
         (["--alpha", "nan"], "--alpha"),
         (["--knn", "0"], "--knn"),
         (["--top", "0"], "--top"),
+        (["--bin-width-km", "inf"], "--bin-width-km"),
+        (["--bin-width-km", "nan"], "--bin-width-km"),
+        (["--bin-width-km", "0"], "--bin-width-km"),
+        (["--bin-width-km=-1"], "--bin-width-km"),
     ])
     def test_predict_and_eval(self, capsys, command, flags, named):
         if command == "predict":
@@ -645,8 +649,10 @@ class TestFailedRunKeepsOut:
         ["eval", "--unit-grid", "--completion", "0.5", "--alpha-sweep", "0.004,2"],
         ["bench", "--grids", "6,1"],
         ["bench", "--grids", "3", "--max-detour", "3"],
+        ["predict", "--unit-grid", "--bin-width-km", "inf"],
+        ["eval", "--unit-grid", "--bin-width-km", "nan"],
     ], ids=["predict-alpha", "eval-completion", "eval-alpha-sweep", "bench-grids",
-            "bench-detour"])
+            "bench-detour", "predict-bin-width", "eval-bin-width"])
     def test_out_file_unchanged(self, tmp_path, synthetic_csv, argv):
         csv_path, _ = synthetic_csv
         if argv[0] == "predict":

@@ -216,6 +216,23 @@ class TestDiscretize:
         assert path == CellPath("t", path.cells, eager)
         assert repr(path) == repr(CellPath("t", path.cells, eager))
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 9), st.lists(st.tuples(st.floats(-60.0, 60.0),
+                                                 st.floats(-170.0, 170.0)), max_size=12))
+    def test_trip_km_of_any_point_count(self, g, latlons):
+        """trip_km is bitwise the pairwise haversine_km sum for 0, 1 and
+        more points, over both hemispheres and both signs of longitude;
+        fewer than two points make 0.0."""
+        grid = GridMap(-60.0, 60.0, -170.0, 170.0, g)
+        points = [(float(t), lat, lon) for t, (lat, lon) in enumerate(latlons)]
+        pairwise = 0.0
+        for (_, la1, lo1), (_, la2, lo2) in zip(points, points[1:]):
+            pairwise += haversine_km(la1, lo1, la2, lo2)
+        trip_km = cell_path(RawTrajectory("t", points), grid).trip_km
+        assert trip_km.hex() == pairwise.hex()
+        if len(points) < 2:
+            assert trip_km == 0.0
+
     def test_point_outside_box_rejected(self):
         with pytest.raises(ValueError, match="outside bounding box"):
             cell_path(RawTrajectory("t", [(0.0, 0.5, 0.5), (1.0, 99.0, 0.5)]), GRID)
@@ -251,6 +268,11 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_histogram([], 1.0)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_width_must_be_finite_and_positive(self, w):
+        with pytest.raises(ValueError, match="bin width"):
+            build_histogram([CellPath("a", [0, 1], 2.5)], w)
 
     def test_boundaries(self):
         h = build_histogram([CellPath("a", [0, 1], 2.5)], 1.0)

@@ -221,6 +221,40 @@ class TestHistoryIndexProperties:
                 assert len(nxt) == max(m for m in range(1, min(max_gram, len(grown)) + 1)
                                        if grown[-m:] in oracle.grams)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 7).flatmap(lambda g: st.lists(
+               st.lists(st.integers(0, g - 1), max_size=20), max_size=12)),
+           st.integers(1, 12),
+           st.integers(0, 12),
+           st.sampled_from([1, 37, 10**6]),
+           st.randoms(use_true_random=False))
+    def test_build_equals_window_loop(self, paths, max_gram, repeats, scale, rng):
+        """The array build makes the gram table the per-window loop makes:
+        the same grams, each with the same (cell, count) pairs in the same
+        order, all plain ints, over empty and one-cell paths, repeated
+        paths, few cells (so that counts tie) and cell ids far apart."""
+        paths = [[c * scale for c in cells] for cells in paths]
+        paths += [rng.choice(paths) for _ in range(repeats if paths else 0)]
+        history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
+        grams = HistoryIndex.build(history, max_gram)._grams
+        assert grams == oracles.loop_history_grams(history, max_gram)
+        for gram, pairs in grams.items():
+            assert all(type(x) is int for x in gram)
+            assert all(type(x) is int for pair in pairs for x in pair)
+
+    @pytest.mark.parametrize("max_gram", [0, -1])
+    def test_max_gram_below_one_rejected(self, max_gram):
+        with pytest.raises(ValueError, match="max_gram"):
+            HistoryIndex(max_gram)
+        with pytest.raises(ValueError, match="max_gram"):
+            HistoryIndex.build([CellPath("h", [0, 1, 2], 2.0)], max_gram)
+
+    @pytest.mark.parametrize("cells", [[0, -1, 2], [-1], [3, 4, -7]])
+    def test_negative_cell_rejected(self, cells):
+        """-1 is STOP, so a history cell below 0 cannot be indexed."""
+        with pytest.raises(ValueError, match="cells must be >= 0"):
+            HistoryIndex.build([CellPath("ok", [0, 1], 1.0), CellPath("h", cells, 1.0)])
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=12), max_size=8),
            st.integers(1, 6),
