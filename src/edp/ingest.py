@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DegenerateTripError, FormatError
 from .grid import (EARTH_RADIUS_KM, GridMap, decode_cell, l1_distance, neighbors,
                    step_direction, step_mask, unit_grid)
-from .model import SSTPMatrix, _uniform_rows, atomic_write
+from .model import SSTPMatrix, atomic_write
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
 
@@ -245,10 +245,11 @@ def discretize(traj: RawTrajectory, grid: GridMap) -> CellPath:
 class TripDistanceHistogram:
     """Binned distribution of total trip distance; bins are [i*w, (i+1)*w).
 
-    Expectations use the left bin boundary as the bin's representative.
-    The histogram is read-only after construction: `counts` is a private
-    read-only copy, and the suffix tables that conditional estimates read
-    are computed once here. For each first surviving bin i,
+    The width must be finite and positive. Expectations use the left bin
+    boundary as the bin's representative. The histogram is read-only
+    after construction: `counts` is a private read-only copy, and the
+    suffix tables that conditional estimates read are computed once
+    here. For each first surviving bin i,
     suffix_mass[i] = counts[i:].sum() and
     suffix_num[i] = (left_edges[i:] * counts[i:]).sum(), with a final
     entry of 0 for no surviving bin; upper_edges[i] = (i + 1) * w.
@@ -262,6 +263,7 @@ class TripDistanceHistogram:
     suffix_num: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_bin_width(self.bin_width_km)
         counts = np.array(self.counts, dtype=np.int64)
         counts.flags.writeable = False
         self.counts = counts
@@ -288,15 +290,17 @@ class TripDistanceHistogram:
         return float((self.left_edges * self.counts).sum() / self.total)
 
 
+def _check_bin_width(bin_width_km: float) -> None:
+    if not (math.isfinite(bin_width_km) and bin_width_km > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width_km}")
+
+
 def build_histogram(paths: list[CellPath], bin_width_km: float = 1.0) -> TripDistanceHistogram:
     if not paths:
         raise ValueError("cannot build a histogram from zero trips")
-    if not (math.isfinite(bin_width_km) and bin_width_km > 0):
-        raise ValueError(f"bin width must be finite and positive, got {bin_width_km}")
-    idx = [int(p.trip_km // bin_width_km) for p in paths]
-    counts = np.zeros(max(idx) + 1, dtype=np.int64)
-    for i in idx:
-        counts[i] += 1
+    # the trips are binned by dividing by the width, so it is checked first
+    _check_bin_width(bin_width_km)
+    counts = np.bincount([int(p.trip_km // bin_width_km) for p in paths])
     return TripDistanceHistogram(bin_width_km, counts)
 
 
@@ -324,8 +328,8 @@ def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
     propagates expected visit mass along the destination-monotone choices;
     accumulated edge flows, normalized per origin, give the matrix that the
     empirical single-step statistics of the generated trips converge to.
-    A cell no walk leaves (a lone attractor) gets build_sstp's uniform
-    backfill row and a `smoothed` flag.
+    A cell no walk leaves (a lone attractor) gets the uniform backfill
+    row and a `smoothed` flag, as in build_sstp.
     """
     n = g * g
     flows = np.zeros((n, 4))
@@ -348,11 +352,7 @@ def _exact_single_step_law(pref: np.ndarray, dest_weights: dict[int, float],
                 f = u[x] * w
                 flows[x, step_direction(x, o, g)] += f
                 u[o] += f
-    out = flows.sum(axis=1)
-    never_left = out == 0.0
-    probs = flows / np.where(never_left, 1.0, out)[:, None]
-    probs[never_left] = _uniform_rows(g).reshape(n, 4)[never_left]
-    return SSTPMatrix(g=g, probs=probs.reshape(g, g, 4), smoothed=never_left)
+    return SSTPMatrix.from_weights(g, flows)
 
 
 def _sample_attractors(rng, g: int, k: int) -> list[int]:

@@ -42,13 +42,27 @@ class SSTPMatrix:
 
     g: int
     probs: np.ndarray
-    visit_counts: np.ndarray | None = None
-    pair_counts: np.ndarray | None = None
     smoothed: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.smoothed is None:
             self.smoothed = np.zeros(self.g * self.g, dtype=bool)
+
+    @classmethod
+    def from_weights(cls, g: int, weights: np.ndarray) -> "SSTPMatrix":
+        """Normalize each cell's non-negative outgoing weights, an (n, 4)
+        table in grid.DIRECTIONS order with none on a step off the grid.
+
+        A cell with no weight gets the uniform row over its in-grid
+        neighbours and a `smoothed` flag, so no walk mass disappears.
+        """
+        n = g * g
+        totals = weights.sum(axis=1)
+        smoothed = totals == 0
+        probs = weights / np.where(smoothed, 1, totals)[:, None]
+        inside = step_mask(g).reshape(n, 4)[smoothed]
+        probs[smoothed] = inside / inside.sum(axis=1, keepdims=True)
+        return cls(g=g, probs=probs.reshape(g, g, 4), smoothed=smoothed)
 
     @property
     def n_cells(self) -> int:
@@ -78,13 +92,7 @@ class SSTPMatrix:
         return M
 
     def copy(self) -> "SSTPMatrix":
-        return SSTPMatrix(
-            g=self.g,
-            probs=self.probs.copy(),
-            visit_counts=None if self.visit_counts is None else self.visit_counts.copy(),
-            pair_counts=None if self.pair_counts is None else self.pair_counts.copy(),
-            smoothed=self.smoothed.copy(),
-        )
+        return SSTPMatrix(g=self.g, probs=self.probs.copy(), smoothed=self.smoothed.copy())
 
     def validate(self) -> None:
         """Raise ValueError unless every row keeps grid.check_row's rule:
@@ -100,24 +108,15 @@ class SSTPMatrix:
             raise ValueError("probability mass leaves the grid")
 
 
-def _uniform_rows(g: int) -> np.ndarray:
-    """(g, g, 4) table: each cell's probabilities spread evenly over its
-    in-grid neighbours, the row a cell never observed leaving is given."""
-    inside = step_mask(g)
-    return inside / inside.sum(axis=2, keepdims=True)
-
-
 # the direction index of a step by (row change + 1) * 3 + (column change + 1)
 _STEP_DIRECTION = np.array([DIRECTION_INDEX.get((code // 3 - 1, code % 3 - 1), -1)
                             for code in range(9)])
 
 
 def build_sstp(paths, g: int) -> SSTPMatrix:
-    """Count every consecutive cell transition once and normalize per origin.
-
-    Cells never observed leaving get the uniform backfill row and a
-    `smoothed` flag, so no walk mass silently disappears during training.
-    """
+    """Count every consecutive cell transition once and normalize per origin
+    (SSTPMatrix.from_weights): cells never observed leaving get the uniform
+    backfill row and a `smoothed` flag."""
     if not paths:
         raise ValueError("cannot build transition matrix from zero paths")
     n = g * g
@@ -141,13 +140,8 @@ def build_sstp(paths, g: int) -> SSTPMatrix:
         raise ValueError(f"non-adjacent transition {src[first]} -> {dst[first]} "
                          f"in trip {trip.trip_id}")
     direction = _STEP_DIRECTION[(dr + 1) * 3 + dc + 1]
-    pair_counts = np.bincount(src * 4 + direction, minlength=4 * n).reshape(n, 4)
-    visit_counts = pair_counts.sum(axis=1)
-    smoothed = visit_counts == 0
-    probs = pair_counts / np.where(smoothed, 1, visit_counts)[:, None]
-    probs[smoothed] = _uniform_rows(g).reshape(n, 4)[smoothed]
-    return SSTPMatrix(g=g, probs=probs.reshape(g, g, 4), visit_counts=visit_counts,
-                      pair_counts=pair_counts, smoothed=smoothed)
+    counts = np.bincount(src * 4 + direction, minlength=4 * n).reshape(n, 4)
+    return SSTPMatrix.from_weights(g, counts)
 
 
 def random_sstp(g: int, seed: int) -> SSTPMatrix:
@@ -156,10 +150,9 @@ def random_sstp(g: int, seed: int) -> SSTPMatrix:
     Benchmark input: a synthetic world reduced to its single-step matrix.
     """
     rng = np.random.default_rng(seed)
-    probs = rng.random((g, g, 4)) + 0.05
-    probs[~step_mask(g)] = 0.0
-    probs /= probs.sum(axis=2, keepdims=True)
-    return SSTPMatrix(g=g, probs=probs)
+    weights = rng.random((g * g, 4)) + 0.05
+    weights[~step_mask(g).reshape(-1, 4)] = 0.0
+    return SSTPMatrix.from_weights(g, weights)
 
 
 def count_start_dest(paths) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
@@ -397,7 +390,7 @@ def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
 
 # header fields after the magic and the version
 _MODEL_HEADER = "IIIQQ"   # g, max_detour, n_layers, epoch, record count
-_SSTP_HEADER = "IB"       # g, has-counts flag
+_SSTP_HEADER = "IB"       # g, has-counts flag (written 0)
 _RECORD = np.dtype([("start", "<u4"), ("dest", "<u4"), ("count", "<u8")])
 
 
@@ -473,6 +466,8 @@ def _model_layout(g, max_detour, n_layers, epoch, n_records):
 
 
 def _sstp_layout(g, has_counts):
+    # flag 1 marks an older sidecar that also holds per-cell visit counts and
+    # per-(cell, direction) pair counts; they are checked by size and crc only
     if has_counts not in (0, 1):
         raise ValueError(f"has-counts flag is {has_counts}, not 0 or 1")
     n = g * g
@@ -510,24 +505,20 @@ def load_model(path) -> TransitionModel:
 
 
 def save_sstp(sstp: SSTPMatrix, path) -> None:
-    counts = () if sstp.visit_counts is None or sstp.pair_counts is None else (
-        np.ascontiguousarray(sstp.visit_counts, dtype="<u8"),
-        np.ascontiguousarray(sstp.pair_counts, dtype="<u8"))
-    _write_checksummed(path, SSTP_MAGIC, _SSTP_HEADER, (sstp.g, int(bool(counts))),
+    _write_checksummed(path, SSTP_MAGIC, _SSTP_HEADER, (sstp.g, 0),
                        (np.ascontiguousarray(sstp.probs, dtype="<f8"),
-                        sstp.smoothed.astype("<u1"), *counts))
+                        sstp.smoothed.astype("<u1")))
 
 
 def load_sstp(path) -> SSTPMatrix:
     """The matrix saved in `path`; its probabilities are a view into one buffer.
 
     A matrix whose rows break SSTPMatrix.validate raises CorruptModelError.
+    An older file's count sections (has-counts flag 1) are not read.
     """
-    (g, _), (probs, smoothed, *counts) = _read_checksummed(
+    (g, _), (probs, smoothed, *_) = _read_checksummed(
         path, SSTP_MAGIC, _SSTP_HEADER, _sstp_layout)
-    visit, pair = (c.astype(np.int64) for c in counts) if counts else (None, None)
-    sstp = SSTPMatrix(g=g, probs=probs, visit_counts=visit, pair_counts=pair,
-                      smoothed=smoothed.astype(bool))
+    sstp = SSTPMatrix(g=g, probs=probs, smoothed=smoothed.astype(bool))
     try:
         sstp.validate()
     except ValueError as exc:

@@ -120,7 +120,7 @@ class HistoryIndex:
         The windows are counted in array passes over all paths' cells,
         concatenated, one pass per window length (see _gram_levels); the
         index holds plain Python ints only. Cells must be >= 0, since -1
-        is STOP.
+        is STOP, and below 2**63, as the passes count in int64.
         """
         idx = cls(max_gram)
         for keys, values in _gram_levels([path.cells for path in paths], max_gram):
@@ -207,9 +207,13 @@ def _gram_levels(seqs: list[list[int]], max_gram: int):
     n = int(lengths.sum())
     if n == 0:
         return
-    cells = np.fromiter(chain.from_iterable(seqs), np.int64, n)
-    if cells.min() < 0:
-        raise ValueError(f"cannot index cell {cells.min()}: cells must be >= 0")
+    try:
+        cells = np.fromiter(chain.from_iterable(seqs), np.int64, n)
+    except OverflowError:
+        cells = None
+    if cells is None or cells.min() < 0:
+        bad = next(c for c in chain.from_iterable(seqs) if not 0 <= c < 2**63)
+        raise ValueError(f"cannot index cell {bad}: cells must be >= 0 and below 2**63")
     labels, rank = np.unique(cells, return_inverse=True)
     radix = len(labels) + 1
     code = np.int32 if n * radix <= np.iinfo(np.int32).max else np.int64

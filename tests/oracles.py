@@ -433,9 +433,8 @@ def dictreader_parse(path, grid=None):
 
 
 def loop_sstp(paths, g: int):
-    """(probs (g, g, 4), visit counts, pair counts, smoothed) by counting
-    one transition at a time; unobserved rows spread evenly over the
-    in-grid neighbours."""
+    """(probs (g, g, 4), smoothed) by counting one transition at a time;
+    unobserved rows spread evenly over the in-grid neighbours."""
     n = g * g
     offsets = {(-1, 0): 0, (1, 0): 1, (0, -1): 2, (0, 1): 3}
     pair_counts = np.zeros((n, 4), dtype=np.int64)
@@ -452,7 +451,7 @@ def loop_sstp(paths, g: int):
         else:
             row = np.array([r > 0, r < g - 1, c > 0, c < g - 1], dtype=float)
             probs[r, c] = row / row.sum()
-    return probs, visit_counts, pair_counts, visit_counts == 0
+    return probs, visit_counts == 0
 
 
 class CounterHistoryIndex:

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from edp import cli, ingest, predict
+from edp import model as model_module
 from edp.cli import main
 from edp.grid import neighbors, unit_grid
 from edp.model import (build_sstp, count_start_dest, load_model, load_sstp, random_sstp,
@@ -323,6 +324,24 @@ class TestUpdate:
         assert main(argv) == 0
         assert model_path.read_bytes() == clean.read_bytes()
         assert (tmp_path / "m.edp.sstp").read_bytes() == (tmp_path / "clean.edp.sstp").read_bytes()
+
+    def test_older_sidecar_with_counts_updates_alike(self, tmp_path, synthetic_csv):
+        """An older sidecar (has-counts flag 1) with the same rows updates
+        to the same model and the same sidecar, without counts."""
+        model_path = train_model(tmp_path, synthetic_csv)
+        sstp = load_sstp(f"{model_path}.sstp")
+        legacy = tmp_path / "legacy.sstp"
+        n = sstp.n_cells
+        model_module._write_checksummed(
+            legacy, model_module.SSTP_MAGIC, model_module._SSTP_HEADER, (sstp.g, 1),
+            (np.ascontiguousarray(sstp.probs, dtype="<f8"), sstp.smoothed.astype("<u1"),
+             np.arange(n, dtype="<u8"), np.arange(4 * n, dtype="<u8").reshape(n, 4)))
+        changes = self.write_changes(tmp_path, cell=8)
+        argv = ["update", "--model", str(model_path), "--changes", str(changes)]
+        assert main([*argv, "--out", str(tmp_path / "a.edp")]) == 0
+        assert main([*argv, "--sstp", str(legacy), "--out", str(tmp_path / "b.edp")]) == 0
+        for suffix in ("edp", "edp.sstp"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("row", [(np.nan, 0.5, 0.25, 0.25), (1.5, -0.5, 0.0, 0.0)],
                              ids=["nan", "negative"])

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from edp.errors import DegenerateTripError, FormatError
-from edp.grid import GridMap, haversine_km, l1_distance, unit_grid
-from edp.ingest import (CellPath, RawTrajectory, _staircase, build_histogram, cell_path,
-                        discretize, generate_synthetic, parse_trajectories, synthetic_grid,
-                        write_trajectories_csv)
-from edp.model import _uniform_rows, build_sstp
+from edp.grid import GridMap, haversine_km, l1_distance, step_mask, unit_grid
+from edp.ingest import (CellPath, RawTrajectory, TripDistanceHistogram, _staircase,
+                        build_histogram, cell_path, discretize, generate_synthetic,
+                        parse_trajectories, synthetic_grid, write_trajectories_csv)
+from edp.model import build_sstp
 
 GRID = unit_grid(10)
 
@@ -273,6 +273,8 @@ class TestHistogram:
     def test_width_must_be_finite_and_positive(self, w):
         with pytest.raises(ValueError, match="bin width"):
             build_histogram([CellPath("a", [0, 1], 2.5)], w)
+        with pytest.raises(ValueError, match="bin width"):
+            TripDistanceHistogram(w, [1, 2])
 
     def test_boundaries(self):
         h = build_histogram([CellPath("a", [0, 1], 2.5)], 1.0)
@@ -321,7 +323,8 @@ class TestSyntheticGenerator:
         truth.validate()
         assert truth.smoothed.tolist() == [cell == dest for cell in range(36)]
         r, c = divmod(dest, 6)
-        assert truth.probs[r, c].tolist() == _uniform_rows(6)[r, c].tolist()
+        inside = step_mask(6)[r, c]
+        assert truth.probs[r, c].tolist() == (inside / inside.sum()).tolist()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -66,12 +66,10 @@ class TestBuildSstp:
                     cells.append((r + dr) * g + c + dc)
             paths.append(path(cells))
         sstp = build_sstp(paths, g)
-        probs, visit_counts, pair_counts, smoothed = oracles.loop_sstp(paths, g)
+        probs, smoothed = oracles.loop_sstp(paths, g)
         assert np.array_equal(sstp.probs, probs)
-        assert np.array_equal(sstp.visit_counts, visit_counts)
-        assert np.array_equal(sstp.pair_counts, pair_counts)
         assert np.array_equal(sstp.smoothed, smoothed)
-        assert sstp.pair_counts.dtype == np.int64 and sstp.smoothed.dtype == bool
+        assert sstp.smoothed.dtype == bool
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -277,11 +275,10 @@ class TestPersistence:
         sstp = build_sstp([path([0, 1, 2, 6])], 4)
         f = tmp_path / "m.sstp"
         save_sstp(sstp, f)
+        assert f.read_bytes()[12] == 0   # has-counts flag
         again = load_sstp(f)
         assert np.array_equal(sstp.probs, again.probs)
         assert np.array_equal(sstp.smoothed, again.smoothed)
-        assert np.array_equal(sstp.visit_counts, again.visit_counts)
-        assert np.array_equal(sstp.pair_counts, again.pair_counts)
 
     def test_sstp_wrong_magic(self, tmp_path):
         f = tmp_path / "x.sstp"
@@ -359,22 +356,29 @@ def random_model(g, half_detour, epoch, seed, n_records):
                            epoch=epoch)
 
 
-def random_sidecar(g, seed, with_counts):
+def random_sidecar(g, seed):
     rng = np.random.default_rng(seed)
-    n = g * g
-    return SSTPMatrix(g=g, probs=random_sstp(g, seed).probs,
-                      visit_counts=rng.integers(0, 2**62, n) if with_counts else None,
-                      pair_counts=rng.integers(0, 2**62, (n, 4)) if with_counts else None,
-                      smoothed=rng.random(n) < 0.5)
+    return SSTPMatrix(g=g, probs=random_sstp(g, seed).probs, smoothed=rng.random(g * g) < 0.5)
+
+
+def save_legacy_sstp(sstp, path, seed=0):
+    """Write `sstp` as an older sidecar did: has-counts flag 1, then the
+    rows, the smoothed flags and (here random) visit and pair counts."""
+    rng = np.random.default_rng(seed)
+    n = sstp.n_cells
+    model_module._write_checksummed(
+        path, model_module.SSTP_MAGIC, model_module._SSTP_HEADER, (sstp.g, 1),
+        (np.ascontiguousarray(sstp.probs, dtype="<f8"), sstp.smoothed.astype("<u1"),
+         rng.integers(0, 2**62, n).astype("<u8"), rng.integers(0, 2**62, (n, 4)).astype("<u8")))
 
 
 @pytest.fixture(scope="module")
 def saved_files(tmp_path_factory):
-    """A directory holding a small model and sidecars with and without counts."""
+    """A directory holding a small model, a sidecar and an older sidecar with counts."""
     d = tmp_path_factory.mktemp("saved")
     save_model(random_model(3, 1, 7, 0, 4), d / "model")
-    save_sstp(random_sidecar(3, 0, True), d / "sstp_counts")
-    save_sstp(random_sidecar(3, 1, False), d / "sstp")
+    save_legacy_sstp(random_sidecar(3, 0), d / "sstp_counts")
+    save_sstp(random_sidecar(3, 1), d / "sstp")
     return d
 
 
@@ -398,17 +402,20 @@ class TestPersistenceProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 6), st.integers(0, 2**16), st.booleans())
     def test_sidecar_round_trip_and_resave(self, tmp_path_factory, g, seed, with_counts):
+        """A sidecar, or an older one with counts, loads bitwise and saves
+        again as the sidecar without counts."""
         d = tmp_path_factory.mktemp("sstp")
-        sstp = random_sidecar(g, seed, with_counts)
-        save_sstp(sstp, d / "a")
+        sstp = random_sidecar(g, seed)
+        save_sstp(sstp, d / "plain")
+        if with_counts:
+            save_legacy_sstp(sstp, d / "a", seed)
+        else:
+            save_sstp(sstp, d / "a")
         again = load_sstp(d / "a")
-        assert np.array_equal(sstp.probs, again.probs)
+        assert again.probs.tobytes() == sstp.probs.tobytes()
         assert np.array_equal(sstp.smoothed, again.smoothed)
-        for mine, theirs in ((sstp.visit_counts, again.visit_counts),
-                             (sstp.pair_counts, again.pair_counts)):
-            assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
         save_sstp(again, d / "b")
-        assert (d / "a").read_bytes() == (d / "b").read_bytes()
+        assert (d / "b").read_bytes() == (d / "plain").read_bytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(LOADERS)), st.data())

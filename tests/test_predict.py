@@ -249,9 +249,10 @@ class TestHistoryIndexProperties:
         with pytest.raises(ValueError, match="max_gram"):
             HistoryIndex.build([CellPath("h", [0, 1, 2], 2.0)], max_gram)
 
-    @pytest.mark.parametrize("cells", [[0, -1, 2], [-1], [3, 4, -7]])
+    @pytest.mark.parametrize("cells", [[0, -1, 2], [-1], [3, 4, -7], [0, 2**70, 1]])
     def test_negative_cell_rejected(self, cells):
-        """-1 is STOP, so a history cell below 0 cannot be indexed."""
+        """-1 is STOP, so a history cell below 0 cannot be indexed, and nor
+        can one past int64."""
         with pytest.raises(ValueError, match="cells must be >= 0"):
             HistoryIndex.build([CellPath("ok", [0, 1], 1.0), CellPath("h", cells, 1.0)])
 
