@@ -1,0 +1,48 @@
+"""Run every perfbench workload for one second; pass only if each run is
+correct and no operation failed.
+
+A library change that breaks what perfbench calls (a loader it uses, a
+function its spans wrap) otherwise shows up only in a full benchmark run.
+Each workload named in BENCHMARK.json runs as
+
+    python perfbench/run.py --workload NAME --seed 1 --seconds 1
+
+in a child process, and its last stdout line, the JSON result, must read
+"correct": true and "failed": 0. Run from anywhere in the checkout:
+
+    python ci/bench_smoke.py
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_workload(name: str) -> bool:
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
+                          "--seed", "1", "--seconds", "1"],
+                         cwd=ROOT, capture_output=True, text=True)
+    lines = run.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    ok = result.get("correct") is True and result.get("failed") == 0
+    print(f"{name}: exit {run.returncode}, correct {result.get('correct')}, "
+          f"failed {result.get('failed')}")
+    if not ok:
+        print(run.stdout[-4000:], run.stderr[-4000:], sep="\n")
+    return ok
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    results = [run_workload(w["name"]) for w in spec["workloads"]]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,18 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DIRECTIONS, step_mask
-from .model import l1_matrix
+from .grid import step_pairs
+from .model import detour_layers, l1_matrix
 
 
 def structural_adjacency(g: int) -> np.ndarray:
     """Boolean 4-adjacency matrix of the g x g grid, zero diagonal."""
-    n = g * g
-    A = np.zeros((n, n), dtype=bool)
-    inside = step_mask(g).reshape(n, 4)
-    for d, (dr, dc) in enumerate(DIRECTIONS):
-        src = np.flatnonzero(inside[:, d])
-        A[src, src + dr * g + dc] = True
+    A = np.zeros((g * g, g * g), dtype=bool)
+    src, dst, _ = step_pairs(g)
+    A[src, dst] = True
     return A
 
 
@@ -34,8 +31,7 @@ def matrix_power_train(M: np.ndarray, max_detour: int) -> tuple[np.ndarray, floa
     Every power is produced by one full dense matrix multiplication.
     Returns (totals, wall seconds).
     """
-    if max_detour < 0 or max_detour % 2 != 0:
-        raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
+    detour_layers(max_detour)   # raises unless max_detour is even and >= 0
     n = M.shape[0]
     g = math.isqrt(n)
     if g * g != n:

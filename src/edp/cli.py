@@ -16,8 +16,8 @@ import numpy as np
 from . import baseline, ingest, predict, update
 from .errors import ColdStartError, CorruptModelError, FormatError
 from .grid import GridMap, neighbors, unit_grid
-from .model import (TransitionModel, atomic_write, build_sstp, count_start_dest, load_model,
-                    load_sstp, random_sstp, save_model, save_sstp, train_initial)
+from .model import (TransitionModel, atomic_write, build_sstp, count_start_dest, detour_layers,
+                    load_model, random_sstp, save_model, save_sstp, train_initial)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -113,11 +113,6 @@ def _discretize_all(result: ingest.ParseResult, grid: GridMap):
     return paths, degenerate
 
 
-def _check_max_detour(args) -> None:
-    if args.max_detour < 0 or args.max_detour % 2 != 0:
-        raise ValueError(f"--max-detour must be even and >= 0, got {args.max_detour}")
-
-
 def _check_scoring(args, alphas, alpha_flag="--alpha") -> None:
     """Reject the query settings before any model or CSV is read."""
     outside = [a for a in alphas if not 0.0 < a < 1.0]
@@ -142,7 +137,7 @@ def _output(args):
 
 
 def cmd_train(args) -> int:
-    _check_max_detour(args)
+    detour_layers(args.max_detour, "--max-detour")
     grid, result = _load_trips(args, args.input)
     paths, degenerate = _discretize_all(result, grid)
     if not paths:
@@ -164,15 +159,9 @@ def cmd_train(args) -> int:
 
 def cmd_update(args) -> int:
     model = load_model(args.model)
-    sstp_path = args.sstp or args.model + ".sstp"
-    sstp = load_sstp(sstp_path)
     cs = update.load_changeset(args.changes, model.g)
-    new_model, stats = update.apply_update(model, sstp, cs, mode=args.mode)
-    out = args.out or args.model
-    # sidecar first: if the model write then fails, rerunning the change
-    # set against the old model rebuilds it from the new rows
-    save_sstp(sstp, out + ".sstp")
-    save_model(new_model, out)
+    new_model, stats = update.apply_update(model, model.single_step(), cs, mode=args.mode)
+    save_model(new_model, args.out or args.model)
     print(f"mode={stats.mode} epoch={stats.epoch} "
           f"entries_recomputed={stats.entries_recomputed} "
           f"entries_full={stats.entries_full} "
@@ -251,7 +240,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"completion point {outside[0]} outside (0, 1]")
     alphas = [float(x) for x in args.alpha_sweep.split(",")] if args.alpha_sweep else [args.alpha]
     _check_scoring(args, alphas, "--alpha-sweep" if args.alpha_sweep else "--alpha")
-    _check_max_detour(args)
+    detour_layers(args.max_detour, "--max-detour")
     grid, result = _load_trips(args, args.input)
     paths, _ = _discretize_all(result, grid)
     if len(paths) < 10:
@@ -330,7 +319,7 @@ def cmd_bench(args) -> int:
     small = [g for g in grids if g < 2]
     if small:
         raise ValueError(f"grid side must be >= 2, got {small[0]}")
-    _check_max_detour(args)
+    detour_layers(args.max_detour, "--max-detour")
     with _output(args) as out:
         out.write("g,edp_ms,smm_ms,speedup,corner_ms,cluster_ms\n")
         for g in grids:
@@ -436,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("update", cmd_update, "apply a change set to a trained model", out)
     p.add_argument("--model", required=True)
     p.add_argument("--changes", required=True)
-    p.add_argument("--sstp", help="single-step matrix file (default <model>.sstp)")
     p.add_argument("--mode", choices=("paper", "exact"), default="exact")
 
     p = command("predict", cmd_predict, "answer destination queries", grid, box, scoring, out)

@@ -20,10 +20,10 @@ KM_PER_DEG_LON_EQ = KM_PER_DEG_LAT
 # Neighbor offsets in the fixed order (up, down, left, right), the single
 # source of the grid's step rules. An offset's position is its direction
 # index, the last axis of SSTPMatrix.probs. DIRECTION_INDEX, step_mask,
-# neighbors, model._IN_NEIGHBOURS, model._STEP_DIRECTION, SSTPMatrix.to_dense
-# and baseline.structural_adjacency all derive from it. The training
-# recursion, which refresh also runs, adds its terms in this order, so
-# reordering them changes trained values in the last bits.
+# step_pairs, neighbors, model._IN_NEIGHBOURS and model._STEP_DIRECTION all
+# derive from it. The training recursion, which refresh also runs, adds its
+# terms in this order, so reordering them changes trained values in the last
+# bits.
 DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 DIRECTION_INDEX = {offset: k for k, offset in enumerate(DIRECTIONS)}
 
@@ -141,6 +141,13 @@ def step_mask(g: int) -> np.ndarray:
     dr, dc = np.array(DIRECTIONS).T
     rows, cols = line[:, None, None] + dr, line[None, :, None] + dc
     return (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
+
+
+def step_pairs(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, direction) of every in-grid single step, by source, then direction."""
+    src, direction = np.nonzero(step_mask(g).reshape(g * g, 4))
+    dr, dc = np.array(DIRECTIONS).T
+    return src, src + dr[direction] * g + dc[direction], direction
 
 
 def check_row(cell: int, row: dict[int, float], g: int) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CorruptModelError, FormatError
 from .grid import (DIRECTION_INDEX, DIRECTIONS, ROW_SUM_TOL, check_cell, check_row,
-                   decode_cell, step_direction, step_mask)
+                   decode_cell, step_direction, step_mask, step_pairs)
 
 MODEL_MAGIC = b"EDP1"
 SSTP_MAGIC = b"SST1"
@@ -82,13 +82,9 @@ class SSTPMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Dense (n, n) single-step matrix."""
-        g, n = self.g, self.n_cells
-        M = np.zeros((n, n))
-        inside = step_mask(g).reshape(n, 4)
-        probs = self.probs.reshape(n, 4)
-        for d, (dr, dc) in enumerate(DIRECTIONS):
-            src = np.flatnonzero(inside[:, d])
-            M[src, src + dr * g + dc] = probs[src, d]
+        src, dst, direction = step_pairs(self.g)
+        M = np.zeros((self.n_cells, self.n_cells))
+        M[src, dst] = self.probs.reshape(-1, 4)[src, direction]
         return M
 
     def copy(self) -> "SSTPMatrix":
@@ -167,6 +163,13 @@ def count_start_dest(paths) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     return by_start, totals
 
 
+def detour_layers(max_detour: int, name: str = "max_detour") -> int:
+    """The stored layer count of a detour budget; ValueError unless it is even and >= 0."""
+    if max_detour < 0 or max_detour % 2 != 0:
+        raise ValueError(f"{name} must be even and >= 0, got {max_detour}")
+    return max_detour // 2 + 1
+
+
 def l1_matrix(g: int) -> np.ndarray:
     """(n, n) matrix of pairwise L1 distances between cells."""
     rr, cc = np.divmod(np.arange(g * g), g)
@@ -194,7 +197,7 @@ class TransitionModel:
 
     @property
     def n_layers(self) -> int:
-        return self.max_detour // 2 + 1
+        return detour_layers(self.max_detour)
 
     @property
     def n_cells(self) -> int:
@@ -219,6 +222,14 @@ class TransitionModel:
                 (d, counts[d] / total, p_sd) for d in sorted(counts)
                 if d != s and counts[d] > 0 and (p_sd := row.item(d)) > 0.0)
         return table
+
+    def single_step(self) -> SSTPMatrix:
+        """The single-step matrix the model was trained or last refreshed with:
+        layer 0 of a one-step pair (a, b) is 1.0 * P(a -> b) + 0.0, bit for bit."""
+        src, dst, direction = step_pairs(self.g)
+        probs = np.zeros((self.n_cells, 4))
+        probs[src, direction] = self.layers[0, src, dst]
+        return SSTPMatrix(g=self.g, probs=probs.reshape(self.g, self.g, 4))
 
     def copy(self) -> "TransitionModel":
         return TransitionModel(
@@ -369,10 +380,8 @@ def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
     Layer 0 (shortest routes) is built ring by ring outward from each
     origin, then each detour layer from the one below it.
     """
-    if max_detour < 0 or max_detour % 2 != 0:
-        raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
     g, n = sstp.g, sstp.n_cells
-    layers = np.zeros((max_detour // 2 + 1, n, n))
+    layers = np.zeros((detour_layers(max_detour), n, n))
     np.fill_diagonal(layers[0], 1.0)
     _ring_recursion(layers, sstp)
     totals = layers.sum(axis=0)
@@ -459,7 +468,7 @@ def _read_checksummed(path, magic: bytes, header_fmt: str, layout):
 
 
 def _model_layout(g, max_detour, n_layers, epoch, n_records):
-    if max_detour % 2 or n_layers != max_detour // 2 + 1:
+    if max_detour % 2 or n_layers != detour_layers(max_detour):
         raise ValueError(f"{n_layers} layers do not fit max_detour={max_detour}")
     n = g * g
     return ("<f8", (n_layers, n, n)), ("<f8", (n, n)), (_RECORD, (n_records,))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import FormatError
 from .grid import check_row
 from .ingest import read_csv_rows
-from .model import SSTPMatrix, TransitionModel, _ring_recursion
+from .model import SSTPMatrix, TransitionModel, _ring_recursion, detour_layers
 
 
 @dataclass
@@ -114,14 +114,12 @@ def _affected_mask_paper(changed_cells: list[int], max_detour: int, g: int) -> n
     past the anchor, toward the origin, are at most max_detour // 2. A
     changed origin gets its whole row.
     """
-    if max_detour < 0 or max_detour % 2 != 0:
-        raise ValueError(f"max_detour must be even and >= 0, got {max_detour}")
+    budget = detour_layers(max_detour) - 1
     n = g * g
     changed = np.unique(changed_cells)
     rows, cols = np.divmod(np.arange(n), g)
     anchor = changed[np.argmin(np.abs(rows[:, None] - changed // g)
                                + np.abs(cols[:, None] - changed % g), axis=1)]
-    budget = max_detour // 2
     # (n, g) per axis: how many lines each grid line lies past the anchor's,
     # toward the origin; an origin on the anchor's line allows only that line
     excess = []
@@ -140,8 +138,10 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
                  mode: str = "exact") -> tuple[TransitionModel, UpdateStats]:
     """Refresh the model after the change set's rows replace the old ones.
 
-    The sstp argument is mutated to carry the new rows; a new model is
-    returned, leaving the caller's model untouched for snapshot swapping.
+    sstp must equal `model.single_step()` outside the changed cells, or
+    ValueError is raised before anything changes. It is mutated to carry
+    the new rows; a new model is returned, leaving the caller's model
+    untouched for snapshot swapping.
     """
     if mode not in ("paper", "exact"):
         raise ValueError(f"unknown update mode {mode!r}")
@@ -150,6 +150,11 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
     cs.validate(model.g)
     if cs.epoch <= model.epoch:
         raise ValueError(f"epoch {cs.epoch} does not advance model epoch {model.epoch}")
+    differ = np.any(sstp.probs != model.single_step().probs, axis=2).ravel()
+    differ[list(cs.changed)] = False
+    if differ.any():
+        raise ValueError(f"single-step rows of cells {np.flatnonzero(differ)[:5].tolist()} "
+                         "differ from the model's, outside the change set")
     t0 = time.perf_counter()
     for cell, row in cs.changed.items():
         sstp.replace_row(cell, row)

@@ -12,7 +12,8 @@ from edp import model as model_module
 from edp.cli import main
 from edp.grid import neighbors, unit_grid
 from edp.model import (build_sstp, count_start_dest, load_model, load_sstp, random_sstp,
-                       save_model, save_sstp, train_initial)
+                       save_model, train_initial)
+from edp.update import apply_update, load_changeset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -304,9 +305,7 @@ class TestUpdate:
         assert main(["update", "--model", str(model_path),
                      "--changes", str(again)]) == 2
 
-    @pytest.mark.parametrize("failing", ["save_model", "save_sstp"])
-    def test_failed_write_recovers_on_rerun(self, tmp_path, synthetic_csv, monkeypatch,
-                                            failing):
+    def test_failed_write_recovers_on_rerun(self, tmp_path, synthetic_csv, monkeypatch):
         model_path = train_model(tmp_path, synthetic_csv)
         changes = self.write_changes(tmp_path, cell=8)
         argv = ["update", "--model", str(model_path), "--changes", str(changes)]
@@ -317,50 +316,16 @@ class TestUpdate:
         def disk_full(*_):
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(cli, failing, disk_full)
+        monkeypatch.setattr(cli, "save_model", disk_full)
         assert main(argv) == 3
         monkeypatch.undo()
         assert model_path.read_bytes() == before
         assert main(argv) == 0
         assert model_path.read_bytes() == clean.read_bytes()
-        assert (tmp_path / "m.edp.sstp").read_bytes() == (tmp_path / "clean.edp.sstp").read_bytes()
-
-    def test_older_sidecar_with_counts_updates_alike(self, tmp_path, synthetic_csv):
-        """An older sidecar (has-counts flag 1) with the same rows updates
-        to the same model and the same sidecar, without counts."""
-        model_path = train_model(tmp_path, synthetic_csv)
-        sstp = load_sstp(f"{model_path}.sstp")
-        legacy = tmp_path / "legacy.sstp"
-        n = sstp.n_cells
-        model_module._write_checksummed(
-            legacy, model_module.SSTP_MAGIC, model_module._SSTP_HEADER, (sstp.g, 1),
-            (np.ascontiguousarray(sstp.probs, dtype="<f8"), sstp.smoothed.astype("<u1"),
-             np.arange(n, dtype="<u8"), np.arange(4 * n, dtype="<u8").reshape(n, 4)))
-        changes = self.write_changes(tmp_path, cell=8)
-        argv = ["update", "--model", str(model_path), "--changes", str(changes)]
-        assert main([*argv, "--out", str(tmp_path / "a.edp")]) == 0
-        assert main([*argv, "--sstp", str(legacy), "--out", str(tmp_path / "b.edp")]) == 0
-        for suffix in ("edp", "edp.sstp"):
-            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
-
-    @pytest.mark.parametrize("row", [(np.nan, 0.5, 0.25, 0.25), (1.5, -0.5, 0.0, 0.0)],
-                             ids=["nan", "negative"])
-    def test_invalid_sidecar_exits_3(self, tmp_path, synthetic_csv, capsys, row):
-        model_path = train_model(tmp_path, synthetic_csv)
-        sidecar = tmp_path / "m.edp.sstp"
-        sstp = load_sstp(sidecar)
-        sstp.probs[1, 1] = row
-        save_sstp(sstp, sidecar)
-        before = model_path.read_bytes()
-        changes = self.write_changes(tmp_path, cell=8)
-        capsys.readouterr()
-        assert main(["update", "--model", str(model_path), "--changes", str(changes)]) == 3
-        assert "rows [7]" in capsys.readouterr().err
-        assert model_path.read_bytes() == before
 
     def test_row_inside_tolerance_survives_two_updates(self, tmp_path, synthetic_csv):
-        """A change row 2e-10 short of 1 passes the change-set check, and so
-        must the sidecar an update writes with it."""
+        """A change row 2e-10 short of 1 passes the change-set check, and
+        the second update refreshes from the model that holds it."""
         model_path = train_model(tmp_path, synthetic_csv)
         row = zip(neighbors(8, 6), (0.25 - 2e-10, 0.25, 0.25, 0.25))
         lines = [f"8,{b},{p!r}" for b, p in row]
@@ -386,6 +351,70 @@ class TestUpdate:
         bad.write_bytes(b"JUNKJUNKJUNK" * 10)
         changes = self.write_changes(tmp_path, cell=8)
         assert main(["update", "--model", str(bad), "--changes", str(changes)]) == 3
+
+    # `edp update` refreshes from the single-step rows the model stores, never
+    # from the `<model>.sstp` sidecar that `edp train` wrote beside it
+
+    def train_world(self, tmp_path, name, seed):
+        world = tmp_path / f"{name}-world"
+        assert main(["gen", "--grid", "8", "--trips", "400", "--seed", str(seed),
+                     "--detour-rate", "0.2", "--out", str(world)]) == 0
+        model_path = tmp_path / f"{name}.edp"
+        assert main(["train", "--input", f"{world}.csv", "--grid", "8", "--unit-grid",
+                     "--max-detour", "4", "--out", str(model_path)]) == 0
+        return model_path
+
+    @pytest.mark.parametrize("sidecar", ["missing", "legacy", "corrupt", "other-world"])
+    def test_output_does_not_depend_on_sidecar(self, tmp_path, sidecar):
+        model_path = self.train_world(tmp_path, "m", seed=3)
+        changes = self.write_changes(tmp_path, cell=27, g=8)
+        argv = ["update", "--model", str(model_path), "--changes", str(changes), "--out"]
+        assert main([*argv, str(tmp_path / "reference.edp")]) == 0
+        # the refresh of the training matrix, through the library
+        expected, _ = apply_update(load_model(model_path), load_sstp(f"{model_path}.sstp"),
+                                   load_changeset(changes, 8))
+        save_model(expected, tmp_path / "expected.edp")
+        assert (tmp_path / "reference.edp").read_bytes() == \
+            (tmp_path / "expected.edp").read_bytes()
+
+        path = Path(f"{model_path}.sstp")
+        if sidecar == "missing":
+            path.unlink()
+        elif sidecar == "legacy":
+            sstp = load_sstp(path)
+            n = sstp.n_cells
+            model_module._write_checksummed(
+                path, model_module.SSTP_MAGIC, model_module._SSTP_HEADER, (sstp.g, 1),
+                (np.ascontiguousarray(sstp.probs, dtype="<f8"), sstp.smoothed.astype("<u1"),
+                 np.arange(n, dtype="<u8"), np.arange(4 * n, dtype="<u8").reshape(n, 4)))
+        elif sidecar == "corrupt":
+            path.write_bytes(b"JUNKJUNKJUNK" * 10)
+        else:
+            # another world's matrix on the same grid once exited 0 and
+            # wrote a model that mixed the two worlds
+            other = self.train_world(tmp_path, "other", seed=11)
+            path.write_bytes(Path(f"{other}.sstp").read_bytes())
+            assert not np.array_equal(load_sstp(path).probs,
+                                      load_model(model_path).single_step().probs)
+        before = path.read_bytes() if path.exists() else None
+        assert main([*argv, str(tmp_path / "out.edp")]) == 0
+        assert (tmp_path / "out.edp").read_bytes() == (tmp_path / "reference.edp").read_bytes()
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert not (tmp_path / "out.edp.sstp").exists()
+
+    def test_in_place_update_leaves_sidecar_as_trained(self, tmp_path):
+        model_path = self.train_world(tmp_path, "m", seed=3)
+        trained = Path(f"{model_path}.sstp").read_bytes()
+        changes = self.write_changes(tmp_path, cell=27, g=8)
+        assert main(["update", "--model", str(model_path), "--changes", str(changes)]) == 0
+        assert load_model(model_path).epoch == 1
+        assert Path(f"{model_path}.sstp").read_bytes() == trained
+
+    def test_sstp_option_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["update", "--model", str(tmp_path / "m.edp"), "--changes",
+                  str(tmp_path / "c.csv"), "--sstp", str(tmp_path / "m.edp.sstp")])
+        assert exc.value.code == 2
 
 
 class TestPredict:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from edp.grid import (DIRECTIONS, GridMap, decode_cell, haversine_km, l1_distance, neighbors,
-                      step_mask, unit_grid)
+                      step_direction, step_mask, step_pairs, unit_grid)
 from edp.update import _affected_mask_paper
 
 
@@ -22,6 +22,14 @@ class TestStepMask:
                 inside = {divmod(x, g) for x in neighbors(r * g + c, g)}
                 for d, (dr, dc) in enumerate(DIRECTIONS):
                     assert mask[r, c, d] == ((r + dr, c + dc) in inside)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 7])
+    def test_step_pairs_list_every_step_once(self, g):
+        src, dst, direction = step_pairs(g)
+        # neighbors lists each cell's in-grid neighbours in direction order
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (a, b) for a in range(g * g) for b in neighbors(a, g)]
+        assert [step_direction(a, b, g) for a, b in zip(src, dst)] == direction.tolist()
 
 
 class TestL1Distance:

@@ -9,7 +9,7 @@ import oracles
 import strategies
 from edp.errors import FormatError
 from edp.grid import decode_cell, l1_distance, neighbors
-from edp.model import random_sstp, train_initial
+from edp.model import load_model, random_sstp, save_model, train_initial
 from edp.update import (ChangeSet, _affected_mask_paper, _first_affected_layer, apply_update,
                         load_changeset)
 
@@ -206,6 +206,65 @@ class TestApplyUpdateExact:
         rows = uniform_rows([5], g)
         apply_update(model, sstp, ChangeSet(1, rows))
         assert oracles.sstp_prob(sstp, 5, 1) == rows[5][1]
+
+
+class TestSingleStep:
+    """A model's layer-0 one-step entries are its single-step matrix."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_trained_and_refreshed_matrix(self, tmp_path_factory, data):
+        g = data.draw(st.integers(2, 11))
+        detour = 2 * data.draw(st.integers(0, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        sstp = random_sstp(g, seed)
+        model = train_initial(sstp, None, detour)
+        assert np.array_equal(model.single_step().probs, sstp.probs)
+        for epoch in (1, 2):
+            cells = data.draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=4,
+                                       unique=True))
+            mode = data.draw(st.sampled_from(["exact", "paper"]))
+            model, _ = apply_update(model, sstp, ChangeSet(epoch, skewed_rows(cells, g, seed)),
+                                    mode=mode)
+            assert np.array_equal(model.single_step().probs, sstp.probs)
+        path = tmp_path_factory.mktemp("model") / "m.edp"
+        save_model(model, path)
+        assert np.array_equal(load_model(path).single_step().probs, sstp.probs)
+
+
+class TestStaleMatrixGuard:
+    """apply_update refuses a matrix whose unchanged rows are not the model's."""
+
+    def trained(self, g=5):
+        sstp = random_sstp(g, 1)
+        return sstp, train_initial(sstp, None, 4), skewed_rows([12], g, 3)
+
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_raises_before_any_mutation(self, mode):
+        _, model, rows = self.trained()
+        other = random_sstp(5, 2)
+        probs, layers, totals = other.probs.copy(), model.layers.copy(), model.totals.copy()
+        with pytest.raises(ValueError, match=r"cells \[0, 1, 2, 3, 4\]"):
+            apply_update(model, other, ChangeSet(1, rows), mode=mode)
+        assert np.array_equal(other.probs, probs)
+        assert np.array_equal(model.layers, layers) and np.array_equal(model.totals, totals)
+        assert model.epoch == 0
+
+    def test_names_the_differing_cell(self):
+        sstp, model, rows = self.trained()
+        sstp.replace_row(7, uniform_rows([7], 5)[7])
+        with pytest.raises(ValueError, match=r"cells \[7\]"):
+            apply_update(model, sstp, ChangeSet(1, rows))
+        assert oracles.sstp_row(sstp, 12) != rows[12]
+
+    def test_changed_cell_row_may_differ(self):
+        # as on a rerun after the refreshed model failed to save: the matrix
+        # already holds the change set's rows
+        sstp, model, rows = self.trained()
+        live = sstp.copy()
+        live.replace_row(12, rows[12])
+        updated, _ = apply_update(model, live, ChangeSet(1, rows))
+        assert np.array_equal(updated.layers, retrain_reference(sstp, rows, 4).layers)
 
 
 class TestFirstAffectedLayer:
