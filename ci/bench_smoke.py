@@ -1,14 +1,16 @@
-"""Run every perfbench workload for one second; pass only if each run is
-correct and no operation failed.
+"""Run every perfbench workload for one second, untraced and traced; pass
+only if each run is correct and no operation failed.
 
 A library change that breaks what perfbench calls (a loader it uses, a
 function its spans wrap) otherwise shows up only in a full benchmark run.
-Each workload named in BENCHMARK.json runs as
+Only a traced run looks up the functions its spans and counters wrap by
+name, so each workload named in BENCHMARK.json runs twice,
 
-    python perfbench/run.py --workload NAME --seed 1 --seconds 1
+    python perfbench/run.py --workload NAME --seed 1 --seconds 1 --trace T
 
-in a child process, and its last stdout line, the JSON result, must read
-"correct": true and "failed": 0. Run from anywhere in the checkout:
+for T = 0 and 1, each in a child process, and the last stdout line of
+each, the JSON result, must read "correct": true and "failed": 0. Run
+from anywhere in the checkout:
 
     python ci/bench_smoke.py
 """
@@ -21,9 +23,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_workload(name: str) -> bool:
+def run_workload(name: str, trace: int) -> bool:
     run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
-                          "--seed", "1", "--seconds", "1"],
+                          "--seed", "1", "--seconds", "1", "--trace", str(trace)],
                          cwd=ROOT, capture_output=True, text=True)
     lines = run.stdout.splitlines()
     try:
@@ -31,7 +33,7 @@ def run_workload(name: str) -> bool:
     except (IndexError, json.JSONDecodeError):
         result = {}
     ok = result.get("correct") is True and result.get("failed") == 0
-    print(f"{name}: exit {run.returncode}, correct {result.get('correct')}, "
+    print(f"{name} trace {trace}: exit {run.returncode}, correct {result.get('correct')}, "
           f"failed {result.get('failed')}")
     if not ok:
         print(run.stdout[-4000:], run.stderr[-4000:], sep="\n")
@@ -40,7 +42,7 @@ def run_workload(name: str) -> bool:
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    results = [run_workload(w["name"]) for w in spec["workloads"]]
+    results = [run_workload(w["name"], trace) for w in spec["workloads"] for trace in (0, 1)]
     return 0 if all(results) else 1
 
 

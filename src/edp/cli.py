@@ -159,8 +159,13 @@ def cmd_train(args) -> int:
 
 def cmd_update(args) -> int:
     model = load_model(args.model)
+    single_step = model.single_step()
+    try:
+        single_step.validate()
+    except ValueError as exc:
+        raise CorruptModelError(f"{args.model}: single-step entries: {exc}") from None
     cs = update.load_changeset(args.changes, model.g)
-    new_model, stats = update.apply_update(model, model.single_step(), cs, mode=args.mode)
+    new_model, stats = update.apply_update(model, single_step, cs, mode=args.mode)
     save_model(new_model, args.out or args.model)
     print(f"mode={stats.mode} epoch={stats.epoch} "
           f"entries_recomputed={stats.entries_recomputed} "

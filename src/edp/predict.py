@@ -11,6 +11,7 @@ normalized over the candidates that the start's trip history supports.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ColdStartError
 from .grid import GridMap, l1_distance
-from .ingest import CellPath, TripDistanceHistogram
+from .ingest import CellPath, TripDistanceHistogram, collector_paused
 from .model import TransitionModel
 
 
@@ -72,36 +73,48 @@ class FutureLocation(NamedTuple):
 
 
 Gram = tuple[int, ...]
-Hop = tuple[int, Gram | None]
+Hop = tuple[int, int | None]
 
 
 class HistoryIndex:
     """Suffix-gram index over historical cell paths, walked gram to gram.
 
-    Maps each contiguous window of up to max_gram cells to the cells
-    observed immediately after it, with their counts. A trip ending right
-    after a window counts as a stop vote (key STOP), so the continuation
-    walk can halt where history says journeys finish instead of sailing
-    past them. Each window's continuations are stored once, at build time,
-    as (cell, count) pairs in ranking order: count descending, then cell.
+    Maps each contiguous window of up to max_gram cells, a gram, to the
+    cells observed immediately after it, with their counts. A trip ending
+    right after a window counts as a stop vote (key STOP), so the
+    continuation walk can halt where history says journeys finish instead
+    of sailing past them. A gram's continuations rank by count
+    descending, then cell.
 
-    build indexes every window length ending at every position, so the
-    suffixes of a context that match the index always run from length 1
-    up to a longest one, the deepest matching gram. A continuation's vote
-    pools only that gram and its own suffixes, so it is a pure function of
-    the index, the gram and k.
+    The index is semi-lazy. build keeps every gram as an integer id in
+    flat arrays and makes no gram's cells. A gram's parent is the gram
+    without its first cell (the root, id 0, for a single cell), and the
+    child map takes first cell * stride + parent id to the gram's id.
+    build indexes every window length ending at every position, so every
+    suffix of an indexed gram is indexed too: a gram's parent chain is
+    the gram and all its suffixes, longest first, and the deepest
+    (longest) indexed suffix of a context is found by growing it leftward
+    from the root, one integer lookup per cell. A gram's ranked
+    (cell, count) pairs are a slice of one continuation table, in which
+    equal pairs share one tuple. A gram is materialized, its cells made
+    from its parent chain and kept in a map from cells to id, when the
+    walk first fills a hop from it; a context whose whole tail is a
+    materialized gram is then found with one tuple lookup.
 
-    The walk is an automaton over the indexed grams. If G is the deepest
-    gram of a context and v its vote, the deepest gram of the context
-    extended by v is the deepest gram of (G + (v,))[-max_gram:]: any
-    indexed S + (v,) has its prefix S indexed too, so S is a suffix of the
-    context no longer than G, hence a suffix of G. So each step is one hop
-    (k, gram) -> (vote, next gram), next gram None on a stop vote. A hop
-    is filled the first time it is asked for and kept in a table keyed by
-    (k, gram): at most one entry per indexed gram for each k in use, never
-    keyed by a query. Queries fill the table but never change an entry, so
-    concurrent queries under CPython's GIL at worst fill a hop more than
-    once and store equal values.
+    A continuation's vote pools only the deepest matching gram and its
+    own suffixes, so it is a pure function of the index, the gram and k.
+    The walk is an automaton over the gram ids. If G is the deepest gram
+    of a context and v its vote, the deepest gram of the context extended
+    by v is the deepest gram of (G + (v,))[-max_gram:]: any indexed
+    S + (v,) has its prefix S indexed too, so S is a suffix of the context
+    no longer than G, hence a suffix of G. So each step is one hop
+    (k, gram id) -> (vote, next gram id), next id None on a stop vote. A
+    hop is filled the first time it is asked for and kept in a table keyed
+    by k, then gram id: at most one entry per indexed gram for each k in
+    use, never keyed by a query. Queries fill the hop table and the
+    materialized grams but never change an entry, so concurrent queries
+    under CPython's GIL at worst build an entry more than once and store
+    equal values.
     """
 
     STOP = -1
@@ -110,66 +123,112 @@ class HistoryIndex:
         if max_gram < 1:
             raise ValueError(f"max_gram must be >= 1, got {max_gram}")
         self.max_gram = max_gram
-        self._grams: dict[Gram, tuple[tuple[int, int], ...]] = {}
-        self._hops: dict[int, dict[Gram, Hop]] = {}
+        self._child: dict[int, int] = {}       # first cell * stride + parent id -> id
+        self._stride = 1                       # one past the largest gram id
+        self._first = array("q", [self.STOP])  # per gram id: its first cell,
+        self._parent = array("q", [0])         # its parent's id,
+        self._head = array("q", [0, 0])        # and its pairs, table[head[id]:head[id + 1]]
+        self._table: list[tuple[int, int]] = []
+        self._ext = array("q")                 # per pair: the id of gram + (cell,), or 0
+        self._ids: dict[Gram, int] = {}        # the materialized grams
+        self._hops: dict[int, dict[int, Hop]] = {}
 
     @classmethod
     def build(cls, paths: list[CellPath], max_gram: int = 8) -> "HistoryIndex":
         """Index every window of up to max_gram cells of every path.
 
         The windows are counted in array passes over all paths' cells,
-        concatenated, one pass per window length (see _gram_levels); the
-        index holds plain Python ints only. Cells must be >= 0, since -1
-        is STOP, and below 2**63, as the passes count in int64.
+        concatenated, one pass per window length (see _gram_tables), and
+        no gram is materialized. Cells must be >= 0, since -1 is STOP, and
+        below 2**63, as the passes count in int64.
         """
         idx = cls(max_gram)
-        for keys, values in _gram_levels([path.cells for path in paths], max_gram):
-            idx._grams.update(zip(keys, values))
+        with collector_paused():
+            tables = _gram_tables([path.cells for path in paths], max_gram)
+        if tables is not None:
+            (idx._child, idx._stride, idx._first, idx._parent, idx._head,
+             idx._table, idx._ext) = tables
         return idx
 
-    def deepest(self, cells) -> Gram | None:
-        """The longest suffix of `cells`, at most max_gram long, that the
-        index holds; None when not even the last cell is indexed."""
-        grams = self._grams
-        tail = tuple(cells[-self.max_gram:])
-        for lo in range(len(tail)):
-            gram = tail[lo:]
-            if gram in grams:
-                return gram
-        return None
+    def deepest(self, cells) -> int | None:
+        """The id of the longest suffix of `cells`, at most max_gram long,
+        that the index holds; None when not even the last cell is indexed."""
+        tail = cells[-self.max_gram:]
+        gram = self._ids.get(tuple(tail))
+        if gram is not None:
+            return gram
+        child, stride = self._child.get, self._stride
+        gram = 0
+        for cell in reversed(tail):
+            longer = child(cell * stride + gram)
+            if longer is None:
+                break
+            gram = longer
+        return gram or None
 
     def continuation(self, cells, k: int) -> int | None:
         """Majority next cell among the k best suffix matches.
 
         Returns the vote of the context's deepest matching gram (see
         _pool), STOP when ending the trip wins the vote and None when no
-        suffix matches at all. Nothing is cached: the walk keeps its votes
+        suffix matches at all. Votes are not cached: the walk keeps them
         in the hop table.
         """
         gram = self.deepest(cells)
         return None if gram is None else self._pool(gram, k)
 
-    def _fill_hop(self, gram: Gram, k: int) -> Hop:
-        """Compute and store the hop from an indexed gram: its vote, and
-        the deepest gram of gram + (vote,), or None on a stop vote."""
-        vote = self.continuation(gram, k)
-        hop = (vote, None if vote == self.STOP else self.deepest(gram + (vote,)))
+    def _fill_hop(self, gram: int, k: int) -> Hop:
+        """Materialize an indexed gram, then compute and store the hop
+        from it: its vote, and the deepest gram of its cells + (vote,), or
+        None on a stop vote."""
+        cells = self._cells(gram)
+        self._ids[cells] = gram
+        vote = self.continuation(cells, k)
+        hop = (vote, None if vote == self.STOP else self._grown(gram, len(cells), vote))
         self._hops.setdefault(k, {})[gram] = hop
         return hop
 
-    def _pool(self, gram: Gram, k: int) -> int:
-        """The majority next cell among the k best matches of `gram` and
-        its suffixes, all of which the index holds.
+    def _grown(self, gram: int, length: int, cell: int) -> int:
+        """The deepest gram of (G + (cell,))[-max_gram:] for the indexed
+        gram G with this id and length, where cell is indexed.
+
+        That is S + (cell,) for the longest suffix S of G, shorter than
+        max_gram, that cell ever followed, else (cell,) alone. Every
+        window S + (cell,) is also a window (S[1:] + (cell,)), so the
+        suffixes that cell followed are the tail of G's parent chain from
+        the first one found on."""
+        table, head, parent, ext = self._table, self._head, self._parent, self._ext
+        if length == self.max_gram:
+            gram = parent[gram]
+        while gram:
+            for slot in range(head[gram], head[gram + 1]):
+                if table[slot][0] == cell:
+                    return ext[slot]
+            gram = parent[gram]
+        return self._child[cell * self._stride]
+
+    def _cells(self, gram: int) -> Gram:
+        """The cells of an indexed gram, read off its parent chain."""
+        first, parent = self._first, self._parent
+        cells = []
+        while gram:
+            cells.append(first[gram])
+            gram = parent[gram]
+        return tuple(cells)
+
+    def _pool(self, gram: int, k: int) -> int:
+        """The majority next cell among the k best matches of an indexed
+        gram and its suffixes, which are its parent chain.
 
         Matches rank by suffix length first, then frequency, then cell id;
         the quota pools down to shorter suffixes when longer ones are rare.
         Ties go to the smaller cell.
         """
-        grams = self._grams
+        table, head, parent = self._table, self._head, self._parent
         quota = k
         tally: dict[int, int] = {}
-        for lo in range(len(gram)):
-            for cell, cnt in grams[gram[lo:]]:
+        while gram:
+            for cell, cnt in table[head[gram]:head[gram + 1]]:
                 take = cnt if cnt < quota else quota
                 tally[cell] = tally.get(cell, 0) + take
                 quota -= take
@@ -177,36 +236,68 @@ class HistoryIndex:
                     break
             if quota == 0:
                 break
+            gram = parent[gram]
         best, best_votes = None, -math.inf
         for cell, votes in tally.items():
             if votes > best_votes or (votes == best_votes and cell < best):
                 best, best_votes = cell, votes
         return best
 
+    # -- inspection, by cells, as a tuple-keyed index would hold the grams
 
-def _gram_levels(seqs: list[list[int]], max_gram: int):
-    """Every gram of length 1..max_gram with its ranked (cell, count)
-    pairs, yielded as (keys, values) iterables, one per length and number
-    of continuations.
+    def _pairs(self, gram: int) -> tuple[tuple[int, int], ...]:
+        return tuple(self._table[self._head[gram]:self._head[gram + 1]])
+
+    def grams(self) -> dict[Gram, tuple[tuple[int, int], ...]]:
+        """Every indexed gram's ranked (cell, count) pairs, by its cells.
+        Made on each call; nothing is materialized."""
+        return {self._cells(gram): self._pairs(gram) for gram in self._child.values()}
+
+    def materialized(self) -> dict[Gram, tuple[tuple[int, int], ...]]:
+        """The ranked pairs of the grams materialized so far."""
+        return {cells: self._pairs(gram) for cells, gram in self._ids.items()}
+
+    def hops(self, k: int) -> dict[Gram, tuple[int, Gram | None]]:
+        """The hops filled so far for k, from gram to (vote, next gram)."""
+        return {self._cells(gram): (vote, None if nxt is None else self._cells(nxt))
+                for gram, (vote, nxt) in self._hops.get(k, {}).items()}
+
+
+def _int_array(values: np.ndarray) -> array:
+    """An integer numpy array as a compact Python array, whose items read
+    as plain ints: int32 when every value fits, else int64."""
+    small = values.size == 0 or (values.min() >= -2**31 and values.max() < 2**31)
+    out = array("i" if small else "q")
+    out.frombytes(values.astype(np.int32 if small else np.int64, copy=False).view(np.uint8))
+    return out
+
+
+def _gram_tables(seqs: list[list[int]], max_gram: int):
+    """The tables of a HistoryIndex over every gram of length 1..max_gram:
+    (child map, stride, first cells, parents, heads, continuation table,
+    extensions), or None when there are no cells.
 
     One array pass per length w over all cells, concatenated. Cells are
     replaced by their ranks among the distinct cells, and each window
-    ending at position p is coded by a gram id. A continuation is coded
-    gram id * (n_cells + 1) + (next cell's rank + 1, or 0 for STOP), and
-    one np.unique counts each code. A code that is not a STOP is also the
-    window of length w + 1 ending at p + 1, so its rank among the codes
-    is that window's gram id, and the next pass is over just those
-    positions. Every code stays under n * (n_cells + 1) for n cells in
-    all: int32 where that fits, else int64, which holds it for any
-    history that fits in memory. Keys are slices of one tuple of all
-    cells, so the index holds plain Python ints. Equal (cell, count)
-    pairs share one tuple, and so do the values of the grams with one
-    continuation.
+    ending at position p is coded by a local id among length w's grams. A
+    continuation is coded local id * (n_cells + 1) + (next cell's rank + 1,
+    or 0 for STOP), and one np.unique counts each code. A code that is not
+    a STOP is also the window of length w + 1 ending at p + 1, so its rank
+    among the codes is that window's local id, and the next pass is over
+    just those positions; the local ids of STOP codes name no gram. Every
+    code stays under n * (n_cells + 1) for n cells in all: int32 where that
+    fits, else int64, which holds it for any history that fits in memory.
+
+    A gram's global id is its local id plus the number of local ids of all
+    shorter lengths, plus one for the root. Its parent's id is read from
+    the previous pass's id of the window ending at the same position, and
+    its pairs sit in the continuation table in id order, count descending,
+    then cell. Keys and pairs are plain Python ints.
     """
     lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
     n = int(lengths.sum())
     if n == 0:
-        return
+        return None
     try:
         cells = np.fromiter(chain.from_iterable(seqs), np.int64, n)
     except OverflowError:
@@ -223,11 +314,14 @@ def _gram_levels(seqs: list[list[int]], max_gram: int):
     follow += 1
     follow[ends[lengths > 0] - 1] = 0
     next_cell = np.concatenate(([HistoryIndex.STOP], labels))
-    flat = tuple(cells.tolist())
     at = np.arange(n, dtype=code)      # where each window of length w ends
-    ids = rank.astype(code)            # and its gram id, below n_ids
+    ids = rank.astype(code)            # and its local id, below n_ids
     n_ids = radix - 1
-    del cells, rank, lengths, ends
+    del rank, lengths, ends
+    pos_id = np.empty(n, code)         # each position's local id one length down
+    base = 1                           # the global id of local id 0
+    firsts, parents, heads, ranked, exts, named = [], [], [], [], [], []
+    slots = 0
     for w in range(1, max_gram + 1):
         nexts = follow[at]
         keyed, inv, counts = np.unique(ids * radix + nexts, return_inverse=True,
@@ -235,29 +329,42 @@ def _gram_levels(seqs: list[list[int]], max_gram: int):
         gram, nxt = np.divmod(keyed, radix)
         # stable, and keyed is ascending: a tie in count keeps cells ascending
         order = np.lexsort((-counts, gram))
-        distinct, pair = np.unique(counts[order] * radix + nxt[order], return_inverse=True)
-        pairs = list(zip(next_cell[distinct % radix].tolist(), (distinct // radix).tolist()))
-        singles = list(zip(pairs))
+        ranked.append(counts[order] * radix + nxt[order])   # a pair as one code
+        # a code that is not a STOP is the next length's gram of local id its rank
+        exts.append(np.where(nxt[order] != 0, order + (base + n_ids), 0) if w < max_gram
+                    else np.zeros(len(order), np.int64))
         width = np.bincount(gram, minlength=n_ids)
-        first = np.cumsum(width) - width
-        end = np.empty(n_ids, code)
+        heads.append(slots + np.cumsum(width) - width)
+        slots += len(keyed)
+        named.append(np.flatnonzero(width) + base)
+        end = np.zeros(n_ids, code)       # where one window of each gram ends
         end[ids] = at
-        for m in np.unique(width).tolist():
-            if m == 0:
-                continue         # an id of a STOP continuation, not a gram
-            of_m = np.flatnonzero(width == m)
-            keys = [flat[lo:lo + w] for lo in (end[of_m] - (w - 1)).tolist()]
-            head = first[of_m]
-            if m == 1:
-                values = map(singles.__getitem__, pair[head].tolist())
-            else:
-                values = zip(*(map(pairs.__getitem__, pair[head + j].tolist())
-                               for j in range(m)))
-            yield keys, values
+        firsts.append(cells[end - (w - 1)])
+        parents.append(pos_id[end] + np.int64(prev_base) if w > 1 else np.zeros(n_ids, code))
+        pos_id[at] = ids
+        prev_base, base = base, base + n_ids
         grows = nexts != 0
         at, ids, n_ids = at[grows] + 1, inv[grows].astype(code), len(keyed)
         if not len(at):
-            return
+            break
+    # equal (cell, count) pairs share one tuple
+    distinct, pair = np.unique(np.concatenate(ranked), return_inverse=True)
+    pairs = zip(next_cell[distinct % radix].tolist(), (distinct // radix).tolist())
+    table = np.fromiter(pairs, object, len(distinct))[pair].tolist()
+    head = _int_array(np.concatenate([[0], *heads, [slots]]))
+    ext = _int_array(np.concatenate(exts))
+    del ranked, pair, heads, exts      # freed early: the build's peak memory
+    first = np.concatenate([[HistoryIndex.STOP], *firsts])
+    parent = np.concatenate([[0], *parents])
+    grams = np.concatenate(named)
+    del firsts, parents, named
+    stride = base
+    if labels[-1] < (2**63 - 1) // stride:
+        keys = first[grams] * stride + parent[grams]
+    else:      # the keys would overflow int64: make them Python ints
+        keys = first[grams].astype(object) * stride + parent[grams].astype(object)
+    child = dict(zip(keys.tolist(), grams.tolist()))
+    return child, stride, _int_array(first), _int_array(parent), head, table, ext
 
 
 def infer_future_location(partial: list[int], dp_km: float, history: HistoryIndex,

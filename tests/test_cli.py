@@ -352,6 +352,25 @@ class TestUpdate:
         changes = self.write_changes(tmp_path, cell=8)
         assert main(["update", "--model", str(bad), "--changes", str(changes)]) == 3
 
+    def test_single_step_rows_not_probabilities_exit_3(self, tmp_path, capsys):
+        """A model whose one-step entries are not probability rows, under a
+        valid checksum, is refused before the change set is read or
+        anything is written."""
+        model = train_initial(random_sstp(5, 0), ({}, {}), 2)
+        model.layers[0, 0, 1] = -0.5
+        model.layers[0, 0, 5] = 1.5     # row 0 still sums to 1
+        model_path = tmp_path / "bad.edp"
+        save_model(model, model_path)
+        before = model_path.read_bytes()
+        changes = self.write_changes(tmp_path, cell=12, g=5)
+        capsys.readouterr()
+        argv = ["update", "--model", str(model_path), "--changes", str(changes)]
+        assert main([*argv, "--out", str(tmp_path / "out.edp")]) == 3
+        assert main(argv) == 3
+        assert "single-step" in capsys.readouterr().err
+        assert model_path.read_bytes() == before
+        assert not (tmp_path / "out.edp").exists()
+
     # `edp update` refreshes from the single-step rows the model stores, never
     # from the `<model>.sstp` sidecar that `edp train` wrote beside it
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -11,8 +12,10 @@ import strategies
 from edp.errors import DegenerateTripError, FormatError
 from edp.grid import GridMap, haversine_km, l1_distance, step_mask, unit_grid
 from edp.ingest import (CellPath, RawTrajectory, TripDistanceHistogram, _staircase,
-                        build_histogram, cell_path, discretize, generate_synthetic,
-                        parse_trajectories, synthetic_grid, write_trajectories_csv)
+                        build_histogram, cell_path, collector_paused, discretize,
+                        generate_synthetic, parse_trajectories, synthetic_grid,
+                        write_trajectories_csv)
+from edp.predict import HistoryIndex
 from edp.model import build_sstp
 
 GRID = unit_grid(10)
@@ -82,6 +85,34 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_trajectories(f, GRID)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, tmp_path, enabled):
+        """The parse and the index build pause the cyclic collector and
+        leave it as they found it, also when they raise, and never enable
+        a collector that was disabled."""
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        write_csv(bad, ["a,x,x,x,x", "a,y,y,y,y", f"a,0,1,{point_in_cell(0)}"])
+        write_csv(good, [f"a,0,100,{point_in_cell(0)}", f"a,1,160,{point_in_cell(1)}"])
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(FormatError):
+                parse_trajectories(bad, GRID)
+            assert gc.isenabled() is enabled
+            assert len(parse_trajectories(good, GRID).trajectories) == 1
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                HistoryIndex.build([CellPath("h", [0, -2], 1.0)])
+            assert gc.isenabled() is enabled
+            with collector_paused():
+                assert not gc.isenabled()
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_missing_column(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["a,0,1"], header="trip_id,seq,timestamp")
@@ -129,6 +160,36 @@ class TestParseProperties:
                res.dropped_points, res.dropped_trips)
         # repr, so that a nan timestamp compares equal to itself
         assert repr(got) == repr(expected)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["ascending", "descending", "duplicates"]),
+                              st.integers(1, 7)), max_size=5),
+           st.randoms(use_true_random=False))
+    def test_row_order_equals_dictreader_oracle(self, trips, rng):
+        """Well-formed trips whose seqs arrive ascending, descending or
+        repeated, with the rows of different trips interleaved, parse as
+        the DictReader oracle parses them: each trip ordered by seq, ties
+        kept in file order."""
+        pending = []
+        for t, (order, n) in enumerate(trips):
+            seqs = list(range(n))
+            if order == "descending":
+                seqs.reverse()
+            elif order == "duplicates":
+                seqs = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+            pending.append([f"t{t},{seq},{i},{rng.uniform(-1, 1)!r},{rng.uniform(-1, 1)!r}"
+                            for i, seq in enumerate(seqs)])
+        rows = []
+        while any(pending):
+            rows.append(rng.choice([p for p in pending if p]).pop(0))
+        text = "trip_id,seq,timestamp,lat,lon\n" + "".join(r + "\n" for r in rows)
+        with strategies.text_file(text) as f:
+            expected = oracles.dictreader_parse(f)
+            res = parse_trajectories(f)
+        got = ([(t.trip_id, t.points) for t in res.trajectories], res.malformed_rows,
+               res.dropped_points, res.dropped_trips)
+        assert got == expected
 
 
 # a fraction of a box's span: anywhere, or on a grid line of some g <= 9

@@ -208,18 +208,24 @@ class TestHistoryIndexProperties:
             if cells:
                 infer_future_location(cells, 12.0, index, votes)
         # one entry at most per indexed gram and vote count, none per query
-        for votes, table in index._hops.items():
-            assert votes in (1, 3, k)
-            assert table.keys() <= index._grams.keys()
+        assert set(index._hops) <= {1, 3, k}
+        grams = index.grams()
+        for votes in (1, 3, k):
+            table = index.hops(votes)
+            assert table.keys() <= grams.keys()
             for gram, (vote, nxt) in table.items():
                 assert vote == oracle.continuation(gram, votes)
                 if vote == HistoryIndex.STOP:
                     assert nxt is None
                     continue
                 grown = gram + (vote,)
-                assert nxt in index._grams and grown[-len(nxt):] == nxt
+                assert nxt in grams and grown[-len(nxt):] == nxt
                 assert len(nxt) == max(m for m in range(1, min(max_gram, len(grown)) + 1)
                                        if grown[-m:] in oracle.grams)
+            # the grams materialized are exactly those the walks filled a hop from
+            assert table.keys() <= index.materialized().keys()
+        assert index.materialized().keys() == {gram for votes in (1, 3, k)
+                                               for gram in index.hops(votes)}
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 7).flatmap(lambda g: st.lists(
@@ -232,15 +238,65 @@ class TestHistoryIndexProperties:
         """The array build makes the gram table the per-window loop makes:
         the same grams, each with the same (cell, count) pairs in the same
         order, all plain ints, over empty and one-cell paths, repeated
-        paths, few cells (so that counts tie) and cell ids far apart."""
+        paths, few cells (so that counts tie) and cell ids far apart; and
+        every gram's id is what a search for its cells finds."""
         paths = [[c * scale for c in cells] for cells in paths]
         paths += [rng.choice(paths) for _ in range(repeats if paths else 0)]
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
-        grams = HistoryIndex.build(history, max_gram)._grams
+        index = HistoryIndex.build(history, max_gram)
+        grams = index.grams()
         assert grams == oracles.loop_history_grams(history, max_gram)
         for gram, pairs in grams.items():
             assert all(type(x) is int for x in gram)
             assert all(type(x) is int for pair in pairs for x in pair)
+            assert index._cells(index.deepest(gram)) == gram
+        assert index.materialized() == {}
+
+    @pytest.mark.parametrize("cells", [[0, 2**62, 2**61, 2**62, 0], [2**63 - 1, 0, 2**63 - 1]])
+    def test_cells_whose_keys_pass_int64(self, cells):
+        """Cells so large that first cell * stride passes int64 still key
+        every gram exactly, and the walks over them end where the step
+        walk ends."""
+        history = [CellPath("h", cells, 0.0)]
+        index = HistoryIndex.build(history, 3)
+        assert index.grams() == oracles.loop_history_grams(history, 3)
+        oracle = oracles.CounterHistoryIndex(history, 3)
+        for p in range(1, len(cells) + 1):
+            assert tuple(infer_future_location(cells[:p], 9.0, index, 1)) == \
+                oracles.step_walk(cells[:p], 9.0, oracle, 1)
+
+    def test_build_materializes_no_gram(self):
+        paths, *_, index = tiny_world()
+        assert index.materialized() == {}
+        assert index.hops(10) == {} and index._hops == {}
+        assert index.grams() and index.materialized() == {}
+        assert index.continuation(paths[0].cells, 10) is not None
+        assert index.materialized() == {}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=12), min_size=1,
+                    max_size=8),
+           st.integers(1, 6),
+           st.lists(st.integers(0, 7), min_size=1, max_size=9),
+           st.floats(0.5, 30.0),
+           st.sampled_from([1, 3, 10]))
+    def test_query_materializes_only_its_walk(self, paths, max_gram, cells, budget, k):
+        """On a fresh index, one walk materializes exactly the grams it
+        steps through: the deepest gram of its context, then each next
+        gram of a hop while budget is left."""
+        history = [CellPath(str(i), p, 0.0) for i, p in enumerate(paths)]
+        index = HistoryIndex.build(history, max_gram)
+        oracle = oracles.CounterHistoryIndex(history, max_gram)
+        loc = infer_future_location(cells, budget, index, k)
+        suffixes = [tuple(cells[-m:]) for m in range(min(max_gram, len(cells)), 0, -1)]
+        gram = next((s for s in suffixes if s in oracle.grams), None)
+        assert loc.no_match == (gram is None)
+        hops, walk, spent = index.hops(k), set(), 0.0
+        while gram is not None and spent < budget:    # the walk again, hop by hop
+            walk.add(gram)
+            gram = hops[gram][1]
+            spent += 1.0
+        assert index.materialized().keys() == walk == hops.keys()
 
     @pytest.mark.parametrize("max_gram", [0, -1])
     def test_max_gram_below_one_rejected(self, max_gram):
@@ -281,6 +337,8 @@ class TestHistoryIndexProperties:
         for cells, budget, step_km, k in walks:
             assert tuple(infer_future_location(cells, budget, index, k, step_km)) == \
                 oracles.step_walk(cells, budget, oracle, k, step_km)
+        assert index.materialized().items() <= \
+            oracles.loop_history_grams(history, max_gram).items()
 
     def test_walk_fills_each_hop_once(self):
         """Over a shuffled batch of walks, continuation is called only to
@@ -291,7 +349,7 @@ class TestHistoryIndexProperties:
         real = index.continuation
 
         def counting(cells, k):
-            assert tuple(cells) not in index._hops.get(k, {})
+            assert tuple(cells) not in index.hops(k)
             calls.append((k, tuple(cells)))
             return real(cells, k)
         index.continuation = counting
@@ -303,7 +361,8 @@ class TestHistoryIndexProperties:
             batch.append((trip.cells[:cut], float(rng.integers(0, 12)), int(rng.choice([1, 10]))))
         first = [infer_future_location(cells, budget, index, k) for cells, budget, k in batch]
         assert len(calls) == len(set(calls)) > 0
-        assert set(calls) == {(k, gram) for k, table in index._hops.items() for gram in table}
+        assert set(index._hops) == {1, 10}
+        assert set(calls) == {(k, gram) for k in (1, 10) for gram in index.hops(k)}
         assert any(loc.steps > 1 for loc in first)
         calls.clear()
         assert [infer_future_location(cells, budget, index, k)
