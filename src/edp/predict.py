@@ -99,7 +99,8 @@ class HistoryIndex:
     equal pairs share one tuple. A gram is materialized, its cells made
     from its parent chain and kept in a map from cells to id, when the
     walk first fills a hop from it; a context whose whole tail is a
-    materialized gram is then found with one tuple lookup.
+    materialized gram is then found with one tuple lookup, which reads a
+    small map instead of up to max_gram entries of the large child map.
 
     A continuation's vote pools only the deepest matching gram and its
     own suffixes, so it is a pure function of the index, the gram and k.
@@ -243,32 +244,12 @@ class HistoryIndex:
                 best, best_votes = cell, votes
         return best
 
-    # -- inspection, by cells, as a tuple-keyed index would hold the grams
-
-    def _pairs(self, gram: int) -> tuple[tuple[int, int], ...]:
-        return tuple(self._table[self._head[gram]:self._head[gram + 1]])
-
-    def grams(self) -> dict[Gram, tuple[tuple[int, int], ...]]:
-        """Every indexed gram's ranked (cell, count) pairs, by its cells.
-        Made on each call; nothing is materialized."""
-        return {self._cells(gram): self._pairs(gram) for gram in self._child.values()}
-
-    def materialized(self) -> dict[Gram, tuple[tuple[int, int], ...]]:
-        """The ranked pairs of the grams materialized so far."""
-        return {cells: self._pairs(gram) for cells, gram in self._ids.items()}
-
-    def hops(self, k: int) -> dict[Gram, tuple[int, Gram | None]]:
-        """The hops filled so far for k, from gram to (vote, next gram)."""
-        return {self._cells(gram): (vote, None if nxt is None else self._cells(nxt))
-                for gram, (vote, nxt) in self._hops.get(k, {}).items()}
-
 
 def _int_array(values: np.ndarray) -> array:
-    """An integer numpy array as a compact Python array, whose items read
-    as plain ints: int32 when every value fits, else int64."""
-    small = values.size == 0 or (values.min() >= -2**31 and values.max() < 2**31)
-    out = array("i" if small else "q")
-    out.frombytes(values.astype(np.int32 if small else np.int64, copy=False).view(np.uint8))
+    """An integer numpy array as a Python int64 array, whose items read
+    as plain ints."""
+    out = array("q")
+    out.frombytes(values.astype(np.int64, copy=False).view(np.uint8))
     return out
 
 

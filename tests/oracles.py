@@ -12,7 +12,8 @@ trajectory parser, the per-transition loop that counted the single-step
 matrix, the Counter-per-gram history index, the per-window loop that
 built the history index's gram table, the masked distance
 estimate, and the destination scoring loop that read the model one
-candidate at a time. The small cell helpers that only tests need live here too.
+candidate at a time. The small cell helpers that only tests need live here too,
+and so do readers that key a HistoryIndex's grams and hops by their cells.
 """
 
 import csv
@@ -490,7 +491,7 @@ class CounterHistoryIndex:
 
 
 def loop_history_grams(paths, max_gram: int = 8) -> dict:
-    """HistoryIndex._grams as the per-window loop built it: one dict of
+    """The history index's gram table as the per-window loop built it: one dict of
     next-cell counts per gram (STOP = -1 when the trip ends), each frozen
     to (cell, count) pairs sorted by count descending, then cell."""
     grams = {}
@@ -510,6 +511,30 @@ def loop_history_grams(paths, max_gram: int = 8) -> dict:
     for key, counts in grams.items():
         grams[key] = tuple(sorted(counts.items(), key=lambda pair: (-pair[1], pair[0])))
     return grams
+
+
+def index_cells(index, gram: int) -> tuple:
+    """The cells of a HistoryIndex's gram, read off its parent chain."""
+    cells = []
+    while gram:
+        cells.append(index._first[gram])
+        gram = index._parent[gram]
+    return tuple(cells)
+
+
+def index_grams(index) -> dict:
+    """Every gram a HistoryIndex holds, keyed by its cells, with its ranked
+    (cell, count) pairs: the form loop_history_grams returns."""
+    return {index_cells(index, gram):
+            tuple(index._table[index._head[gram]:index._head[gram + 1]])
+            for gram in index._child.values()}
+
+
+def index_hops(index, k: int) -> dict:
+    """The hops a HistoryIndex has filled for k, keyed by the cells of
+    their gram: (vote, cells of the next gram, or None)."""
+    return {index_cells(index, gram): (vote, None if nxt is None else index_cells(index, nxt))
+            for gram, (vote, nxt) in index._hops.get(k, {}).items()}
 
 
 def step_walk(partial, dp_km: float, history, k: int = 10, step_km: float = 1.0):

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from itertools import pairwise
 
@@ -209,9 +210,9 @@ class TestHistoryIndexProperties:
                 infer_future_location(cells, 12.0, index, votes)
         # one entry at most per indexed gram and vote count, none per query
         assert set(index._hops) <= {1, 3, k}
-        grams = index.grams()
+        grams = oracles.index_grams(index)
         for votes in (1, 3, k):
-            table = index.hops(votes)
+            table = oracles.index_hops(index, votes)
             assert table.keys() <= grams.keys()
             for gram, (vote, nxt) in table.items():
                 assert vote == oracle.continuation(gram, votes)
@@ -222,10 +223,9 @@ class TestHistoryIndexProperties:
                 assert nxt in grams and grown[-len(nxt):] == nxt
                 assert len(nxt) == max(m for m in range(1, min(max_gram, len(grown)) + 1)
                                        if grown[-m:] in oracle.grams)
-            # the grams materialized are exactly those the walks filled a hop from
-            assert table.keys() <= index.materialized().keys()
-        assert index.materialized().keys() == {gram for votes in (1, 3, k)
-                                               for gram in index.hops(votes)}
+        # the grams materialized are exactly those the walks filled a hop from
+        assert index._ids.keys() == {gram for votes in (1, 3, k)
+                                     for gram in oracles.index_hops(index, votes)}
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 7).flatmap(lambda g: st.lists(
@@ -244,13 +244,13 @@ class TestHistoryIndexProperties:
         paths += [rng.choice(paths) for _ in range(repeats if paths else 0)]
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
-        grams = index.grams()
+        grams = oracles.index_grams(index)
         assert grams == oracles.loop_history_grams(history, max_gram)
         for gram, pairs in grams.items():
             assert all(type(x) is int for x in gram)
             assert all(type(x) is int for pair in pairs for x in pair)
             assert index._cells(index.deepest(gram)) == gram
-        assert index.materialized() == {}
+        assert index._ids == {} and index._hops == {}
 
     @pytest.mark.parametrize("cells", [[0, 2**62, 2**61, 2**62, 0], [2**63 - 1, 0, 2**63 - 1]])
     def test_cells_whose_keys_pass_int64(self, cells):
@@ -259,19 +259,23 @@ class TestHistoryIndexProperties:
         walk ends."""
         history = [CellPath("h", cells, 0.0)]
         index = HistoryIndex.build(history, 3)
-        assert index.grams() == oracles.loop_history_grams(history, 3)
+        assert oracles.index_grams(index) == oracles.loop_history_grams(history, 3)
         oracle = oracles.CounterHistoryIndex(history, 3)
         for p in range(1, len(cells) + 1):
             assert tuple(infer_future_location(cells[:p], 9.0, index, 1)) == \
                 oracles.step_walk(cells[:p], 9.0, oracle, 1)
 
     def test_build_materializes_no_gram(self):
+        """build keeps grams as integers, with no cells tuple and no hop,
+        and a continuation alone materializes nothing."""
         paths, *_, index = tiny_world()
-        assert index.materialized() == {}
-        assert index.hops(10) == {} and index._hops == {}
-        assert index.grams() and index.materialized() == {}
+        assert index._child and index._ids == {} and index._hops == {}
+        assert all(type(key) is int and type(gram) is int
+                   for key, gram in index._child.items())
+        assert all(type(table) is array for table in
+                   (index._first, index._parent, index._head, index._ext))
         assert index.continuation(paths[0].cells, 10) is not None
-        assert index.materialized() == {}
+        assert index._ids == {} and index._hops == {}
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=12), min_size=1,
@@ -291,12 +295,12 @@ class TestHistoryIndexProperties:
         suffixes = [tuple(cells[-m:]) for m in range(min(max_gram, len(cells)), 0, -1)]
         gram = next((s for s in suffixes if s in oracle.grams), None)
         assert loc.no_match == (gram is None)
-        hops, walk, spent = index.hops(k), set(), 0.0
+        hops, walk, spent = oracles.index_hops(index, k), set(), 0.0
         while gram is not None and spent < budget:    # the walk again, hop by hop
             walk.add(gram)
             gram = hops[gram][1]
             spent += 1.0
-        assert index.materialized().keys() == walk == hops.keys()
+        assert index._ids.keys() == walk == hops.keys() and set(index._hops) <= {k}
 
     @pytest.mark.parametrize("max_gram", [0, -1])
     def test_max_gram_below_one_rejected(self, max_gram):
@@ -337,8 +341,9 @@ class TestHistoryIndexProperties:
         for cells, budget, step_km, k in walks:
             assert tuple(infer_future_location(cells, budget, index, k, step_km)) == \
                 oracles.step_walk(cells, budget, oracle, k, step_km)
-        assert index.materialized().items() <= \
-            oracles.loop_history_grams(history, max_gram).items()
+        grams = oracles.loop_history_grams(history, max_gram)
+        assert all(cells in grams and oracles.index_cells(index, gram) == cells
+                   for cells, gram in index._ids.items())
 
     def test_walk_fills_each_hop_once(self):
         """Over a shuffled batch of walks, continuation is called only to
@@ -349,7 +354,7 @@ class TestHistoryIndexProperties:
         real = index.continuation
 
         def counting(cells, k):
-            assert tuple(cells) not in index.hops(k)
+            assert tuple(cells) not in oracles.index_hops(index, k)
             calls.append((k, tuple(cells)))
             return real(cells, k)
         index.continuation = counting
@@ -362,7 +367,7 @@ class TestHistoryIndexProperties:
         first = [infer_future_location(cells, budget, index, k) for cells, budget, k in batch]
         assert len(calls) == len(set(calls)) > 0
         assert set(index._hops) == {1, 10}
-        assert set(calls) == {(k, gram) for k in (1, 10) for gram in index.hops(k)}
+        assert set(calls) == {(k, gram) for k in (1, 10) for gram in oracles.index_hops(index, k)}
         assert any(loc.steps > 1 for loc in first)
         calls.clear()
         assert [infer_future_location(cells, budget, index, k)
