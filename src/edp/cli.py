@@ -269,30 +269,29 @@ def cmd_eval(args) -> int:
         out.write(cols + "\n")
         for a in alphas:
             for f in completions:
-                buckets: dict[str, list[tuple[float, float]]] = {}
+                # per bucket: the EDP results, the baseline results and the truths
+                buckets: dict[str, tuple[list, list, list[int]]] = {}
                 for trip in test:
                     cut = max(1, math.ceil(len(trip.cells) * f))
                     q = predict.Query(trip.cells[:cut], trip.trip_km * f, top_k=args.top)
-                    res, _ = _predict_or_fallback(model, q, hist, index, grid, a, args.knn)
-                    dev = predict.deviation_metrics([res], [trip.cells[-1]], grid,
-                                                    top_n=args.top).mean_km
-                    base_dev = float("nan")
-                    if baseline_model is not None:
-                        bres, _ = _predict_or_fallback(baseline_model, q, hist, index,
-                                                       grid, a, args.knn, force=True)
-                        base_dev = predict.deviation_metrics(
-                            [bres], [trip.cells[-1]], grid, top_n=args.top).mean_km
                     bucket = "all"
                     if args.match_ratio_buckets:
                         bucket = "match" if tuple(trip.cells) in train_seqs else "novel"
-                    buckets.setdefault(bucket, []).append((dev, base_dev))
-                for bucket in sorted(buckets):
-                    rows = buckets[bucket]
-                    mean_dev = sum(r[0] for r in rows) / len(rows)
-                    line = f"{a},{f},{bucket},{len(rows)},{mean_dev:.4f}"
+                    results, base_results, truths = buckets.setdefault(bucket, ([], [], []))
+                    results.append(_predict_or_fallback(model, q, hist, index, grid, a,
+                                                        args.knn)[0])
                     if baseline_model is not None:
-                        mean_base = sum(r[1] for r in rows) / len(rows)
-                        line += f",{mean_base:.4f}"
+                        base_results.append(_predict_or_fallback(
+                            baseline_model, q, hist, index, grid, a, args.knn, force=True)[0])
+                    truths.append(trip.cells[-1])
+                for bucket in sorted(buckets):
+                    results, base_results, truths = buckets[bucket]
+                    dev = predict.deviation_metrics(results, truths, grid, args.top).mean_km
+                    line = f"{a},{f},{bucket},{len(truths)},{dev:.4f}"
+                    if baseline_model is not None:
+                        base_dev = predict.deviation_metrics(base_results, truths, grid,
+                                                             args.top).mean_km
+                        line += f",{base_dev:.4f}"
                     out.write(line + "\n")
     return 0
 

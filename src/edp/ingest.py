@@ -12,8 +12,8 @@ from operator import itemgetter, le
 import numpy as np
 
 from .errors import DegenerateTripError, FormatError
-from .grid import (EARTH_RADIUS_KM, GridMap, decode_cell, l1_distance, neighbors,
-                   step_direction, step_mask, unit_grid)
+from .grid import (EARTH_RADIUS_KM, GridMap, decode_cell, neighbors, step_direction,
+                   step_mask, unit_grid)
 from .model import SSTPMatrix, atomic_write
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
@@ -37,7 +37,6 @@ class CellPath:
     """
 
     __slots__ = ("trip_id", "cells", "_trip_km", "_points")
-    __match_args__ = ("trip_id", "cells", "trip_km")
 
     def __init__(self, trip_id: str, cells: list[int], trip_km: float):
         self.trip_id = trip_id
@@ -86,20 +85,12 @@ class CellPath:
         return (f"{type(self).__qualname__}(trip_id={self.trip_id!r}, "
                 f"cells={self.cells!r}, trip_km={self.trip_km!r})")
 
-    def check(self, g: int) -> None:
-        if len(self.cells) < 2:
-            raise DegenerateTripError(f"trip {self.trip_id} has fewer than 2 cells")
-        for a, b in zip(self.cells, self.cells[1:]):
-            if l1_distance(a, b, g) != 1:
-                raise ValueError(f"trip {self.trip_id}: {a} -> {b} not 4-adjacent")
-
 
 @dataclass
 class ParseResult:
     trajectories: list[RawTrajectory]
     malformed_rows: int = 0
     dropped_points: int = 0
-    dropped_trips: int = 0
 
 
 @contextmanager
@@ -156,9 +147,10 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     Points are grouped by trip_id and ordered by seq. Malformed rows,
     non-finite coordinates included, are counted and skipped; more than 50%
     malformed raises. When a grid is given, points outside its bounding box
-    are dropped (clipping a trip at the boundary rather than discarding it),
-    and trips left with fewer than two points are dropped entirely. The
-    cyclic collector is paused while it runs.
+    are dropped (clipping a trip at the boundary rather than discarding it).
+    Every trip left with a point is kept, a one-point trip included:
+    `discretize` decides which trips can train. The cyclic collector is
+    paused while it runs.
     """
     rows_total = 0
     malformed = 0
@@ -193,16 +185,12 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     if rows_total and malformed / rows_total > 0.5:
         raise FormatError(f"{path}: {malformed}/{rows_total} rows malformed")
     trajectories = []
-    dropped_trips = 0
     for trip_id, (seqs, points) in per_trip.items():
-        if len(points) < 2:
-            dropped_trips += 1
-            continue
         # a stable sort by seq leaves points whose seqs never decrease as they are
         if not all(map(le, seqs, islice(seqs, 1, None))):
             points = [points[i] for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
         trajectories.append(RawTrajectory(trip_id, points))
-    return ParseResult(trajectories, malformed, dropped_points, dropped_trips)
+    return ParseResult(trajectories, malformed, dropped_points)
 
 
 def _staircase(a: int, b: int, g: int) -> list[int]:

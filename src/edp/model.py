@@ -373,6 +373,18 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | No
             out[sel] = np.add.reduce(terms, axis=0, out=sums_buf[:size])
 
 
+def sum_layers(layers: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+    """The layers added in order, layer 0 first, at every flat (origin,
+    destination) index or at the flat indices `pairs` alone. Training and
+    refresh both add here, so a refreshed total is bitwise its retrained
+    value."""
+    flat = layers.reshape(len(layers), -1)
+    sums = flat[0].copy() if pairs is None else flat[0].take(pairs)
+    for layer in flat[1:]:
+        sums += layer if pairs is None else layer.take(pairs)
+    return sums
+
+
 def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
                   max_detour: int = 8) -> TransitionModel:
     """Train the full layered model from single-step probabilities.
@@ -384,7 +396,7 @@ def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
     layers = np.zeros((detour_layers(max_detour), n, n))
     np.fill_diagonal(layers[0], 1.0)
     _ring_recursion(layers, sstp)
-    totals = layers.sum(axis=0)
+    totals = sum_layers(layers).reshape(n, n)
     if start_dest_counts is None:
         start_counts: dict[int, dict[int, int]] = {}
         start_totals: dict[int, int] = {}

@@ -13,14 +13,14 @@ normalized over the candidates that the start's trip history supports.
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ColdStartError
-from .grid import GridMap, l1_distance
+from .grid import GridMap
 from .ingest import CellPath, TripDistanceHistogram, collector_paused
 from .model import TransitionModel
 
@@ -470,17 +470,15 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
 @dataclass
 class DeviationReport:
     mean_km: float
-    per_query: list[float] = field(default_factory=list)
 
 
 def deviation_metrics(results: list[PredictionResult], truths: list[int],
-                      grid: GridMap, top_n: int = 3,
-                      mode: str = "haversine") -> DeviationReport:
+                      grid: GridMap, top_n: int = 3) -> DeviationReport:
     """Average distance between the top predictions and the true destination.
 
-    Per query, the top_n ranked cells' deviations are averaged; the report
-    averages those across queries. mode="l1" scores one kilometer per grid
-    hop, the convention of the synthetic worlds.
+    Per query, the haversine distances from the top_n ranked cells' centres
+    to the true cell's centre are averaged; the report averages those
+    across queries, in order.
     """
     if not results:
         raise ValueError("no results to score")
@@ -491,11 +489,6 @@ def deviation_metrics(results: list[PredictionResult], truths: list[int],
         top = res.ranked[:top_n]
         if not top:
             raise ValueError("prediction with empty ranking")
-        if mode == "l1":
-            devs = [float(l1_distance(d, truth, grid.g)) for d, _ in top]
-        elif mode == "haversine":
-            devs = [grid.center_distance_km(d, truth) for d, _ in top]
-        else:
-            raise ValueError(f"unknown deviation mode {mode!r}")
+        devs = [grid.center_distance_km(d, truth) for d, _ in top]
         per_query.append(sum(devs) / len(devs))
-    return DeviationReport(mean_km=sum(per_query) / len(per_query), per_query=per_query)
+    return DeviationReport(mean_km=sum(per_query) / len(per_query))

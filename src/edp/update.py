@@ -27,7 +27,7 @@ import numpy as np
 from .errors import FormatError
 from .grid import check_row
 from .ingest import read_csv_rows
-from .model import SSTPMatrix, TransitionModel, _ring_recursion, detour_layers
+from .model import SSTPMatrix, TransitionModel, _ring_recursion, detour_layers, sum_layers
 
 
 @dataclass
@@ -165,13 +165,8 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
     out.epoch = cs.epoch
     _ring_recursion(out.layers, sstp, first)
     mask = first < model.n_layers
-    # totals add the layers in the order training's layers.sum(axis=0) does
     pairs = np.flatnonzero(mask)
-    flat = out.layers.reshape(model.n_layers, n * n)
-    sums = flat[0].take(pairs)
-    for layer in flat[1:]:
-        sums += layer.take(pairs)
-    np.put(out.totals, pairs, sums)
+    np.put(out.totals, pairs, sum_layers(out.layers, pairs))
     if mode == "paper":
         region = _affected_mask_paper(changed, model.max_detour, g)
         stale = mask & ~region

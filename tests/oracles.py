@@ -55,6 +55,12 @@ def bfs_hops(a: int, b: int, g: int) -> int:
     raise AssertionError("grid is connected; unreachable")
 
 
+def is_trip_path(cells: list[int], g: int) -> bool:
+    """A training trip's cell path: two or more cells, each step to a grid
+    neighbour."""
+    return len(cells) >= 2 and all(b in grid_neighbors(a, g) for a, b in zip(cells, cells[1:]))
+
+
 def exact_step_frontiers(a: int, g: int, smax: int) -> list[set[int]]:
     """frontiers[s] = cells reachable from a in exactly s moves (revisits allowed)."""
     frontiers = [{a}]
@@ -390,9 +396,9 @@ def wavefront_layers(sstp, max_detour: int) -> np.ndarray:
 
 
 def dictreader_parse(path, grid=None):
-    """(trajectories, malformed, dropped points, dropped trips) of a
-    trajectory CSV, read through csv.DictReader. Raises ValueError where
-    the package raises FormatError."""
+    """(trajectories, malformed, dropped points) of a trajectory CSV, read
+    through csv.DictReader; every trip with a kept point is a trajectory.
+    Raises ValueError where the package raises FormatError."""
     required = ("trip_id", "seq", "timestamp", "lat", "lon")
     rows_total = malformed = dropped_points = 0
     per_trip = {}
@@ -423,14 +429,10 @@ def dictreader_parse(path, grid=None):
     if rows_total and malformed / rows_total > 0.5:
         raise ValueError("mostly malformed")
     trajectories = []
-    dropped_trips = 0
     for trip_id in per_trip:
         pts = sorted(per_trip[trip_id], key=lambda p: p[0])
-        if len(pts) < 2:
-            dropped_trips += 1
-            continue
         trajectories.append((trip_id, [(ts, lat, lon) for _, ts, lat, lon in pts]))
-    return trajectories, malformed, dropped_points, dropped_trips
+    return trajectories, malformed, dropped_points
 
 
 def loop_sstp(paths, g: int):
@@ -568,6 +570,17 @@ def masked_estimate(h, d_t: float) -> tuple[float, bool]:
         return d_t, True
     num = float((left_edges[surviving] * h.counts[surviving]).sum())
     return num / mass, False
+
+
+def l1_deviation_km(results, truths, g: int, top_n: int) -> float:
+    """Mean over queries of the mean grid-hop distance from the top_n ranked
+    cells to the true cell: one kilometer per hop, the convention of the
+    synthetic worlds."""
+    per_query = []
+    for res, truth in zip(results, truths, strict=True):
+        top = res.ranked[:top_n]
+        per_query.append(sum(bfs_hops(d, truth, g) for d, _ in top) / len(top))
+    return sum(per_query) / len(per_query)
 
 
 def dests_from(model, s: int) -> list[int]:

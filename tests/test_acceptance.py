@@ -21,8 +21,8 @@ from edp.errors import ColdStartError
 from edp.ingest import build_histogram, generate_synthetic, synthetic_grid
 from edp.model import (build_sstp, count_start_dest, l1_matrix, load_model, random_sstp,
                        save_model, train_initial)
-from edp.predict import (HistoryIndex, Query, deviation_metrics, estimate_total_distance,
-                         predict_destination, predicted_length)
+from edp.predict import (HistoryIndex, Query, estimate_total_distance, predict_destination,
+                         predicted_length)
 from edp.update import ChangeSet, apply_update
 from edp.grid import decode_cell, neighbors
 
@@ -257,7 +257,7 @@ class TestCriterion6PredictionPipeline:
                 continue
             results.append(res)
             truths.append(trip.cells[-1])
-        return deviation_metrics(results, truths, w["grid"], top_n=top, mode="l1").mean_km
+        return oracles.l1_deviation_km(results, truths, w["grid"].g, top)
 
     def test_a_edp_beats_endpoint_baseline(self, world):
         t0 = time.perf_counter()

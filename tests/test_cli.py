@@ -139,6 +139,20 @@ class TestTrain:
                      "--out", str(tmp_path / "m.edp")]) == 0
         assert "malformed_rows=1" in capsys.readouterr().out
 
+    def test_one_point_trip_counted_degenerate(self, tmp_path, synthetic_csv, capsys):
+        """A one-point trip reaches training, which counts it as degenerate
+        and trains on the other trips alone."""
+        csv_path, _ = synthetic_csv
+        expected = train_model(tmp_path, synthetic_csv).read_bytes()
+        assert "trips=300 degenerate=0 " in capsys.readouterr().out
+        lat, lon = unit_grid(6).cell_center(14)
+        lone = tmp_path / "lone.csv"
+        lone.write_text(csv_path.read_text() + f"lone,0,0,{lat:.8f},{lon:.8f}\n")
+        assert main(["train", "--input", str(lone), "--grid", "6", "--unit-grid",
+                     "--max-detour", "4", "--out", str(tmp_path / "lone.edp")]) == 0
+        assert "trips=300 degenerate=1 " in capsys.readouterr().out
+        assert (tmp_path / "lone.edp").read_bytes() == expected
+
     def test_reads_no_trip_length(self, tmp_path, synthetic_csv, monkeypatch):
         """Training uses only the cell paths: with every read of a trip
         length failing it still writes the same model and sidecar bytes."""
@@ -487,6 +501,32 @@ class TestPredict:
             load_model(model_path), q, ingest.build_histogram(history),
             predict.HistoryIndex.build(history), grid, 0.004, 10)
         assert rows[0] == cli._result_json("still", res, cold)
+
+    def test_one_point_query_answered(self, tmp_path, synthetic_csv):
+        """A query trip of one point gets its line: the one-cell query of
+        its cell, having traveled 0 km."""
+        csv_path, _ = synthetic_csv
+        model_path = train_model(tmp_path, synthetic_csv)
+        grid = unit_grid(6)
+        lat, lon = grid.cell_center(14)
+        queries = tmp_path / "q.csv"
+        src = csv_path.read_text().strip().splitlines()
+        queries.write_text("\n".join([
+            src[0], f"lone,0,0,{lat:.8f},{lon:.8f}",
+            *[l for l in src[1:] if l.startswith("syn000000,")][:3]]) + "\n")
+        out_file = tmp_path / "res.jsonl"
+        assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                     "--queries", str(queries), "--grid", "6", "--unit-grid",
+                     "--out", str(out_file)]) == 0
+        rows = out_file.read_text().splitlines()
+        assert [json.loads(r)["trip_id"] for r in rows] == ["lone", "syn000000"]
+
+        history = [ingest.discretize(t, grid)
+                   for t in ingest.parse_trajectories(csv_path, grid).trajectories]
+        res, cold = cli._predict_or_fallback(
+            load_model(model_path), predict.Query([14], 0.0), ingest.build_histogram(history),
+            predict.HistoryIndex.build(history), grid, 0.004, 10)
+        assert rows[0] == cli._result_json("lone", res, cold)
 
     def test_cold_start_lines_report_the_walk(self, tmp_path):
         """A cold-start line reports the cell, steps and no-match flag of

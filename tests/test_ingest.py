@@ -135,12 +135,14 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_trajectories(f)
 
-    def test_single_point_trip_dropped(self, tmp_path):
+    def test_single_point_trip_kept(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, [f"a,0,100,{point_in_cell(0)}"])
         res = parse_trajectories(f, GRID)
-        assert res.trajectories == []
-        assert res.dropped_trips == 1
+        assert [(t.trip_id, len(t.points)) for t in res.trajectories] == [("a", 1)]
+        assert cell_path(res.trajectories[0], GRID).cells == [0]
+        with pytest.raises(DegenerateTripError):
+            discretize(res.trajectories[0], GRID)
 
 
 class TestParseProperties:
@@ -157,7 +159,7 @@ class TestParseProperties:
                 return
             res = parse_trajectories(f, grid)
         got = ([(t.trip_id, t.points) for t in res.trajectories], res.malformed_rows,
-               res.dropped_points, res.dropped_trips)
+               res.dropped_points)
         # repr, so that a nan timestamp compares equal to itself
         assert repr(got) == repr(expected)
 
@@ -188,7 +190,7 @@ class TestParseProperties:
             expected = oracles.dictreader_parse(f)
             res = parse_trajectories(f)
         got = ([(t.trip_id, t.points) for t in res.trajectories], res.malformed_rows,
-               res.dropped_points, res.dropped_trips)
+               res.dropped_points)
         assert got == expected
 
 
@@ -226,11 +228,11 @@ class TestDiscretize:
     def test_long_gap_bridge_length(self):
         path = discretize(traj_through([0, 57]), GRID)
         assert len(path.cells) - 1 == l1_distance(0, 57, GRID.g)
-        path.check(GRID.g)
+        assert oracles.is_trip_path(path.cells, GRID.g)
 
     def test_transitions_adjacent(self):
         path = discretize(traj_through([0, 1, 2, 13, 24]), GRID)
-        path.check(GRID.g)
+        assert oracles.is_trip_path(path.cells, GRID.g)
 
     def test_trip_km_accumulates(self):
         path = discretize(traj_through([0, 1, 2]), GRID)
@@ -364,7 +366,7 @@ class TestSyntheticGenerator:
     def test_paths_are_valid(self):
         paths, _ = generate_synthetic(7, 100, seed=5, detour_rate=0.5)
         for p in paths:
-            p.check(7)
+            assert oracles.is_trip_path(p.cells, 7)
 
     def test_ground_truth_is_stochastic(self):
         _, truth = generate_synthetic(5, 10, seed=3)

@@ -622,17 +622,13 @@ class TestDeviationMetrics:
         rep = deviation_metrics([self.result([42])], [42], grid, top_n=1)
         assert rep.mean_km == 0.0
 
-    def test_l1_proxy_hand_average(self):
-        grid = unit_grid(10)
-        # predicted cells at L1 distances 1, 2, 3 from the truth cell 55
-        rep = deviation_metrics([self.result([56, 57, 58])], [55], grid, mode="l1")
-        assert rep.mean_km == pytest.approx(2.0)
-
     def test_across_queries(self):
         grid = unit_grid(10)
-        rep = deviation_metrics([self.result([7]), self.result([11])], [7, 51],
-                                grid, top_n=1, mode="l1")
-        assert rep.mean_km == pytest.approx(2.0)  # deviations 0 and 4
+        # cells 56, 57 and 58 lie 1, 2 and 3 km east of 55, so that query
+        # deviates 2 km; cell 51 lies four rows below cell 11, 4 km
+        rep = deviation_metrics([self.result([56, 57, 58]), self.result([11])], [55, 51],
+                                grid)
+        assert rep.mean_km == pytest.approx(3.0, abs=1e-3)
 
     def test_haversine_mode_scales_with_pitch(self):
         grid = unit_grid(10)
