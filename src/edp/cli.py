@@ -199,6 +199,10 @@ def cmd_predict(args) -> int:
     hist = ingest.build_histogram(history, args.bin_width_km)
     index = predict.HistoryIndex.build(history)
     q_result = ingest.parse_trajectories(args.queries, grid)
+    if q_result.dropped_points or q_result.malformed_rows:
+        # a query trip left with no point gets no line
+        print(f"note: {args.queries}: skipped {q_result.dropped_points} points outside the "
+              f"grid and {q_result.malformed_rows} malformed rows", file=sys.stderr)
     with _output(args) as out:
         for traj in q_result.trajectories:
             path = ingest.cell_path(traj, grid)

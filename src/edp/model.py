@@ -373,15 +373,14 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | No
             out[sel] = np.add.reduce(terms, axis=0, out=sums_buf[:size])
 
 
-def sum_layers(layers: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
+def sum_layers(layers: np.ndarray) -> np.ndarray:
     """The layers added in order, layer 0 first, at every flat (origin,
-    destination) index or at the flat indices `pairs` alone. Training and
-    refresh both add here, so a refreshed total is bitwise its retrained
-    value."""
+    destination) index. Training and refresh both add here, so a refreshed
+    total is bitwise its retrained value."""
     flat = layers.reshape(len(layers), -1)
-    sums = flat[0].copy() if pairs is None else flat[0].take(pairs)
+    sums = flat[0].copy()
     for layer in flat[1:]:
-        sums += layer if pairs is None else layer.take(pairs)
+        sums += layer
     return sums
 
 

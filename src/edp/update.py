@@ -1,22 +1,28 @@
 """Incremental model refresh after single-step probability changes.
 
-When a cell's outgoing probabilities change, an entry of the model is
-affected only when one of the routes it counts leaves that cell. For a
-pair (o, j) those are the entries from one layer up, its first affected
-layer, a closed form in the rows and columns by which the changed cells
+When a cell's outgoing probabilities change, an entry of the model can
+move only when some walk it counts enters a changed cell and leaves it.
+Walks here step along the moves that can carry probability: a move with
+nonzero probability in the refreshed matrix, or any in-grid move out of a
+changed cell. For a pair (o, j) those are the entries from one layer up,
+its first affected layer, which follows from the shortest walks into and
+out of each changed cell. On a matrix whose every in-grid move is nonzero
+it is the closed form in the rows and columns by which the changed cells
 lie outside the o-j rectangle. The refresh runs the training recursion
 (`model._ring_recursion`) on the new single-step matrix over exactly the
 entries at or above that layer and reads every other entry as stored. An
-unaffected entry already holds its retrained value bit for bit, so the
+entry below it already holds its retrained value bit for bit, so the
 result equals full retraining bitwise.
 
-Two modes are provided. `exact` refreshes every affected entry. `paper`
-anchors each origin at its nearest changed cell and grows the
+Two modes are provided. `exact` refreshes every entry a change can move.
+`paper` anchors each origin at its nearest changed cell and grows the
 beyond-rectangle border by border, one step per two units of detour; it
 runs the exact pass and then puts the old values back outside its own
 region. So in-region entries are the retrained values, and `paper` mode
 differs from retraining only where its region misses an affected entry,
-which then keeps its stale value.
+which then keeps its stale value. A later `exact` refresh recomputes only
+the entries its own change can move, so it leaves those stale entries as
+they are: neither mode equals retraining once a `paper` refresh has run.
 """
 
 import time
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .grid import check_row
+from .grid import check_row, step_pairs
 from .ingest import read_csv_rows
 from .model import SSTPMatrix, TransitionModel, _ring_recursion, detour_layers, sum_layers
 
@@ -72,7 +78,9 @@ class UpdateStats:
     entries_recomputed counts the (layer, pair) entries the refresh
     recomputed, in paper mode only those inside its region, against
     entries_full for the whole model; origins_recomputed counts the
-    origins with at least one such entry.
+    origins with at least one such entry. Both count only entries that a
+    walk along the moves which can carry probability joins to a changed
+    cell, so a sparse matrix recomputes fewer than the grid alone allows.
     """
 
     mode: str
@@ -83,25 +91,76 @@ class UpdateStats:
     wall_ms: float
 
 
-def _first_affected_layer(g: int, changed_cells: list[int]) -> np.ndarray:
-    """(n, n) first[o, j]: the lowest layer whose (o, j) entry a change reaches.
+def _walk_lengths(neighbours: list[list[int]], start: list[int], length: int,
+                  cap: int) -> np.ndarray:
+    """(n,) int16: the fewest moves along `neighbours` to each cell, with
+    the cells of `start` reached in `length` moves; cap where that takes
+    cap moves or more."""
+    dist = [cap] * len(neighbours)
+    for cell in start:
+        dist[cell] = length
+    frontier = start
+    while frontier and length < cap - 1:
+        length += 1
+        reached = []
+        for a in frontier:
+            for b in neighbours[a]:
+                if dist[b] == cap:
+                    dist[b] = length
+                    reached.append(b)
+        frontier = reached
+    return np.array(dist, dtype=np.int16)
 
-    Entry k of (o, j) counts the routes of length L(o, j) + 2k, so it uses
-    cell c's row when some such route leaves c: L(o, c) + L(c, j) <= L(o, j)
-    + 2k. Half that excess is the rows plus the columns by which c lies
-    outside the o-j rectangle. A route that ends at c leaves it only after
-    a return trip, so column c starts at layer 1. Every entry below first
-    is bitwise its retrained value.
+
+def _first_affected_layer(sstp: SSTPMatrix, changed_cells: list[int],
+                          n_layers: int) -> np.ndarray:
+    """(n, n) int16 first[o, j]: the lowest layer whose (o, j) entry a
+    change can move, or n_layers where none can. sstp is the refreshed
+    matrix.
+
+    A walk steps along a move with P(m -> m') != 0 in sstp, or along any
+    in-grid move out of a changed cell (its old row may have used it).
+    For changed c let l_in(o, c) be the shortest walk from o to c (0 for
+    o = c) and l_out(c, j) the shortest walk that leaves c and ends at j
+    (a return walk for j = c). Then first[o, j] is the least, over
+    changed c, of (l_in(o, c) + l_out(c, j) - L(o, j)) / 2; a pair that no
+    walk joins gets n_layers. When every in-grid move is nonzero the walks
+    are L1 distances and the return walk is 2, so this is the rows plus
+    the columns by which c lies outside the o-j rectangle, and 1 for j = c.
+
+    Why every entry below first is bitwise as stored: entry (k, o, j) is
+    a sum of terms value(m) * P(m -> j) (see model._ring_recursion). A
+    term can change only if m is a changed cell whose (o, m) entry is
+    nonzero before or after the change, or if m's entry changes and
+    P(m -> j) != 0. By induction over the recursion, either case needs a
+    walk of length L(o, j) + 2k from o that enters a changed cell, leaves
+    it and ends at j, which first[o, j] <= k says exists. The stored
+    value is the retrained one for any model made by train_initial or by
+    exact refreshes. The entries recomputed depend only on the matrix and
+    the change set, never on stored values.
     """
-    a = np.arange(g, dtype=np.int16)
-    lo, hi = np.minimum.outer(a, a), np.maximum.outer(a, a)
-    first = None
+    g, n = sstp.g, sstp.n_cells
+    src, dst, direction = step_pairs(g)
+    movable = sstp.probs.reshape(n, 4)[src, direction] != 0
+    movable |= np.isin(src, changed_cells)
+    successors: list[list[int]] = [[] for _ in range(n)]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(src[movable].tolist(), dst[movable].tolist()):
+        successors[a].append(b)
+        predecessors[b].append(a)
+    # a walk of cap moves or more lies n_layers or more layers above any
+    # pair's distance, so it is cut there and every sum fits int16
+    cap = 2 * (g - 1) + 2 * n_layers
+    shortest = None
     for c in changed_cells:
-        outside = [np.maximum(lo - x, 0) + np.maximum(x - hi, 0) for x in divmod(c, g)]
-        layer = (outside[0][:, None, :, None] + outside[1][None, :, None, :]).reshape(g * g, g * g)
-        layer[:, c] = 1
-        first = layer if first is None else np.minimum(first, layer, out=first)
-    return first
+        walks = np.add.outer(_walk_lengths(predecessors, [c], 0, cap),
+                             _walk_lengths(successors, successors[c], 1, cap))
+        shortest = walks if shortest is None else np.minimum(shortest, walks, out=shortest)
+    a = np.arange(g, dtype=np.int16)
+    dist = np.abs(a - a[:, None])
+    shortest -= (dist[:, None, :, None] + dist[None, :, None, :]).reshape(n, n)
+    shortest >>= 1
+    return np.minimum(shortest, n_layers, out=shortest)
 
 
 def _affected_mask_paper(changed_cells: list[int], max_detour: int, g: int) -> np.ndarray:
@@ -160,19 +219,20 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         sstp.replace_row(cell, row)
     g, n = model.g, model.n_cells
     changed = sorted(cs.changed)
-    first = _first_affected_layer(g, changed)
-    out = model.copy()
-    out.epoch = cs.epoch
-    _ring_recursion(out.layers, sstp, first)
+    first = _first_affected_layer(sstp, changed, model.n_layers)
+    layers = model.layers.copy()
+    _ring_recursion(layers, sstp, first)
     mask = first < model.n_layers
-    pairs = np.flatnonzero(mask)
-    np.put(out.totals, pairs, sum_layers(out.layers, pairs))
     if mode == "paper":
         region = _affected_mask_paper(changed, model.max_detour, g)
         stale = mask & ~region
-        out.layers[:, stale] = model.layers[:, stale]
-        out.totals[stale] = model.totals[stale]
+        layers[:, stale] = model.layers[:, stale]
         mask &= region
+    # an entry left as stored adds to its stored total, bit for bit
+    out = TransitionModel(g=g, max_detour=model.max_detour, layers=layers,
+                          totals=sum_layers(layers).reshape(n, n),
+                          start_counts={s: dict(d) for s, d in model.start_counts.items()},
+                          start_totals=dict(model.start_totals), epoch=cs.epoch)
     stats = UpdateStats(
         mode=mode,
         epoch=cs.epoch,

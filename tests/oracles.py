@@ -241,30 +241,45 @@ def paper_mask(changed: list[int], max_detour: int, g: int) -> np.ndarray:
     return mask
 
 
-def first_affected_layer(changed: list[int], n_layers: int, g: int) -> np.ndarray:
+def first_affected_layer(changed: list[int], n_layers: int, g: int, sstp=None) -> np.ndarray:
     """(n, n) lowest layer of each pair whose entry a change reaches, or
     n_layers where none does, by taint over the stored entries.
 
     Entry (k, o, j) sums its in-grid in-neighbours m: layer k of (o, m) for
-    m one step nearer o, layer k - 1 for m one step farther. It is affected
-    when such an m is a changed cell (its row enters the term) or holds an
-    affected entry. Layer 0 of (o, o) is the constant 1.0. Entries are
-    visited by walk length L(o, j) + 2k, so every term is settled first.
+    m one step nearer o, layer k - 1 for m one step farther. Without sstp
+    the taint is geometric: an entry is affected when such an m is a
+    changed cell (its row enters the term) or holds an affected entry.
+    With sstp, the refreshed single-step matrix, it is value-level: an
+    unchanged m taints the entry only when P(m -> j) != 0, and a changed m
+    only when its (o, m) entry is nonzero under sstp or already tainted.
+    An entry is nonzero when some term has a nonzero entry and a nonzero
+    P(m -> j). Layer 0 of (o, o) is the constant 1.0. Entries are visited
+    by walk length L(o, j) + 2k, so every term is settled first.
     """
     n = g * g
     changed = set(changed)
+    P = None if sstp is None else sstp_dense(sstp).tolist()
     first = np.full((n, n), n_layers, dtype=np.int64)
     for o in range(n):
         dist = [bfs_hops(o, j, g) for j in range(n)]
         entries = sorted((dist[j] + 2 * k, k, j) for k in range(n_layers) for j in range(n))
         affected = set()
+        nonzero = {(0, o)}
         for _, k, j in entries:
             for m in grid_neighbors(j, g):
                 km = k if dist[m] < dist[j] else k - 1
-                if km >= 0 and (m in changed or (km, m) in affected):
+                if km < 0:
+                    continue
+                moves = P is None or P[m][j] != 0.0
+                if (km, m) in nonzero and moves:
+                    nonzero.add((k, j))
+                if m in changed:
+                    tainted = P is None or (km, m) in nonzero or (km, m) in affected
+                else:
+                    tainted = (km, m) in affected and moves
+                if tainted:
                     affected.add((k, j))
                     first[o, j] = min(first[o, j], k)
-                    break
     return first
 
 

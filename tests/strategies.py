@@ -1,5 +1,5 @@
 """Hypothesis strategies for garbled CSV input, shared by the parser and
-change-set property tests."""
+change-set property tests, and for sparse single-step matrices."""
 
 import csv
 import io
@@ -7,9 +7,11 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
-from edp.grid import neighbors
+from edp.grid import neighbors, step_pairs
+from edp.model import SSTPMatrix
 
 GARBAGE = st.sampled_from(["", "nan", "inf", "-inf", "abc", "1,5", " 7 ", "1e3", "0x10",
                            '"q"', "1_0"])
@@ -85,6 +87,29 @@ def corrupted_changeset(draw, g=4):
     row = draw(st.integers(1, len(nbrs)))
     rows[row][rows[0].index(column)] = draw(st.one_of(CHANGESET_FIELDS[column], GARBAGE))
     return _write(rows)
+
+
+@st.composite
+def sparse_sstp(draw, g):
+    """A single-step matrix on a g x g grid whose moves are zeroed at
+    random, and into some cells no move at all, normalized by
+    SSTPMatrix.from_weights. A cell left with no move keeps one to a cell
+    that is still entered where it has one, so the uniform backfill does
+    not enter the closed cells again."""
+    n = g * g
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src, dst, direction = step_pairs(g)
+    weights = np.zeros((n, 4))
+    weights[src, direction] = rng.random(src.size) + 0.05
+    weights[src, direction] *= rng.random(src.size) >= draw(st.sampled_from([0.2, 0.4, 0.6]))
+    closed = draw(st.lists(st.integers(0, n - 1), max_size=max(1, n // 8), unique=True))
+    into_closed = np.isin(dst, closed)
+    weights[src[into_closed], direction[into_closed]] = 0.0
+    for cell in np.flatnonzero(weights.sum(axis=1) == 0):
+        open_moves = np.flatnonzero((src == cell) & ~into_closed)
+        if open_moves.size:
+            weights[cell, direction[rng.choice(open_moves)]] = 1.0
+    return SSTPMatrix.from_weights(g, weights)
 
 
 @contextmanager

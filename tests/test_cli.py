@@ -565,6 +565,30 @@ class TestPredict:
             assert ranked is None
             assert [(c["cell"], c["p"]) for c in r["ranked"]] == fallback[:3]
 
+    def test_skipped_query_points_noted_on_stderr(self, tmp_path, synthetic_csv, capsys):
+        """A query trip with no point inside the grid gets no line; stderr
+        says how many points and malformed rows the queries file lost."""
+        csv_path, _ = synthetic_csv
+        model_path = train_model(tmp_path, synthetic_csv)
+        src = csv_path.read_text().strip().splitlines()
+        queries = tmp_path / "q.csv"
+        queries.write_text("\n".join([
+            src[0], "far,0,0,5.0,5.0", "far,1,60,5.1,5.0", "bad,x,0,0.5,0.5",
+            *[l for l in src[1:] if l.startswith("syn000000,")][:4]]) + "\n")
+        argv = ["predict", "--model", str(model_path), "--history", str(csv_path),
+                "--queries", str(queries), "--grid", "6", "--unit-grid"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert [json.loads(r)["trip_id"] for r in captured.out.splitlines()] == ["syn000000"]
+        assert captured.err == (f"note: {queries}: skipped 2 points outside the grid "
+                                "and 1 malformed rows\n")
+
+        queries.write_text("\n".join([src[0], *[l for l in src[1:]
+                                                if l.startswith("syn000000,")][:4]]) + "\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def predict_argv(self, tmp_path, synthetic_csv, *grid_flags):
         csv_path, _ = synthetic_csv
         model_path = train_model(tmp_path, synthetic_csv)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from edp.errors import FormatError
-from edp.grid import decode_cell, l1_distance, neighbors
-from edp.model import load_model, random_sstp, save_model, train_initial
+from edp.grid import decode_cell, l1_distance, neighbors, step_pairs
+from edp.model import SSTPMatrix, load_model, random_sstp, save_model, train_initial
 from edp.update import (ChangeSet, _affected_mask_paper, _first_affected_layer, apply_update,
                         load_changeset)
 
@@ -30,6 +30,18 @@ def skewed_rows(cells, g, seed=0):
         w = rng.random(len(nbrs)) + 0.05
         w /= w.sum()
         rows[cell] = {b: float(p) for b, p in zip(nbrs, w)}
+    return rows
+
+
+def sparse_rows(cells, g, seed=0):
+    """Rows that zero about half of each cell's moves, keeping at least one."""
+    rng = np.random.default_rng(seed)
+    rows = {}
+    for cell in cells:
+        nbrs = neighbors(cell, g)
+        w = (rng.random(len(nbrs)) + 0.05) * (rng.random(len(nbrs)) < 0.5)
+        w[rng.integers(len(nbrs))] += 1.0
+        rows[cell] = {b: float(p) for b, p in zip(nbrs, w / w.sum())}
     return rows
 
 
@@ -268,16 +280,79 @@ class TestStaleMatrixGuard:
 
 
 class TestFirstAffectedLayer:
-    """The refresh recomputes exactly the entries a change reaches."""
+    """The refresh recomputes exactly the entries a change can move."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(change_sets())
-    def test_matches_taint_oracle(self, case):
+    @given(change_sets(), st.integers(0, 2**16))
+    def test_matches_taint_oracle(self, case, seed):
+        # every move of a dense matrix carries probability, so the walks are
+        # the grid's and the first layers are the geometric ones
         g, changed, max_detour = case
         n_layers = max_detour // 2 + 1
-        first = _first_affected_layer(g, changed)
-        assert np.array_equal(np.minimum(first, n_layers),
+        sstp = random_sstp(g, seed)
+        for cell, row in skewed_rows(changed, g, seed).items():
+            sstp.replace_row(cell, row)
+        assert np.array_equal(_first_affected_layer(sstp, changed, n_layers),
                               oracles.first_affected_layer(changed, n_layers, g))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_between_geometric_and_value_taint_on_sparse_matrices(self, data):
+        # no entry a change moves is skipped (<= the value-level taint), and
+        # no entry is recomputed that the grid alone rules out (>= geometric)
+        g = data.draw(st.integers(2, 7))
+        sstp = data.draw(strategies.sparse_sstp(g))
+        changed = sorted(data.draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=4,
+                                            unique=True)))
+        n_layers = data.draw(st.integers(1, 4))
+        for cell, row in sparse_rows(changed, g, data.draw(st.integers(0, 2**16))).items():
+            sstp.replace_row(cell, row)
+        first = _first_affected_layer(sstp, changed, n_layers)
+        assert np.all(oracles.first_affected_layer(changed, n_layers, g) <= first)
+        assert np.all(first <= oracles.first_affected_layer(changed, n_layers, g, sstp))
+
+
+class TestSparseMatrixRefresh:
+    """Refresh on matrices where some moves, and all moves into some cells,
+    have probability 0."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_retrain(self, data):
+        g = data.draw(st.integers(2, 11))
+        sstp = data.draw(strategies.sparse_sstp(g))
+        cells = data.draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=4,
+                                   unique=True))
+        detour = 2 * data.draw(st.integers(0, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        rows = (sparse_rows if data.draw(st.booleans()) else skewed_rows)(cells, g, seed)
+        model = train_initial(sstp, None, detour)
+        reference = retrain_reference(sstp, rows, detour)
+        exact, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="exact")
+        assert np.array_equal(exact.layers, reference.layers)
+        assert np.array_equal(exact.totals, reference.totals)
+        paper, _ = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="paper")
+        inside = oracles.paper_mask(cells, detour, g)
+        assert np.array_equal(paper.layers[:, inside], reference.layers[:, inside])
+        assert np.array_equal(paper.totals[inside], reference.totals[inside])
+        assert np.array_equal(paper.layers[:, ~inside], model.layers[:, ~inside])
+        assert np.array_equal(paper.totals[~inside], model.totals[~inside])
+
+    def test_change_to_a_cell_no_move_enters_refreshes_its_own_row(self):
+        # only a walk that starts at cell 12 can leave it
+        g = 5
+        rng = np.random.default_rng(8)
+        src, dst, direction = step_pairs(g)
+        weights = np.zeros((g * g, 4))
+        weights[src, direction] = (rng.random(src.size) + 0.05) * (dst != 12)
+        sstp = SSTPMatrix.from_weights(g, weights)
+        model = train_initial(sstp, None, 4)
+        rows = skewed_rows([12], g, 9)
+        updated, stats = apply_update(model, sstp.copy(), ChangeSet(1, rows))
+        assert stats.origins_recomputed == 1
+        reference = retrain_reference(sstp, rows, 4)
+        assert np.array_equal(updated.layers, reference.layers)
+        assert np.array_equal(updated.totals, reference.totals)
 
 
 class TestApplyUpdatePaper:
