@@ -10,6 +10,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -235,9 +236,7 @@ def _shortest_route_model(model: TransitionModel) -> TransitionModel:
     second training. It shares the layer's memory and the counts with
     `model`.
     """
-    return TransitionModel(g=model.g, max_detour=0, layers=model.layers[:1],
-                           totals=model.layers[0], start_counts=model.start_counts,
-                           start_totals=model.start_totals, epoch=model.epoch)
+    return replace(model, max_detour=0, layers=model.layers[:1], totals=model.layers[0])
 
 
 def cmd_eval(args) -> int:

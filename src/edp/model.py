@@ -410,7 +410,7 @@ def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
 
 # header fields after the magic and the version
 _MODEL_HEADER = "IIIQQ"   # g, max_detour, n_layers, epoch, record count
-_SSTP_HEADER = "IB"       # g, has-counts flag (written 0)
+_SSTP_HEADER = "IB"       # g, has-counts flag (always 0)
 _RECORD = np.dtype([("start", "<u4"), ("dest", "<u4"), ("count", "<u8")])
 
 
@@ -486,13 +486,9 @@ def _model_layout(g, max_detour, n_layers, epoch, n_records):
 
 
 def _sstp_layout(g, has_counts):
-    # flag 1 marks an older sidecar that also holds per-cell visit counts and
-    # per-(cell, direction) pair counts; they are checked by size and crc only
-    if has_counts not in (0, 1):
-        raise ValueError(f"has-counts flag is {has_counts}, not 0 or 1")
-    n = g * g
-    counts = (("<u8", (n,)), ("<u8", (n, 4))) if has_counts else ()
-    return (("<f8", (g, g, 4)), ("<u1", (n,)), *counts)
+    if has_counts:
+        raise ValueError(f"has-counts flag is {has_counts}, not 0")
+    return ("<f8", (g, g, 4)), ("<u1", (g * g,))
 
 
 def save_model(model: TransitionModel, path) -> None:
@@ -533,10 +529,10 @@ def save_sstp(sstp: SSTPMatrix, path) -> None:
 def load_sstp(path) -> SSTPMatrix:
     """The matrix saved in `path`; its probabilities are a view into one buffer.
 
-    A matrix whose rows break SSTPMatrix.validate raises CorruptModelError.
-    An older file's count sections (has-counts flag 1) are not read.
+    A matrix whose rows break SSTPMatrix.validate, or a has-counts flag
+    other than 0, raises CorruptModelError.
     """
-    (g, _), (probs, smoothed, *_) = _read_checksummed(
+    (g, _), (probs, smoothed) = _read_checksummed(
         path, SSTP_MAGIC, _SSTP_HEADER, _sstp_layout)
     sstp = SSTPMatrix(g=g, probs=probs, smoothed=smoothed.astype(bool))
     try:

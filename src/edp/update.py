@@ -26,7 +26,7 @@ they are: neither mode equals retraining once a `paper` refresh has run.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class ChangeSet:
     changed: dict[int, dict[int, float]]
 
     def validate(self, g: int) -> None:
+        if not 0 <= self.epoch < 2**64:
+            # the model file stores the epoch as u64
+            raise ValueError(f"epoch {self.epoch} lies outside 0..2**64-1")
         if not self.changed:
             raise ValueError("change set is empty")
         for cell, row in self.changed.items():
@@ -63,7 +66,10 @@ def load_changeset(path, g: int) -> ChangeSet:
             epoch = e
         elif e != epoch:
             raise FormatError(f"{path}: mixed epochs {epoch} and {e}")
-        changed.setdefault(cell, {})[nbr] = p
+        row = changed.setdefault(cell, {})
+        if nbr in row:
+            raise FormatError(f"{path}: cell {cell} lists neighbor {nbr} twice")
+        row[nbr] = p
     if epoch is None:
         raise FormatError(f"{path}: no change rows")
     cs = ChangeSet(epoch, changed)
@@ -200,7 +206,8 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
     sstp must equal `model.single_step()` outside the changed cells, or
     ValueError is raised before anything changes. It is mutated to carry
     the new rows; a new model is returned, leaving the caller's model
-    untouched for snapshot swapping.
+    untouched for snapshot swapping. It shares the trip counts, which a
+    refresh never changes.
     """
     if mode not in ("paper", "exact"):
         raise ValueError(f"unknown update mode {mode!r}")
@@ -229,10 +236,8 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         layers[:, stale] = model.layers[:, stale]
         mask &= region
     # an entry left as stored adds to its stored total, bit for bit
-    out = TransitionModel(g=g, max_detour=model.max_detour, layers=layers,
-                          totals=sum_layers(layers).reshape(n, n),
-                          start_counts={s: dict(d) for s, d in model.start_counts.items()},
-                          start_totals=dict(model.start_totals), epoch=cs.epoch)
+    out = replace(model, layers=layers, totals=sum_layers(layers).reshape(n, n),
+                  epoch=cs.epoch)
     stats = UpdateStats(
         mode=mode,
         epoch=cs.epoch,

@@ -89,6 +89,40 @@ def corrupted_changeset(draw, g=4):
     return _write(rows)
 
 
+# epochs a change set may hold, past the u64 the model file stores
+EPOCHS = st.one_of(st.integers(0, 3), st.sampled_from([2**64 - 1, 2**64]),
+                   st.integers(0, 2**70))
+# the ways a row of a well-formed change set is spoilt
+DEFECTS = ["repeat", "field", "probability", "off-grid", "epoch"]
+
+
+@st.composite
+def change_set_csv(draw, g=4):
+    """A change-set CSV on a g x g grid: uniform rows for a few cells under
+    one drawn epoch, then up to two defects, each a repeated pair, a
+    malformed or empty field, a NaN, infinite or negative probability, a
+    cell off the grid or a row of another epoch."""
+    epoch = str(draw(EPOCHS))
+    rows = []
+    for cell in draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=3, unique=True)):
+        nbrs = neighbors(cell, g)
+        rows += [[epoch, str(cell), str(nbr), repr(1.0 / len(nbrs))] for nbr in nbrs]
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        row = draw(st.sampled_from(rows))
+        if defect == "repeat":
+            again = [*row[:3], draw(st.sampled_from([row[3], "0.5", "0.9"]))]
+            rows.insert(draw(st.integers(0, len(rows))), again)
+        elif defect == "field":
+            row[draw(st.integers(0, 3))] = draw(GARBAGE)
+        elif defect == "probability":
+            row[3] = draw(st.sampled_from(["nan", "inf", "-inf", "-0.5", "-0.0"]))
+        elif defect == "off-grid":
+            row[draw(st.integers(1, 2))] = str(draw(st.sampled_from([-1, g * g, 2**40])))
+        else:
+            row[0] = str(draw(EPOCHS))
+    return _write([["epoch", "cell_id", "neighbor_cell_id", "probability"], *rows])
+
+
 @st.composite
 def sparse_sstp(draw, g):
     """A single-step matrix on a g x g grid whose moves are zeroed at

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from edp import cli, ingest, predict
 from edp import model as model_module
 from edp.cli import main
@@ -448,6 +451,56 @@ class TestUpdate:
             main(["update", "--model", str(tmp_path / "m.edp"), "--changes",
                   str(tmp_path / "c.csv"), "--sstp", str(tmp_path / "m.edp.sstp")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("rows,rc,message", [
+        (["1,0,1,0.9", "1,0,1,0.5", "1,0,6,0.5"], 3, "c.csv: cell 0 lists neighbor 1 twice"),
+        ([f"{2**64},0,1,0.5", f"{2**64},0,6,0.5"], 2, f"epoch {2**64} lies outside 0..2**64-1"),
+    ], ids=["repeated-pair", "epoch-past-u64"])
+    def test_bad_change_set_exits_before_the_refresh(self, tmp_path, synthetic_csv, capsys,
+                                                      rows, rc, message):
+        model_path = train_model(tmp_path, synthetic_csv)
+        before = model_path.read_bytes()
+        changes = tmp_path / "c.csv"
+        changes.write_text("epoch,cell_id,neighbor_cell_id,probability\n"
+                           + "".join(f"{row}\n" for row in rows))
+        capsys.readouterr()
+        argv = ["update", "--model", str(model_path), "--changes", str(changes)]
+        assert main([*argv, "--out", str(tmp_path / "out.edp")]) == rc
+        assert main(argv) == rc
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count(message) == 2
+        assert model_path.read_bytes() == before
+        assert not (tmp_path / "out.edp").exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(strategies.change_set_csv(), st.sampled_from(["in-place", "new-out", "old-out"]))
+    @example(f"epoch,cell_id,neighbor_cell_id,probability\r\n{2**64},0,1,0.5\r\n"
+             f"{2**64},0,4,0.5\r\n", "in-place")
+    def test_any_change_set_exits_0_2_or_3_and_fails_atomically(self, tmp_path_factory,
+                                                                 text, target):
+        """Every drawn change set ends in exit 0, 2 or 3, never in an
+        uncaught exception, and a failed run leaves the model and the
+        --out path as they were."""
+        d = tmp_path_factory.mktemp("update")
+        model_path, out_path, changes = d / "m.edp", d / "out.edp", d / "c.csv"
+        save_model(train_initial(random_sstp(4, 0), ({0: {5: 2}}, {0: 2}), 2), model_path)
+        before = model_path.read_bytes()
+        changes.write_text(text, encoding="utf-8", newline="")
+        argv = ["update", "--model", str(model_path), "--changes", str(changes)]
+        if target != "in-place":
+            argv += ["--out", str(out_path)]
+        if target == "old-out":
+            out_path.write_bytes(b"old")
+        rc = main(argv)
+        assert rc in (0, 2, 3)
+        if rc:
+            assert model_path.read_bytes() == before
+            assert (out_path.read_bytes() if out_path.exists() else None) == \
+                (b"old" if target == "old-out" else None)
+        else:
+            written = model_path if target == "in-place" else out_path
+            assert load_model(written).epoch == load_changeset(changes, 4).epoch
 
 
 class TestPredict:

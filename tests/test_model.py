@@ -304,14 +304,16 @@ class TestPersistence:
         with pytest.raises(CorruptModelError):
             load_model(f)
 
-    def test_sstp_has_counts_flag_other_than_0_or_1(self, tmp_path):
+    def test_sstp_has_counts_flag_other_than_0(self, tmp_path):
         f = tmp_path / "m.sstp"
         save_sstp(build_sstp([path([0, 1, 2, 6])], 4), f)
         blob = bytearray(f.read_bytes())
-        blob[12] = 2
-        f.write_bytes(oracles.recrc(blob))
-        with pytest.raises(CorruptModelError):
-            load_sstp(f)
+        # flag 1 marked a sidecar with visit and pair counts after the rows
+        for flag in (1, 2):
+            blob[12] = flag
+            f.write_bytes(oracles.recrc(blob))
+            with pytest.raises(CorruptModelError, match=f"has-counts flag is {flag}"):
+                load_sstp(f)
 
     @pytest.mark.parametrize("row", [(np.nan, 0.5, 0.25, 0.25), (1.5, -0.5, 0.0, 0.0)],
                              ids=["nan", "negative"])
@@ -361,28 +363,16 @@ def random_sidecar(g, seed):
     return SSTPMatrix(g=g, probs=random_sstp(g, seed).probs, smoothed=rng.random(g * g) < 0.5)
 
 
-def save_legacy_sstp(sstp, path, seed=0):
-    """Write `sstp` as an older sidecar did: has-counts flag 1, then the
-    rows, the smoothed flags and (here random) visit and pair counts."""
-    rng = np.random.default_rng(seed)
-    n = sstp.n_cells
-    model_module._write_checksummed(
-        path, model_module.SSTP_MAGIC, model_module._SSTP_HEADER, (sstp.g, 1),
-        (np.ascontiguousarray(sstp.probs, dtype="<f8"), sstp.smoothed.astype("<u1"),
-         rng.integers(0, 2**62, n).astype("<u8"), rng.integers(0, 2**62, (n, 4)).astype("<u8")))
-
-
 @pytest.fixture(scope="module")
 def saved_files(tmp_path_factory):
-    """A directory holding a small model, a sidecar and an older sidecar with counts."""
+    """A directory holding a small model and a sidecar."""
     d = tmp_path_factory.mktemp("saved")
     save_model(random_model(3, 1, 7, 0, 4), d / "model")
-    save_legacy_sstp(random_sidecar(3, 0), d / "sstp_counts")
     save_sstp(random_sidecar(3, 1), d / "sstp")
     return d
 
 
-LOADERS = {"model": load_model, "sstp_counts": load_sstp, "sstp": load_sstp}
+LOADERS = {"model": load_model, "sstp": load_sstp}
 
 
 class TestPersistenceProperties:
@@ -400,22 +390,17 @@ class TestPersistenceProperties:
         assert (d / "a").read_bytes() == (d / "b").read_bytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.integers(2, 6), st.integers(0, 2**16), st.booleans())
-    def test_sidecar_round_trip_and_resave(self, tmp_path_factory, g, seed, with_counts):
-        """A sidecar, or an older one with counts, loads bitwise and saves
-        again as the sidecar without counts."""
+    @given(st.integers(2, 6), st.integers(0, 2**16))
+    def test_sidecar_round_trip_and_resave(self, tmp_path_factory, g, seed):
+        """A sidecar loads bitwise and saves again byte for byte."""
         d = tmp_path_factory.mktemp("sstp")
         sstp = random_sidecar(g, seed)
-        save_sstp(sstp, d / "plain")
-        if with_counts:
-            save_legacy_sstp(sstp, d / "a", seed)
-        else:
-            save_sstp(sstp, d / "a")
+        save_sstp(sstp, d / "a")
         again = load_sstp(d / "a")
         assert again.probs.tobytes() == sstp.probs.tobytes()
         assert np.array_equal(sstp.smoothed, again.smoothed)
         save_sstp(again, d / "b")
-        assert (d / "b").read_bytes() == (d / "plain").read_bytes()
+        assert (d / "b").read_bytes() == (d / "a").read_bytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(LOADERS)), st.data())

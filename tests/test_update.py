@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -196,6 +198,35 @@ class TestApplyUpdateExact:
             apply_update(model, sstp.copy(), cs, mode="exact")
         updated, _ = apply_update(model, sstp.copy(), ChangeSet(6, uniform_rows([3], g)))
         assert updated.epoch == 6
+
+    def test_epoch_past_u64_rejected_before_mutation(self):
+        """The model file stores the epoch as u64: a change set past it is
+        refused before the matrix changes, and the last u64 saves."""
+        g = 4
+        sstp = random_sstp(g, 0)
+        model = train_initial(sstp, None, 2)
+        rows = uniform_rows([3], g)
+        for epoch in (-1, 2**64, 2**70):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                ChangeSet(epoch, rows).validate(g)
+            live = sstp.copy()
+            with pytest.raises(ValueError, match="outside 0..2"):
+                apply_update(model, live, ChangeSet(epoch, rows))
+            assert np.array_equal(live.probs, sstp.probs)
+        updated, _ = apply_update(model, sstp.copy(), ChangeSet(2**64 - 1, rows))
+        assert updated.epoch == 2**64 - 1
+
+    def test_refresh_shares_trip_counts_and_starts_an_empty_candidate_table(self):
+        g = 4
+        sstp = random_sstp(g, 2)
+        model = train_initial(sstp, ({0: {5: 2, 15: 1}, 3: {12: 4}}, {0: 3, 3: 4}), 2)
+        assert model.candidates(0)
+        updated, _ = apply_update(model, sstp.copy(), ChangeSet(1, skewed_rows([6], g, 1)))
+        assert updated.start_counts is model.start_counts
+        assert updated.start_totals is model.start_totals
+        assert updated._candidates == {}
+        assert [d for d, _, _ in updated.candidates(0)] == [5, 15]
+        assert updated.candidates(0) != model.candidates(0)
 
     def test_dimension_mismatch(self):
         model = train_initial(random_sstp(4, 0), None, 2)
@@ -452,6 +483,33 @@ class TestChangeSetIO:
         f.write_text("epoch,cell_id,neighbor_cell_id,probability\n")
         with pytest.raises(FormatError):
             load_changeset(f, 4)
+
+    @pytest.mark.parametrize("first", ["0.9", "0.5"], ids=["other-probability", "same-row"])
+    def test_repeated_pair_is_format_error(self, tmp_path, first):
+        f = tmp_path / "c.csv"
+        f.write_text(f"epoch,cell_id,neighbor_cell_id,probability\n1,0,1,{first}\n"
+                     "1,0,1,0.5\n1,0,4,0.5\n")
+        with pytest.raises(FormatError, match="c.csv: cell 0 lists neighbor 1 twice"):
+            load_changeset(f, 4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(strategies.change_set_csv())
+    def test_loads_exactly_the_distinct_rows_written(self, text):
+        """A change set either loads as exactly the rows written, each pair
+        once, under an epoch the model file can store, or raises
+        FormatError or ValueError."""
+        with strategies.text_file(text) as f:
+            try:
+                cs = load_changeset(f, 4)
+            except (FormatError, ValueError):
+                return
+        rows = [row for row in csv.reader(io.StringIO(text))][1:]
+        expected: dict[int, dict[int, float]] = {}
+        for _, cell, nbr, p in rows:
+            expected.setdefault(int(cell), {})[int(nbr)] = float(p)
+        assert len(rows) == sum(map(len, expected.values()))
+        assert cs.changed == expected
+        assert cs.epoch == int(rows[0][0]) < 2**64
 
     def test_oversized_field_is_format_error(self, tmp_path):
         f = tmp_path / "c.csv"
