@@ -503,7 +503,7 @@ class TestChangeSetIO:
                 cs = load_changeset(f, 4)
             except (FormatError, ValueError):
                 return
-        rows = [row for row in csv.reader(io.StringIO(text))][1:]
+        rows = list(csv.reader(io.StringIO(text)))[1:]
         expected: dict[int, dict[int, float]] = {}
         for _, cell, nbr, p in rows:
             expected.setdefault(int(cell), {})[int(nbr)] = float(p)
