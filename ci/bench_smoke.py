@@ -9,8 +9,11 @@ name, so each workload named in BENCHMARK.json runs twice,
     python perfbench/run.py --workload NAME --seed 1 --seconds 1 --trace T
 
 for T = 0 and 1, each in a child process, and the last stdout line of
-each, the JSON result, must read "correct": true and "failed": 0. Run
-from anywhere in the checkout:
+each, the JSON result, must read "correct": true and "failed": 0. After
+each run's pass/fail line come that run's end-to-end metrics (name,
+value, unit), read from the record it writes under .bench_out/, so each
+CI log keeps a coarse record of them; they do not change the verdict.
+Run from anywhere in the checkout:
 
     python ci/bench_smoke.py
 """
@@ -23,9 +26,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_workload(name: str, trace: int) -> bool:
+SEED = 1
+
+
+def run_workload(name: str, trace: int, metrics: list[str]) -> bool:
     run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
-                          "--seed", "1", "--seconds", "1", "--trace", str(trace)],
+                          "--seed", str(SEED), "--seconds", "1", "--trace", str(trace)],
                          cwd=ROOT, capture_output=True, text=True)
     lines = run.stdout.splitlines()
     try:
@@ -37,12 +43,29 @@ def run_workload(name: str, trace: int) -> bool:
           f"failed {result.get('failed')}")
     if not ok:
         print(run.stdout[-4000:], run.stderr[-4000:], sep="\n")
+    print_end_to_end(ROOT / ".bench_out" / f"{name}-seed{SEED}-trace{trace}.json", metrics)
     return ok
+
+
+def print_end_to_end(record: Path, metrics: list[str]) -> None:
+    """One line per end-to-end metric of the run's record, in spec order."""
+    try:
+        found = json.loads(record.read_text())["end_to_end"]
+    except (OSError, ValueError, KeyError):
+        print(f"  no end-to-end metrics in {record.name}")
+        return
+    for metric in metrics:
+        if metric in found:
+            print(f"  {metric:20s} {found[metric]['value']:>14.6g} {found[metric]['unit']}")
+        else:
+            print(f"  {metric:20s} {'missing':>14s}")
 
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    results = [run_workload(w["name"], trace) for w in spec["workloads"] for trace in (0, 1)]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    results = [run_workload(w["name"], trace, metrics)
+               for w in spec["workloads"] for trace in (0, 1)]
     return 0 if all(results) else 1
 
 

@@ -54,6 +54,10 @@ class GridMap:
     def __post_init__(self):
         if self.g < 2:
             raise ValueError(f"grid side must be >= 2, got {self.g}")
+        for bound in ("lat_min", "lat_max", "lon_min", "lon_max"):
+            if not math.isfinite(getattr(self, bound)):
+                raise ValueError(f"bounding box {bound} must be finite, "
+                                 f"got {getattr(self, bound)}")
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box is empty or inverted")
 

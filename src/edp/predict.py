@@ -73,49 +73,48 @@ class FutureLocation(NamedTuple):
 
 
 Gram = tuple[int, ...]
-Hop = tuple[int, int | None]
+HOP_CHUNK = 2048        # grams per chunk of a hop table pass, which bounds its memory
+
+
+class _Grams(NamedTuple):
+    """A HistoryIndex's grams as numpy arrays. Per gram id (0 is the root):
+    its parent's id, and head, its slots being head[id]:head[id + 1], which
+    rank its pairs by count, then cell. Per slot: count, and pair = code *
+    stride + ext, where code is 0 for STOP, else the cell's rank + 1, and
+    ext is the deepest gram of (gram + (cell,))[-max_gram:], 0 for STOP.
+    lengths: the first id of each length, then stride. cells: by code."""
+    parent: np.ndarray
+    head: np.ndarray
+    pair: np.ndarray
+    count: np.ndarray
+    lengths: list[int]
+    cells: np.ndarray
 
 
 class HistoryIndex:
     """Suffix-gram index over historical cell paths, walked gram to gram.
 
-    Maps each contiguous window of up to max_gram cells, a gram, to the
-    cells observed immediately after it, with their counts. A trip ending
-    right after a window counts as a stop vote (key STOP), so the
-    continuation walk can halt where history says journeys finish instead
-    of sailing past them. A gram's continuations rank by count
-    descending, then cell.
+    Maps each window of up to max_gram cells, a gram, to the cells seen
+    right after it, with their counts; a trip ending there is a stop vote
+    (STOP), so the walk can halt where journeys finish. build keeps each
+    gram as an integer id (see _Grams). Its parent is the gram without its
+    first cell, and the child map takes first cell * stride + parent id to
+    its id. Every window length is indexed, so a gram's parent chain is
+    the gram and all its suffixes, and a context's deepest (longest)
+    indexed suffix grows leftward from the root, one lookup per cell. A
+    context tail that is a whole gram is then kept in a map from its cells
+    to its id, one entry per gram at most, so its next search is one.
 
-    The index is semi-lazy. build keeps every gram as an integer id in
-    flat arrays and makes no gram's cells. A gram's parent is the gram
-    without its first cell (the root, id 0, for a single cell), and the
-    child map takes first cell * stride + parent id to the gram's id.
-    build indexes every window length ending at every position, so every
-    suffix of an indexed gram is indexed too: a gram's parent chain is
-    the gram and all its suffixes, longest first, and the deepest
-    (longest) indexed suffix of a context is found by growing it leftward
-    from the root, one integer lookup per cell. A gram's ranked
-    (cell, count) pairs are a slice of one continuation table, in which
-    equal pairs share one tuple. A gram is materialized, its cells made
-    from its parent chain and kept in a map from cells to id, when the
-    walk first fills a hop from it; a context whose whole tail is a
-    materialized gram is then found with one tuple lookup, which reads a
-    small map instead of up to max_gram entries of the large child map.
-
-    A continuation's vote pools only the deepest matching gram and its
-    own suffixes, so it is a pure function of the index, the gram and k.
-    The walk is an automaton over the gram ids. If G is the deepest gram
-    of a context and v its vote, the deepest gram of the context extended
-    by v is the deepest gram of (G + (v,))[-max_gram:]: any indexed
-    S + (v,) has its prefix S indexed too, so S is a suffix of the context
-    no longer than G, hence a suffix of G. So each step is one hop
-    (k, gram id) -> (vote, next gram id), next id None on a stop vote. A
-    hop is filled the first time it is asked for and kept in a table keyed
-    by k, then gram id: at most one entry per indexed gram for each k in
-    use, never keyed by a query. Queries fill the hop table and the
-    materialized grams but never change an entry, so concurrent queries
-    under CPython's GIL at worst build an entry more than once and store
-    equal values.
+    A vote pools only the deepest gram and its suffixes, so the walk is an
+    automaton over gram ids. If G is the deepest gram of a context and v
+    its vote, the deepest gram of the context extended by v is that of
+    (G + (v,))[-max_gram:]: an indexed S + (v,) has its prefix S indexed,
+    so S is a suffix of G. Each step is one hop (k, gram id) -> (vote,
+    next gram id), next id 0 on a stop vote. The first query with a k
+    makes the hop of every gram in one array pass (see _hop_tables), kept
+    as two int64 arrays. Queries add tables and map entries but change
+    none, so concurrent queries under CPython's GIL at worst build a
+    table twice, of equal values.
     """
 
     STOP = -1
@@ -126,36 +125,27 @@ class HistoryIndex:
         self.max_gram = max_gram
         self._child: dict[int, int] = {}       # first cell * stride + parent id -> id
         self._stride = 1                       # one past the largest gram id
-        self._first = array("q", [self.STOP])  # per gram id: its first cell,
-        self._parent = array("q", [0])         # its parent's id,
-        self._head = array("q", [0, 0])        # and its pairs, table[head[id]:head[id + 1]]
-        self._table: list[tuple[int, int]] = []
-        self._ext = array("q")                 # per pair: the id of gram + (cell,), or 0
-        self._ids: dict[Gram, int] = {}        # the materialized grams
-        self._hops: dict[int, dict[int, Hop]] = {}
+        self._grams: _Grams | None = None      # None when no cell is indexed
+        self._ids: dict[Gram, int] = {}        # context tails that are whole grams
+        self._hops: dict[int, tuple[array, array]] = {}   # k -> (votes, next ids)
 
     @classmethod
     def build(cls, paths: list[CellPath], max_gram: int = 8) -> "HistoryIndex":
-        """Index every window of up to max_gram cells of every path.
-
-        The windows are counted in array passes over all paths' cells,
-        concatenated, one pass per window length (see _gram_tables), and
-        no gram is materialized. Cells must be >= 0, since -1 is STOP, and
-        below 2**63, as the passes count in int64.
-        """
+        """Index every window of up to max_gram cells of every path, in
+        array passes (see _gram_tables). Cells must be >= 0, since -1 is
+        STOP, and below 2**63, as the passes count in int64."""
         idx = cls(max_gram)
         with collector_paused():
             tables = _gram_tables([path.cells for path in paths], max_gram)
         if tables is not None:
-            (idx._child, idx._stride, idx._first, idx._parent, idx._head,
-             idx._table, idx._ext) = tables
+            idx._child, idx._stride, idx._grams = tables
         return idx
 
     def deepest(self, cells) -> int | None:
         """The id of the longest suffix of `cells`, at most max_gram long,
         that the index holds; None when not even the last cell is indexed."""
-        tail = cells[-self.max_gram:]
-        gram = self._ids.get(tuple(tail))
+        tail = tuple(cells[-self.max_gram:])
+        gram = self._ids.get(tail)
         if gram is not None:
             return gram
         child, stride = self._child.get, self._stride
@@ -163,117 +153,44 @@ class HistoryIndex:
         for cell in reversed(tail):
             longer = child(cell * stride + gram)
             if longer is None:
-                break
+                return gram or None
             gram = longer
+        if gram:
+            self._ids[tail] = gram
         return gram or None
 
-    def continuation(self, cells, k: int) -> int | None:
-        """Majority next cell among the k best suffix matches.
-
-        Returns the vote of the context's deepest matching gram (see
-        _pool), STOP when ending the trip wins the vote and None when no
-        suffix matches at all. Votes are not cached: the walk keeps them
-        in the hop table.
-        """
+    def continuation(self, cells, k: int) -> tuple[int, int] | None:
+        """The hop from the context's deepest gram, (vote, next gram id),
+        or None when no suffix matches. The vote is the majority next cell,
+        or STOP, among the k best suffix matches, which rank by suffix
+        length, then count, then cell: the quota pools down to shorter
+        suffixes when longer ones are rare. Ties go to the smaller cell."""
         gram = self.deepest(cells)
-        return None if gram is None else self._pool(gram, k)
-
-    def _fill_hop(self, gram: int, k: int) -> Hop:
-        """Materialize an indexed gram, then compute and store the hop
-        from it: its vote, and the deepest gram of its cells + (vote,), or
-        None on a stop vote."""
-        cells = self._cells(gram)
-        self._ids[cells] = gram
-        vote = self.continuation(cells, k)
-        hop = (vote, None if vote == self.STOP else self._grown(gram, len(cells), vote))
-        self._hops.setdefault(k, {})[gram] = hop
-        return hop
-
-    def _grown(self, gram: int, length: int, cell: int) -> int:
-        """The deepest gram of (G + (cell,))[-max_gram:] for the indexed
-        gram G with this id and length, where cell is indexed.
-
-        That is S + (cell,) for the longest suffix S of G, shorter than
-        max_gram, that cell ever followed, else (cell,) alone. Every
-        window S + (cell,) is also a window (S[1:] + (cell,)), so the
-        suffixes that cell followed are the tail of G's parent chain from
-        the first one found on."""
-        table, head, parent, ext = self._table, self._head, self._parent, self._ext
-        if length == self.max_gram:
-            gram = parent[gram]
-        while gram:
-            for slot in range(head[gram], head[gram + 1]):
-                if table[slot][0] == cell:
-                    return ext[slot]
-            gram = parent[gram]
-        return self._child[cell * self._stride]
-
-    def _cells(self, gram: int) -> Gram:
-        """The cells of an indexed gram, read off its parent chain."""
-        first, parent = self._first, self._parent
-        cells = []
-        while gram:
-            cells.append(first[gram])
-            gram = parent[gram]
-        return tuple(cells)
-
-    def _pool(self, gram: int, k: int) -> int:
-        """The majority next cell among the k best matches of an indexed
-        gram and its suffixes, which are its parent chain.
-
-        Matches rank by suffix length first, then frequency, then cell id;
-        the quota pools down to shorter suffixes when longer ones are rare.
-        Ties go to the smaller cell.
-        """
-        table, head, parent = self._table, self._head, self._parent
-        quota = k
-        tally: dict[int, int] = {}
-        while gram:
-            for cell, cnt in table[head[gram]:head[gram + 1]]:
-                take = cnt if cnt < quota else quota
-                tally[cell] = tally.get(cell, 0) + take
-                quota -= take
-                if quota == 0:
-                    break
-            if quota == 0:
-                break
-            gram = parent[gram]
-        best, best_votes = None, -math.inf
-        for cell, votes in tally.items():
-            if votes > best_votes or (votes == best_votes and cell < best):
-                best, best_votes = cell, votes
-        return best
-
-
-def _int_array(values: np.ndarray) -> array:
-    """An integer numpy array as a Python int64 array, whose items read
-    as plain ints."""
-    out = array("q")
-    out.frombytes(values.astype(np.int64, copy=False).view(np.uint8))
-    return out
+        if gram is None:
+            return None
+        tables = self._hops.get(k)
+        if tables is None:
+            tables = self._hops[k] = _hop_tables(self._grams, k)
+        return tables[0][gram], tables[1][gram]
 
 
 def _gram_tables(seqs: list[list[int]], max_gram: int):
     """The tables of a HistoryIndex over every gram of length 1..max_gram:
-    (child map, stride, first cells, parents, heads, continuation table,
-    extensions), or None when there are no cells.
+    (child map, stride, _Grams), or None when there are no cells.
 
-    One array pass per length w over all cells, concatenated. Cells are
-    replaced by their ranks among the distinct cells, and each window
-    ending at position p is coded by a local id among length w's grams. A
-    continuation is coded local id * (n_cells + 1) + (next cell's rank + 1,
-    or 0 for STOP), and one np.unique counts each code. A code that is not
-    a STOP is also the window of length w + 1 ending at p + 1, so its rank
-    among the codes is that window's local id, and the next pass is over
-    just those positions; the local ids of STOP codes name no gram. Every
-    code stays under n * (n_cells + 1) for n cells in all: int32 where that
-    fits, else int64, which holds it for any history that fits in memory.
-
-    A gram's global id is its local id plus the number of local ids of all
-    shorter lengths, plus one for the root. Its parent's id is read from
-    the previous pass's id of the window ending at the same position, and
-    its pairs sit in the continuation table in id order, count descending,
-    then cell. Keys and pairs are plain Python ints.
+    One array pass per length w over all cells, concatenated, with cells
+    replaced by their ranks. Each window ending at position p has a local
+    id among length w's grams. A continuation is coded local id *
+    (n_cells + 1) + (next cell's rank + 1, or 0 for STOP), and one
+    np.unique counts each code. A code that is not a STOP is also the
+    window of length w + 1 ending at p + 1 (at length max_gram, its
+    extension is the window of that length ending at p + 1), so its rank
+    is that window's local id; STOP codes' local ids name no gram. Codes
+    stay under n * (n_cells + 1) for n cells in all, int32 where that
+    fits. A gram's id is its local id plus the local ids of all shorter
+    lengths plus one, for the root; its parent's id is the previous
+    pass's id of the window ending at the same position. The child map's
+    keys and ids are plain Python ints.
     """
     lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
     n = int(lengths.sum())
@@ -294,68 +211,155 @@ def _gram_tables(seqs: list[list[int]], max_gram: int):
     follow[:-1] = rank[1:]
     follow += 1
     follow[ends[lengths > 0] - 1] = 0
-    next_cell = np.concatenate(([HistoryIndex.STOP], labels))
     at = np.arange(n, dtype=code)      # where each window of length w ends
     ids = rank.astype(code)            # and its local id, below n_ids
     n_ids = radix - 1
     del rank, lengths, ends
     pos_id = np.empty(n, code)         # each position's local id one length down
     base = 1                           # the global id of local id 0
-    firsts, parents, heads, ranked, exts, named = [], [], [], [], [], []
+    firsts, parents, heads, nxts, counts, exts, named, starts = [], [], [], [], [], [], [], []
     slots = 0
     for w in range(1, max_gram + 1):
         nexts = follow[at]
-        keyed, inv, counts = np.unique(ids * radix + nexts, return_inverse=True,
-                                       return_counts=True)
+        keyed, inv, count = np.unique(ids * radix + nexts, return_inverse=True,
+                                      return_counts=True)
         gram, nxt = np.divmod(keyed, radix)
         # stable, and keyed is ascending: a tie in count keeps cells ascending
-        order = np.lexsort((-counts, gram))
-        ranked.append(counts[order] * radix + nxt[order])   # a pair as one code
-        # a code that is not a STOP is the next length's gram of local id its rank
-        exts.append(np.where(nxt[order] != 0, order + (base + n_ids), 0) if w < max_gram
-                    else np.zeros(len(order), np.int64))
+        order = np.lexsort((-count, gram))
+        nxts.append(nxt[order])
+        counts.append(count[order])
         width = np.bincount(gram, minlength=n_ids)
         heads.append(slots + np.cumsum(width) - width)
         slots += len(keyed)
         named.append(np.flatnonzero(width) + base)
-        end = np.zeros(n_ids, code)       # where one window of each gram ends
+        starts.append(base)
+        end = np.full(n_ids, at[0], code)  # where one window of each gram ends
         end[ids] = at
         firsts.append(cells[end - (w - 1)])
         parents.append(pos_id[end] + np.int64(prev_base) if w > 1 else np.zeros(n_ids, code))
         pos_id[at] = ids
         prev_base, base = base, base + n_ids
         grows = nexts != 0
+        if w < max_gram:    # a code that is not a STOP is the next length's gram of its rank
+            ext = np.where(nxt != 0, np.arange(len(keyed)) + base, 0)
+        else:               # or, at the last length, the window of that length ending next
+            ext = np.zeros(len(keyed), np.int64)
+            ext[inv[grows]] = pos_id[at[grows] + 1] + np.int64(prev_base)
+        exts.append(ext[order])
         at, ids, n_ids = at[grows] + 1, inv[grows].astype(code), len(keyed)
         if not len(at):
             break
-    # equal (cell, count) pairs share one tuple
-    distinct, pair = np.unique(np.concatenate(ranked), return_inverse=True)
-    pairs = zip(next_cell[distinct % radix].tolist(), (distinct // radix).tolist())
-    table = np.fromiter(pairs, object, len(distinct))[pair].tolist()
-    head = _int_array(np.concatenate([[0], *heads, [slots]]))
-    ext = _int_array(np.concatenate(exts))
-    del ranked, pair, heads, exts      # freed early: the build's peak memory
+    stride = base
+    pair = np.concatenate(nxts) * np.int64(stride) + np.concatenate(exts)
+    del nxts, exts
+    head = np.concatenate([[0], *heads, [slots]])
     first = np.concatenate([[HistoryIndex.STOP], *firsts])
     parent = np.concatenate([[0], *parents])
     grams = np.concatenate(named)
-    del firsts, parents, named
-    stride = base
+    del firsts, parents, named, heads
     if labels[-1] < (2**63 - 1) // stride:
         keys = first[grams] * stride + parent[grams]
     else:      # the keys would overflow int64: make them Python ints
         keys = first[grams].astype(object) * stride + parent[grams].astype(object)
     child = dict(zip(keys.tolist(), grams.tolist()))
-    return child, stride, _int_array(first), _int_array(parent), head, table, ext
+    return child, stride, _Grams(parent, head, pair, np.concatenate(counts), starts + [stride],
+                                 np.concatenate(([HistoryIndex.STOP], labels)))
+
+
+def _hop_tables(grams: _Grams, k: int) -> tuple[array, array]:
+    """The hop of every gram for k, (votes, next ids), indexed by gram id.
+
+    A gram pools its own pairs in rank order, then its parent's pooled
+    pairs, until k votes are in. So its row lists the pairs it pools with
+    the votes taken up to each: its own that take a vote, then its parent's
+    row with the votes shifted by its own and capped at k, at most k pairs
+    that take one. Rows are made a length at a time from the rows one
+    length down, in chunks of HOP_CHUNK grams, and voted on (see _votes).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    parent, head, pair, count, lengths, cells = grams
+    stride = lengths[-1]
+    votes, nexts = array("q", bytes(8 * stride)), array("q", bytes(8 * stride))
+    vote_out, next_out = np.frombuffer(votes, np.int64), np.frombuffer(nexts, np.int64)
+    k = min(k, int(count.sum()))               # no row takes more votes
+    pad = len(cells) * stride                  # a pair of no cell, above every pair
+    pair_t = np.int32 if pad <= np.iinfo(np.int32).max else np.int64
+    cum_t = np.min_scalar_type(-2 * k - 1)     # holds a parent's votes plus a gram's own
+    prev_pair, prev_cum, prev_lo = np.full((1, 1), pad, pair_t), np.zeros((1, 1), cum_t), 0
+    for lo, hi in zip(lengths, lengths[1:]):
+        pairs, counts = pair[head[lo]:head[hi]], count[head[lo]:head[hi]]
+        first = head[lo:hi + 1] - head[lo]     # each gram's first slot, from the length's first
+        width = np.diff(first)
+        got = np.cumsum(counts)
+        before = np.concatenate(([0], got))[first]
+        got -= np.repeat(before[:-1], width)   # votes of the gram up to and with each slot
+        takes = got - counts < k               # the slots that take a vote
+        n_own = np.diff(np.concatenate(([0], np.cumsum(takes)))[first])
+        total = np.minimum(np.diff(before), k).astype(cum_t)
+        most, prev_m = int(n_own.max()), prev_pair.shape[1]
+        m = min(k, most + prev_m)
+        # a row's position j, after n own pairs, is its parent row's position j - n
+        shifts = np.clip(np.arange(m) - np.arange(most + 1)[:, None], 0, prev_m - 1)
+        rows_pair, rows_cum = np.empty((hi - lo, m), pair_t), np.empty((hi - lo, m), cum_t)
+        for a in range(0, hi - lo, HOP_CHUNK):
+            b = min(a + HOP_CHUNK, hi - lo)
+            up = shifts[n_own[a:b]]
+            up += ((parent[lo + a:lo + b] - prev_lo) * prev_m)[:, None]
+            np.take(prev_pair, up, out=rows_pair[a:b])
+            cum = np.take(prev_cum, up, out=rows_cum[a:b])
+            cum += total[a:b, None]
+            np.minimum(cum, k, out=cum)
+            own = np.arange(first[a], first[b])
+            at = (own + np.repeat(np.arange(b - a) * m - first[a:b], width[a:b]))[takes[own]]
+            own = own[takes[own]]
+            rows_pair[a:b].ravel()[at] = pairs[own]
+            rows_cum[a:b].ravel()[at] = np.minimum(got[own], k)
+            code, next_out[lo + a:lo + b] = np.divmod(
+                _votes(rows_pair[a:b], rows_cum[a:b], stride), stride)
+            vote_out[lo + a:lo + b] = cells[code]
+        prev_pair, prev_cum, prev_lo = rows_pair, rows_cum, lo
+    return votes, nexts
+
+
+def _votes(pairs: np.ndarray, cum: np.ndarray, stride: int) -> np.ndarray:
+    """Per row of pairs in pooling order, with the votes taken up to each,
+    the first pair of the cell with the most votes, ties to the smaller
+    cell, STOP first; it is from the longest suffix the cell followed, so
+    its ext is the next gram. Cells are tallied one at a time, the first
+    pair's, then each first untallied pair's that takes a vote, until the
+    leader has more votes than are left untallied."""
+    took = cum.copy()
+    took[:, 1:] -= cum[:, :-1]
+    codes = pairs // stride
+    best = pairs[:, 0].copy()
+    same = codes == codes[:, :1]
+    won = (took * same).sum(axis=1)
+    left = cum[:, -1] - won
+    rows = np.flatnonzero(won <= left)         # rows where another cell may still win
+    if len(rows):
+        pairs, codes, lead, won, left = pairs[rows], codes[rows], best[rows], won[rows], left[rows]
+        took = took[rows] * ~same[rows]
+        while (won <= left).any():
+            cand = np.take_along_axis(pairs, (took > 0).argmax(axis=1)[:, None], 1)[:, 0]
+            same = codes == (cand // stride)[:, None]
+            tally = (took * same).sum(axis=1)
+            took *= ~same
+            better = (tally > won) | ((tally == won) & (cand < lead))
+            won, lead = np.where(better, tally, won), np.where(better, cand, lead)
+            left -= tally
+        best[rows] = lead
+    return best
 
 
 def infer_future_location(partial: list[int], dp_km: float, history: HistoryIndex,
                           k: int = 10, step_km: float = 1.0) -> FutureLocation:
     """Walk the majority continuation until the forward budget is spent.
 
-    The walk searches the context once for its deepest indexed gram, then
-    takes one hop of history's table per step (see HistoryIndex), filling
-    a hop the first time it is needed. It ends when the budget is spent
-    or on a stop vote. With no matching history the current cell is
+    The walk searches the context once, through history.continuation,
+    for the hop from its deepest indexed gram, then takes one hop of the
+    table for k per step (see HistoryIndex). It ends when the budget is
+    spent or on a stop vote. With no matching history the current cell is
     returned, flagged, which degrades the predictor to its two-endpoint
     baseline behavior.
     """
@@ -367,24 +371,18 @@ def infer_future_location(partial: list[int], dp_km: float, history: HistoryInde
         raise ValueError("forward budget must be finite")
     if not (math.isfinite(step_km) and step_km > 0.0):
         raise ValueError("step length must be finite and positive")
-    cell = partial[-1]
-    spent = 0.0
-    steps = 0
+    cell, spent, steps = partial[-1], 0.0, 0
     if dp_km > 0.0:
-        gram = history.deepest(partial)
-        if gram is None:
+        hop = history.continuation(partial, k)
+        if hop is None:
             return FutureLocation(cell, 0, True)
-        hops = history._hops.setdefault(k, {})
-        while spent < dp_km:
-            hop = hops.get(gram)
-            if hop is None:
-                hop = history._fill_hop(gram, k)
-            vote, gram = hop
-            if gram is None:
-                break
+        vote, gram = hop
+        votes, nexts = history._hops[k]
+        while gram and spent < dp_km:
             cell = vote
             steps += 1
             spent += step_km
+            vote, gram = votes[gram], nexts[gram]
     return FutureLocation(cell, steps, False)
 
 

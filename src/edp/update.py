@@ -53,13 +53,24 @@ class ChangeSet:
             check_row(cell, row, g)
 
 
+def _plain_int(field: str | None) -> int:
+    """A field of ASCII decimal digits as an int. Anything else raises
+    ValueError, even what int() reads: a sign, spaces, underscores or
+    digits of other scripts; so does a field missing from a short row."""
+    if not (field and field.isascii() and field.isdigit()):
+        raise ValueError(f"not a plain decimal integer: {field!r}")
+    return int(field)
+
+
 def load_changeset(path, g: int) -> ChangeSet:
-    """Read `epoch,cell_id,neighbor_cell_id,probability` rows."""
+    """Read `epoch,cell_id,neighbor_cell_id,probability` rows. Ids and the
+    epoch are plain ASCII decimal digits."""
     changed: dict[int, dict[int, float]] = {}
     epoch = None
     for row in read_csv_rows(path, ("epoch", "cell_id", "neighbor_cell_id", "probability")):
         try:
-            e, cell, nbr, p = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+            e, cell, nbr = map(_plain_int, row[:3])
+            p = float(row[3])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed row {list(row)}") from exc
         if epoch is None:

@@ -13,7 +13,8 @@ matrix, the Counter-per-gram history index, the per-window loop that
 built the history index's gram table, the masked distance
 estimate, and the destination scoring loop that read the model one
 candidate at a time. The small cell helpers that only tests need live here too,
-and so do readers that key a HistoryIndex's grams and hops by their cells.
+and so do readers that key a HistoryIndex's grams by their cells and
+the scalar hop that the index's hop tables must equal.
 """
 
 import csv
@@ -530,28 +531,64 @@ def loop_history_grams(paths, max_gram: int = 8) -> dict:
     return grams
 
 
-def index_cells(index, gram: int) -> tuple:
-    """The cells of a HistoryIndex's gram, read off its parent chain."""
-    cells = []
-    while gram:
-        cells.append(index._first[gram])
-        gram = index._parent[gram]
-    return tuple(cells)
+def index_cells(index) -> dict:
+    """Every gram id of a HistoryIndex with its cells, read off the child
+    map, whose key for a gram is first cell * stride + parent id."""
+    cells = {0: ()}
+    for key, gram in sorted(index._child.items(), key=lambda item: item[1]):
+        first, parent = divmod(key, index._stride)   # a parent's id is below its gram's
+        cells[gram] = (first,) + cells[parent]
+    del cells[0]
+    return cells
+
+
+def index_pairs(index, gram: int) -> list:
+    """An indexed gram's ranked (cell, count, ext) triples, plain ints."""
+    grams, stride = index._grams, index._stride
+    slots = slice(grams.head[gram], grams.head[gram + 1])
+    return [(int(grams.cells[pair // stride]), count, pair % stride)
+            for pair, count in zip(grams.pair[slots].tolist(), grams.count[slots].tolist())]
 
 
 def index_grams(index) -> dict:
     """Every gram a HistoryIndex holds, keyed by its cells, with its ranked
     (cell, count) pairs: the form loop_history_grams returns."""
-    return {index_cells(index, gram):
-            tuple(index._table[index._head[gram]:index._head[gram + 1]])
-            for gram in index._child.values()}
+    return {cells: tuple((cell, count) for cell, count, _ in index_pairs(index, gram))
+            for gram, cells in index_cells(index).items()}
 
 
-def index_hops(index, k: int) -> dict:
-    """The hops a HistoryIndex has filled for k, keyed by the cells of
-    their gram: (vote, cells of the next gram, or None)."""
-    return {index_cells(index, gram): (vote, None if nxt is None else index_cells(index, nxt))
-            for gram, (vote, nxt) in index._hops.get(k, {}).items()}
+def scalar_hop(index, gram: int, k: int) -> tuple[int, int]:
+    """The hop from an indexed gram, one Python loop at a time, as the
+    index once filled each hop: (vote, next gram id, 0 on a stop vote).
+
+    The vote pools the gram's ranked pairs, then each shorter suffix's
+    down its parent chain, until k votes are in, ties to the smaller
+    cell. The next gram is S + (vote,), read from S's extension ids, for
+    the longest suffix S of the gram shorter than max_gram that the vote
+    ever followed, else (vote,) alone."""
+    parent = index._grams.parent
+    quota, tally, suffix = k, Counter(), gram
+    while suffix and quota:
+        for cell, count, _ in index_pairs(index, suffix):
+            take = min(count, quota)
+            tally[cell] += take
+            quota -= take
+            if not quota:
+                break
+        suffix = int(parent[suffix])
+    vote = min(tally, key=lambda cell: (-tally[cell], cell))
+    if vote == -1:
+        return vote, 0
+    length, suffix = 0, gram
+    while suffix:
+        length, suffix = length + 1, int(parent[suffix])
+    suffix = gram if length < index.max_gram else int(parent[gram])
+    while suffix:
+        for cell, _, ext in index_pairs(index, suffix):
+            if cell == vote:
+                return vote, ext
+        suffix = int(parent[suffix])
+    return vote, index._child[vote * index._stride]
 
 
 def step_walk(partial, dp_km: float, history, k: int = 10, step_km: float = 1.0):

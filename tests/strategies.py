@@ -93,7 +93,9 @@ def corrupted_changeset(draw, g=4):
 EPOCHS = st.one_of(st.integers(0, 3), st.sampled_from([2**64 - 1, 2**64]),
                    st.integers(0, 2**70))
 # the ways a row of a well-formed change set is spoilt
-DEFECTS = ["repeat", "field", "probability", "off-grid", "epoch"]
+DEFECTS = ["repeat", "field", "probability", "off-grid", "epoch", "spelling"]
+# spellings of an integer that int() reads and a CSV writer does not write
+LOOSE_INTEGERS = ["+{}", "-{}", " {}", "{} ", "0_{}", "\u0660{}"]
 
 
 @st.composite
@@ -101,7 +103,8 @@ def change_set_csv(draw, g=4):
     """A change-set CSV on a g x g grid: uniform rows for a few cells under
     one drawn epoch, then up to two defects, each a repeated pair, a
     malformed or empty field, a NaN, infinite or negative probability, a
-    cell off the grid or a row of another epoch."""
+    cell off the grid, a row of another epoch or an id or epoch spelt in a
+    way int() reads but a CSV writer does not write."""
     epoch = str(draw(EPOCHS))
     rows = []
     for cell in draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=3, unique=True)):
@@ -118,6 +121,9 @@ def change_set_csv(draw, g=4):
             row[3] = draw(st.sampled_from(["nan", "inf", "-inf", "-0.5", "-0.0"]))
         elif defect == "off-grid":
             row[draw(st.integers(1, 2))] = str(draw(st.sampled_from([-1, g * g, 2**40])))
+        elif defect == "spelling":
+            field = draw(st.integers(0, 2))
+            row[field] = draw(st.sampled_from(LOOSE_INTEGERS)).format(row[field])
         else:
             row[0] = str(draw(EPOCHS))
     return _write([["epoch", "cell_id", "neighbor_cell_id", "probability"], *rows])

@@ -122,6 +122,19 @@ class TestTrain:
         assert rc == 0
         assert load_model(tmp_path / "m.edp").g == 6
 
+    @pytest.mark.parametrize("bbox, bound", [("-inf,10,0,10", "lat_min"),
+                                             ("-0.01,0.06,-0.01,nan", "lon_max")])
+    def test_non_finite_bbox_exits_2(self, tmp_path, synthetic_csv, capsys, bbox, bound):
+        """A non-finite bound exits 2 naming it, before any parse, where it
+        used to end in "no usable trips after discretization"."""
+        csv_path, _ = synthetic_csv
+        rc = main(["train", "--input", str(csv_path), "--grid", "6", f"--bbox={bbox}",
+                   "--out", str(tmp_path / "m.edp")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"{bound} must be finite" in captured.err and captured.out == ""
+        assert not (tmp_path / "m.edp").exists()
+
     def test_inferred_box_equals_explicit_bbox(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
         box = cli._bbox_of_points(ingest.parse_trajectories(csv_path))
@@ -455,7 +468,8 @@ class TestUpdate:
     @pytest.mark.parametrize("rows,rc,message", [
         (["1,0,1,0.9", "1,0,1,0.5", "1,0,6,0.5"], 3, "c.csv: cell 0 lists neighbor 1 twice"),
         ([f"{2**64},0,1,0.5", f"{2**64},0,6,0.5"], 2, f"epoch {2**64} lies outside 0..2**64-1"),
-    ], ids=["repeated-pair", "epoch-past-u64"])
+        (["1,0,1,0.5", "1,0,0_6,0.5"], 3, "malformed row ['1', '0', '0_6', '0.5']"),
+    ], ids=["repeated-pair", "epoch-past-u64", "loose-integer"])
     def test_bad_change_set_exits_before_the_refresh(self, tmp_path, synthetic_csv, capsys,
                                                       rows, rc, message):
         model_path = train_model(tmp_path, synthetic_csv)

@@ -185,6 +185,16 @@ class TestGridMap:
         with pytest.raises(ValueError):
             GridMap(1, 0, 0, 1, 4)
 
+    @pytest.mark.parametrize("box, bound", [
+        ((-math.inf, 1, 0, 1), "lat_min"), ((0, math.inf, 0, 1), "lat_max"),
+        ((0, 1, math.nan, 1), "lon_min"), ((0, 1, 0, math.nan), "lon_max")])
+    def test_non_finite_bound_named(self, box, bound):
+        """A non-finite bound is rejected at construction, by name, where
+        it used to construct a grid whose pitch raised a bare math domain
+        error."""
+        with pytest.raises(ValueError, match=f"{bound} must be finite"):
+            GridMap(*box, 4)
+
     def test_cell_of_and_centers(self):
         grid = GridMap(0.0, 1.0, 10.0, 11.0, 4)
         # top-left cell is row 0 (max latitude side)

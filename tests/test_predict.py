@@ -5,6 +5,7 @@ import sys
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from itertools import pairwise
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from edp import baseline
+from edp import baseline, predict
 from edp.errors import ColdStartError
 from edp.grid import neighbors, unit_grid
 from edp.ingest import (CellPath, TripDistanceHistogram, build_histogram, generate_synthetic,
@@ -195,9 +196,8 @@ class TestHistoryIndexProperties:
     def test_continuation_equals_counter_index(self, paths, max_gram, queries, k, rng):
         """Over few cells, so that grams collide and votes tie, one index
         answers every context like the Counter-per-gram index, whatever
-        order the contexts and vote counts arrive in; and every hop the
-        walks fill leads from an indexed gram to the deepest indexed
-        suffix of that gram extended by its vote."""
+        order the contexts and vote counts arrive in, and keeps one hop
+        table per vote count asked for, none per query."""
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
         oracle = oracles.CounterHistoryIndex(history, max_gram)
@@ -205,27 +205,41 @@ class TestHistoryIndexProperties:
         calls = [(cells, votes) for cells in contexts for votes in (1, 3, k)] * 2
         rng.shuffle(calls)
         for cells, votes in calls:
-            assert index.continuation(cells, votes) == oracle.continuation(cells, votes)
+            hop = index.continuation(cells, votes)
+            assert (hop and hop[0]) == oracle.continuation(cells, votes)
             if cells:
                 infer_future_location(cells, 12.0, index, votes)
-        # one entry at most per indexed gram and vote count, none per query
         assert set(index._hops) <= {1, 3, k}
-        grams = oracles.index_grams(index)
-        for votes in (1, 3, k):
-            table = oracles.index_hops(index, votes)
-            assert table.keys() <= grams.keys()
-            for gram, (vote, nxt) in table.items():
-                assert vote == oracle.continuation(gram, votes)
-                if vote == HistoryIndex.STOP:
-                    assert nxt is None
-                    continue
-                grown = gram + (vote,)
-                assert nxt in grams and grown[-len(nxt):] == nxt
-                assert len(nxt) == max(m for m in range(1, min(max_gram, len(grown)) + 1)
-                                       if grown[-m:] in oracle.grams)
-        # the grams materialized are exactly those the walks filled a hop from
-        assert index._ids.keys() == {gram for votes in (1, 3, k)
-                                     for gram in oracles.index_hops(index, votes)}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), min_size=1,
+                    max_size=10),
+           st.integers(1, 8),
+           st.integers(1, 20),
+           st.sampled_from([1, 2, 7, predict.HOP_CHUNK]))
+    def test_hop_tables_equal_scalar_reference(self, paths, max_gram, k, chunk):
+        """Over few cells, so that counts tie, and short trips, so that
+        stop votes win, every gram's entry in the hop table for k, made in
+        chunks of any size, is the hop the scalar loop fills, its vote is
+        the Counter-per-gram index's, and its next gram is the deepest
+        indexed suffix of the gram extended by the vote."""
+        history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
+        index = HistoryIndex.build(history, max_gram)
+        oracle = oracles.CounterHistoryIndex(history, max_gram)
+        cells_of = oracles.index_cells(index)
+        with patch.object(predict, "HOP_CHUNK", chunk):
+            votes, nexts = predict._hop_tables(index._grams, k)
+        assert type(votes) is array and type(nexts) is array
+        for gram, cells in cells_of.items():
+            vote, nxt = votes[gram], nexts[gram]
+            assert (vote, nxt) == oracles.scalar_hop(index, gram, k)
+            assert vote == oracle.continuation(cells, k)
+            if vote == HistoryIndex.STOP:
+                assert nxt == 0
+                continue
+            grown = (cells + (vote,))[-max_gram:]
+            assert cells_of[nxt] == grown[-max(m for m in range(1, len(grown) + 1)
+                                               if grown[-m:] in oracle.grams):]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 7).flatmap(lambda g: st.lists(
@@ -237,20 +251,18 @@ class TestHistoryIndexProperties:
     def test_build_equals_window_loop(self, paths, max_gram, repeats, scale, rng):
         """The array build makes the gram table the per-window loop makes:
         the same grams, each with the same (cell, count) pairs in the same
-        order, all plain ints, over empty and one-cell paths, repeated
-        paths, few cells (so that counts tie) and cell ids far apart; and
-        every gram's id is what a search for its cells finds."""
+        order, over empty and one-cell paths, repeated paths, few cells (so
+        that counts tie) and cell ids far apart; and every gram's id is
+        what a search for its cells finds, which makes no hop table."""
         paths = [[c * scale for c in cells] for cells in paths]
         paths += [rng.choice(paths) for _ in range(repeats if paths else 0)]
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
         grams = oracles.index_grams(index)
         assert grams == oracles.loop_history_grams(history, max_gram)
-        for gram, pairs in grams.items():
-            assert all(type(x) is int for x in gram)
-            assert all(type(x) is int for pair in pairs for x in pair)
-            assert index._cells(index.deepest(gram)) == gram
-        assert index._ids == {} and index._hops == {}
+        for gram, cells in oracles.index_cells(index).items():
+            assert index.deepest(cells) == gram
+        assert index._hops == {}
 
     @pytest.mark.parametrize("cells", [[0, 2**62, 2**61, 2**62, 0], [2**63 - 1, 0, 2**63 - 1]])
     def test_cells_whose_keys_pass_int64(self, cells):
@@ -266,16 +278,15 @@ class TestHistoryIndexProperties:
                 oracles.step_walk(cells[:p], 9.0, oracle, 1)
 
     def test_build_materializes_no_gram(self):
-        """build keeps grams as integers, with no cells tuple and no hop,
-        and a continuation alone materializes nothing."""
+        """build keeps grams as plain integers in the child map and numpy
+        arrays, and makes no cells tuple and no hop table."""
         paths, *_, index = tiny_world()
         assert index._child and index._ids == {} and index._hops == {}
         assert all(type(key) is int and type(gram) is int
                    for key, gram in index._child.items())
-        assert all(type(table) is array for table in
-                   (index._first, index._parent, index._head, index._ext))
-        assert index.continuation(paths[0].cells, 10) is not None
-        assert index._ids == {} and index._hops == {}
+        assert all(type(table) is np.ndarray for table in
+                   (index._grams.parent, index._grams.head, index._grams.pair,
+                    index._grams.count))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=12), min_size=1,
@@ -284,23 +295,32 @@ class TestHistoryIndexProperties:
            st.lists(st.integers(0, 7), min_size=1, max_size=9),
            st.floats(0.5, 30.0),
            st.sampled_from([1, 3, 10]))
-    def test_query_materializes_only_its_walk(self, paths, max_gram, cells, budget, k):
-        """On a fresh index, one walk materializes exactly the grams it
-        steps through: the deepest gram of its context, then each next
-        gram of a hop while budget is left."""
+    def test_first_walk_makes_only_its_k_table(self, paths, max_gram, cells, budget, k):
+        """On a fresh index, the first walk with a k whose context matches
+        makes exactly that k's hop table, and a walk with another k makes
+        that k's table and leaves the first untouched."""
         history = [CellPath(str(i), p, 0.0) for i, p in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
-        oracle = oracles.CounterHistoryIndex(history, max_gram)
         loc = infer_future_location(cells, budget, index, k)
-        suffixes = [tuple(cells[-m:]) for m in range(min(max_gram, len(cells)), 0, -1)]
-        gram = next((s for s in suffixes if s in oracle.grams), None)
-        assert loc.no_match == (gram is None)
-        hops, walk, spent = oracles.index_hops(index, k), set(), 0.0
-        while gram is not None and spent < budget:    # the walk again, hop by hop
-            walk.add(gram)
-            gram = hops[gram][1]
-            spent += 1.0
-        assert index._ids.keys() == walk == hops.keys() and set(index._hops) <= {k}
+        assert set(index._hops) == (set() if loc.no_match else {k})
+        if loc.no_match:
+            return
+        table = index._hops[k]
+        before = [t.tobytes() for t in table]
+        other = k + 1
+        infer_future_location(cells, budget, index, other)
+        assert set(index._hops) == {k, other}
+        assert index._hops[k] is table and [t.tobytes() for t in table] == before
+        assert infer_future_location(cells, budget, index, k) == loc
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_continuation_k_below_one_rejected(self, k):
+        """A continuation with k below 1, a quota that takes no vote,
+        raises naming k and makes no table."""
+        index = HistoryIndex.build([CellPath("h", [0, 1, 2], 2.0)])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            index.continuation([0, 1], k)
+        assert index._hops == {}
 
     @pytest.mark.parametrize("max_gram", [0, -1])
     def test_max_gram_below_one_rejected(self, max_gram):
@@ -329,7 +349,8 @@ class TestHistoryIndexProperties:
         """Hop by hop over one shared index, the walk ends where the walk
         that asks for a continuation of the whole grown context on every
         step ends, for any budget, step length and vote count, whichever
-        walk filled each hop."""
+        walk made each table; and each context tail the walks keep as a
+        whole gram maps to that gram's id."""
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
         oracle = oracles.CounterHistoryIndex(history, max_gram)
@@ -341,22 +362,25 @@ class TestHistoryIndexProperties:
         for cells, budget, step_km, k in walks:
             assert tuple(infer_future_location(cells, budget, index, k, step_km)) == \
                 oracles.step_walk(cells, budget, oracle, k, step_km)
-        grams = oracles.loop_history_grams(history, max_gram)
-        assert all(cells in grams and oracles.index_cells(index, gram) == cells
-                   for cells, gram in index._ids.items())
+        cells_of = oracles.index_cells(index)
+        assert all(cells_of[gram] == cells for cells, gram in index._ids.items())
 
     def test_walk_fills_each_hop_once(self):
-        """Over a shuffled batch of walks, continuation is called only to
-        fill a hop that is missing, so at most once per (k, gram); a second
-        pass over the batch calls it never and answers the same."""
+        """Over a shuffled batch of walks, each walk with a budget calls
+        continuation once, to search its context, and the first that asks
+        for a k makes that k's hop table, every hop at once; a second pass
+        over the batch makes no table and answers the same."""
         paths, grid, *_, index = tiny_world()
-        calls = []
+        calls, built = [], []
         real = index.continuation
 
         def counting(cells, k):
-            assert tuple(cells) not in oracles.index_hops(index, k)
-            calls.append((k, tuple(cells)))
+            calls.append(k)
             return real(cells, k)
+
+        def building(grams, k):
+            built.append(k)
+            return make_tables(grams, k)
         index.continuation = counting
         rng = np.random.default_rng(3)
         batch = []
@@ -364,15 +388,16 @@ class TestHistoryIndexProperties:
             trip = paths[int(rng.integers(len(paths)))]
             cut = int(rng.integers(1, len(trip.cells) + 1))
             batch.append((trip.cells[:cut], float(rng.integers(0, 12)), int(rng.choice([1, 10]))))
-        first = [infer_future_location(cells, budget, index, k) for cells, budget, k in batch]
-        assert len(calls) == len(set(calls)) > 0
-        assert set(index._hops) == {1, 10}
-        assert set(calls) == {(k, gram) for k in (1, 10) for gram in oracles.index_hops(index, k)}
-        assert any(loc.steps > 1 for loc in first)
-        calls.clear()
-        assert [infer_future_location(cells, budget, index, k)
-                for cells, budget, k in batch] == first
-        assert calls == []
+        make_tables = predict._hop_tables
+        with patch.object(predict, "_hop_tables", building):
+            first = [infer_future_location(cells, budget, index, k) for cells, budget, k in batch]
+            assert sorted(built) == [1, 10] and set(index._hops) == {1, 10}
+            assert calls == [k for _, budget, k in batch if budget > 0]
+            assert any(loc.steps > 1 for loc in first)
+            built.clear()
+            assert [infer_future_location(cells, budget, index, k)
+                    for cells, budget, k in batch] == first
+        assert built == []
 
 
 def tiny_world(g=5, n_trips=400, seed=11, detour_rate=0.0, max_detour=4):

@@ -496,20 +496,33 @@ class TestChangeSetIO:
     @given(strategies.change_set_csv())
     def test_loads_exactly_the_distinct_rows_written(self, text):
         """A change set either loads as exactly the rows written, each pair
-        once, under an epoch the model file can store, or raises
-        FormatError or ValueError."""
+        once, ids and epoch in plain digits, under an epoch the model file
+        can store, or raises FormatError or ValueError."""
         with strategies.text_file(text) as f:
             try:
                 cs = load_changeset(f, 4)
             except (FormatError, ValueError):
                 return
         rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert all(field.isascii() and field.isdigit() for row in rows for field in row[:3])
         expected: dict[int, dict[int, float]] = {}
         for _, cell, nbr, p in rows:
             expected.setdefault(int(cell), {})[int(nbr)] = float(p)
         assert len(rows) == sum(map(len, expected.values()))
         assert cs.changed == expected
         assert cs.epoch == int(rows[0][0]) < 2**64
+
+    @pytest.mark.parametrize("row", ["1,0,0_4,0.5", "1, 0 ,1,0.5", "+1,0,4,0.5", "1,-0,1,0.5",
+                                     "1,0,\u0664,0.5", "1,0,4 ,0.5"])
+    def test_loose_integer_is_format_error(self, tmp_path, row):
+        """An id or epoch that int() reads but is not plain ASCII digits
+        used to load silently: 0_4 as neighbor 4, " 0 " as cell 0, +1 as
+        epoch 1."""
+        f = tmp_path / "c.csv"
+        f.write_text(f"epoch,cell_id,neighbor_cell_id,probability\n1,0,1,0.5\n{row}\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match="malformed row"):
+            load_changeset(f, 4)
 
     def test_oversized_field_is_format_error(self, tmp_path):
         f = tmp_path / "c.csv"
