@@ -81,8 +81,12 @@ def _bbox_of_points(result: ingest.ParseResult) -> tuple[float, float, float, fl
     if not lats:
         raise ValueError("no points to infer a bounding box from")
     pad_lat = (max(lats) - min(lats)) * 1e-6 + 1e-9
-    pad_lon = (max(lons) - min(lons)) * 1e-6 + 1e-9
-    return min(lats) - pad_lat, max(lats) + pad_lat, min(lons) - pad_lon, max(lons) + pad_lon
+    lon_span = max(lons) - min(lons)
+    # the padding stops at the poles and at a 360-degree span, so data that
+    # reaches them still gets a grid
+    pad_lon = min(lon_span * 1e-6 + 1e-9, max(360.0 - lon_span, 0.0) / 2)
+    return (max(min(lats) - pad_lat, -90.0), min(max(lats) + pad_lat, 90.0),
+            min(lons) - pad_lon, max(lons) + pad_lon)
 
 
 def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:

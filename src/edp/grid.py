@@ -58,6 +58,13 @@ class GridMap:
             if not math.isfinite(getattr(self, bound)):
                 raise ValueError(f"bounding box {bound} must be finite, "
                                  f"got {getattr(self, bound)}")
+        for bound in ("lat_min", "lat_max"):
+            if not -90.0 <= getattr(self, bound) <= 90.0:
+                raise ValueError(f"bounding box {bound} must be within [-90, 90], "
+                                 f"got {getattr(self, bound)}")
+        if self.lon_max - self.lon_min > 360.0:
+            raise ValueError(f"bounding box spans {self.lon_max - self.lon_min} degrees of "
+                             "longitude, over 360")
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box is empty or inverted")
 

@@ -17,7 +17,7 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -232,15 +232,9 @@ class TransitionModel:
         return SSTPMatrix(g=self.g, probs=probs.reshape(self.g, self.g, 4))
 
     def copy(self) -> "TransitionModel":
-        return TransitionModel(
-            g=self.g,
-            max_detour=self.max_detour,
-            layers=self.layers.copy(),
-            totals=self.totals.copy(),
-            start_counts={s: dict(d) for s, d in self.start_counts.items()},
-            start_totals=dict(self.start_totals),
-            epoch=self.epoch,
-        )
+        """A model with its own layers and totals and an empty candidate
+        table. It shares the trip counts, which no model changes."""
+        return replace(self, layers=self.layers.copy(), totals=self.totals.copy())
 
     def equals(self, other: "TransitionModel") -> bool:
         return (

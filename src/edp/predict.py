@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ColdStartError
 from .grid import GridMap
-from .ingest import CellPath, TripDistanceHistogram, collector_paused
+from .ingest import CellPath, TripDistanceHistogram
 from .model import TransitionModel
 
 
@@ -73,7 +73,6 @@ class FutureLocation(NamedTuple):
 
 
 Gram = tuple[int, ...]
-HOP_CHUNK = 2048        # grams per chunk of a hop table pass, which bounds its memory
 
 
 class _Grams(NamedTuple):
@@ -135,8 +134,7 @@ class HistoryIndex:
         array passes (see _gram_tables). Cells must be >= 0, since -1 is
         STOP, and below 2**63, as the passes count in int64."""
         idx = cls(max_gram)
-        with collector_paused():
-            tables = _gram_tables([path.cells for path in paths], max_gram)
+        tables = _gram_tables([path.cells for path in paths], max_gram)
         if tables is not None:
             idx._child, idx._stride, idx._grams = tables
         return idx
@@ -185,12 +183,12 @@ def _gram_tables(seqs: list[list[int]], max_gram: int):
     np.unique counts each code. A code that is not a STOP is also the
     window of length w + 1 ending at p + 1 (at length max_gram, its
     extension is the window of that length ending at p + 1), so its rank
-    is that window's local id; STOP codes' local ids name no gram. Codes
-    stay under n * (n_cells + 1) for n cells in all, int32 where that
-    fits. A gram's id is its local id plus the local ids of all shorter
-    lengths plus one, for the root; its parent's id is the previous
-    pass's id of the window ending at the same position. The child map's
-    keys and ids are plain Python ints.
+    among the codes that are not STOPs is that window's local id, and
+    every id names a gram. Codes stay under n * (n_cells + 1) for n cells
+    in all, int32 where that fits. A gram's id is its local id plus the
+    local ids of all shorter lengths plus one, for the root; its parent's
+    id is the previous pass's id of the window ending at the same
+    position. The child map's keys and ids are plain Python ints.
     """
     lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
     n = int(lengths.sum())
@@ -217,7 +215,7 @@ def _gram_tables(seqs: list[list[int]], max_gram: int):
     del rank, lengths, ends
     pos_id = np.empty(n, code)         # each position's local id one length down
     base = 1                           # the global id of local id 0
-    firsts, parents, heads, nxts, counts, exts, named, starts = [], [], [], [], [], [], [], []
+    firsts, parents, heads, nxts, counts, exts, starts = [], [], [], [], [], [], []
     slots = 0
     for w in range(1, max_gram + 1):
         nexts = follow[at]
@@ -228,40 +226,39 @@ def _gram_tables(seqs: list[list[int]], max_gram: int):
         order = np.lexsort((-count, gram))
         nxts.append(nxt[order])
         counts.append(count[order])
-        width = np.bincount(gram, minlength=n_ids)
+        width = np.bincount(gram)
         heads.append(slots + np.cumsum(width) - width)
         slots += len(keyed)
-        named.append(np.flatnonzero(width) + base)
         starts.append(base)
-        end = np.full(n_ids, at[0], code)  # where one window of each gram ends
+        end = np.empty(n_ids, code)        # where one window of each gram ends
         end[ids] = at
         firsts.append(cells[end - (w - 1)])
         parents.append(pos_id[end] + np.int64(prev_base) if w > 1 else np.zeros(n_ids, code))
         pos_id[at] = ids
         prev_base, base = base, base + n_ids
-        grows = nexts != 0
+        grows, named = nexts != 0, nxt != 0
+        rank = np.cumsum(named) - 1
         if w < max_gram:    # a code that is not a STOP is the next length's gram of its rank
-            ext = np.where(nxt != 0, np.arange(len(keyed)) + base, 0)
+            ext = np.where(named, rank + base, 0)
         else:               # or, at the last length, the window of that length ending next
             ext = np.zeros(len(keyed), np.int64)
             ext[inv[grows]] = pos_id[at[grows] + 1] + np.int64(prev_base)
         exts.append(ext[order])
-        at, ids, n_ids = at[grows] + 1, inv[grows].astype(code), len(keyed)
+        at, ids, n_ids = at[grows] + 1, rank[inv[grows]].astype(code), int(rank[-1]) + 1
         if not len(at):
             break
     stride = base
     pair = np.concatenate(nxts) * np.int64(stride) + np.concatenate(exts)
     del nxts, exts
     head = np.concatenate([[0], *heads, [slots]])
-    first = np.concatenate([[HistoryIndex.STOP], *firsts])
+    first = np.concatenate(firsts)
     parent = np.concatenate([[0], *parents])
-    grams = np.concatenate(named)
-    del firsts, parents, named, heads
+    del firsts, parents, heads
     if labels[-1] < (2**63 - 1) // stride:
-        keys = first[grams] * stride + parent[grams]
+        keys = first * stride + parent[1:]
     else:      # the keys would overflow int64: make them Python ints
-        keys = first[grams].astype(object) * stride + parent[grams].astype(object)
-    child = dict(zip(keys.tolist(), grams.tolist()))
+        keys = first.astype(object) * stride + parent[1:].astype(object)
+    child = dict(zip(keys.tolist(), range(1, stride)))
     return child, stride, _Grams(parent, head, pair, np.concatenate(counts), starts + [stride],
                                  np.concatenate(([HistoryIndex.STOP], labels)))
 
@@ -273,8 +270,8 @@ def _hop_tables(grams: _Grams, k: int) -> tuple[array, array]:
     pairs, until k votes are in. So its row lists the pairs it pools with
     the votes taken up to each: its own that take a vote, then its parent's
     row with the votes shifted by its own and capped at k, at most k pairs
-    that take one. Rows are made a length at a time from the rows one
-    length down, in chunks of HOP_CHUNK grams, and voted on (see _votes).
+    that take one. Rows are made a length at a time, in one pass from the
+    rows one length down, and voted on (see _votes).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -301,23 +298,17 @@ def _hop_tables(grams: _Grams, k: int) -> tuple[array, array]:
         m = min(k, most + prev_m)
         # a row's position j, after n own pairs, is its parent row's position j - n
         shifts = np.clip(np.arange(m) - np.arange(most + 1)[:, None], 0, prev_m - 1)
-        rows_pair, rows_cum = np.empty((hi - lo, m), pair_t), np.empty((hi - lo, m), cum_t)
-        for a in range(0, hi - lo, HOP_CHUNK):
-            b = min(a + HOP_CHUNK, hi - lo)
-            up = shifts[n_own[a:b]]
-            up += ((parent[lo + a:lo + b] - prev_lo) * prev_m)[:, None]
-            np.take(prev_pair, up, out=rows_pair[a:b])
-            cum = np.take(prev_cum, up, out=rows_cum[a:b])
-            cum += total[a:b, None]
-            np.minimum(cum, k, out=cum)
-            own = np.arange(first[a], first[b])
-            at = (own + np.repeat(np.arange(b - a) * m - first[a:b], width[a:b]))[takes[own]]
-            own = own[takes[own]]
-            rows_pair[a:b].ravel()[at] = pairs[own]
-            rows_cum[a:b].ravel()[at] = np.minimum(got[own], k)
-            code, next_out[lo + a:lo + b] = np.divmod(
-                _votes(rows_pair[a:b], rows_cum[a:b], stride), stride)
-            vote_out[lo + a:lo + b] = cells[code]
+        up = shifts[n_own]
+        up += ((parent[lo:hi] - prev_lo) * prev_m)[:, None]
+        rows_pair, rows_cum = np.take(prev_pair, up), np.take(prev_cum, up)
+        del up                                 # the largest temporary, freed before the vote
+        rows_cum += total[:, None]
+        np.minimum(rows_cum, k, out=rows_cum)
+        at = (np.arange(len(pairs)) + np.repeat(np.arange(hi - lo) * m - first[:-1], width))[takes]
+        rows_pair.ravel()[at] = pairs[takes]
+        rows_cum.ravel()[at] = np.minimum(got[takes], k)
+        code, next_out[lo:hi] = np.divmod(_votes(rows_pair, rows_cum, stride), stride)
+        vote_out[lo:hi] = cells[code]
         prev_pair, prev_cum, prev_lo = rows_pair, rows_cum, lo
     return votes, nexts
 

@@ -135,6 +135,32 @@ class TestTrain:
         assert f"{bound} must be finite" in captured.err and captured.out == ""
         assert not (tmp_path / "m.edp").exists()
 
+    @pytest.mark.parametrize("bbox, named", [("-1e308,1e308,0,10", "lat_min must be within"),
+                                             ("-0.01,0.06,-200,200", "over 360")])
+    def test_off_earth_bbox_exits_2(self, tmp_path, synthetic_csv, capsys, bbox, named):
+        """A bound that is no place on Earth exits 2 naming it, before any
+        parse, where the 1e308 box used to end in "no usable trips after
+        discretization"."""
+        csv_path, _ = synthetic_csv
+        rc = main(["train", "--input", str(csv_path), "--grid", "6", f"--bbox={bbox}",
+                   "--out", str(tmp_path / "m.edp")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+        assert not (tmp_path / "m.edp").exists()
+
+    def test_inferred_box_stops_at_the_poles(self, tmp_path):
+        """Points at a pole, or 360 degrees of longitude apart, get a grid:
+        the inferred box's padding stops at +-90 and at a 360-degree span."""
+        csv_path = tmp_path / "poles.csv"
+        csv_path.write_text("trip_id,seq,timestamp,lat,lon\n"
+                            "a,0,0,0.0,-180.0\na,1,60,45.0,-180.0\na,2,120,90.0,-180.0\n"
+                            "b,0,0,-90.0,180.0\nb,1,60,-45.0,180.0\nb,2,120,0.0,180.0\n")
+        box = cli._bbox_of_points(ingest.parse_trajectories(csv_path))
+        assert box == (-90.0, 90.0, -180.0, 180.0)
+        assert main(["train", "--input", str(csv_path), "--grid", "4",
+                     "--out", str(tmp_path / "m.edp")]) == 0
+
     def test_inferred_box_equals_explicit_bbox(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
         box = cli._bbox_of_points(ingest.parse_trajectories(csv_path))

@@ -195,6 +195,20 @@ class TestGridMap:
         with pytest.raises(ValueError, match=f"{bound} must be finite"):
             GridMap(*box, 4)
 
+    @pytest.mark.parametrize("box, named", [
+        ((100, 120, 0, 1), "lat_min must be within"), ((-1e308, 1e308, 0, 1), "lat_min must"),
+        ((0, 90.5, 0, 1), "lat_max must be within"), ((0, 1, -180, 180.5), "over 360")])
+    def test_bound_off_earth_named(self, box, named):
+        """A latitude outside [-90, 90] or a longitude span over 360
+        degrees is rejected at construction, by name, where it used to
+        construct a grid with a made-up pitch (inf for the 1e308 box)."""
+        with pytest.raises(ValueError, match=named):
+            GridMap(*box, 4)
+
+    def test_whole_earth_constructs(self):
+        grid = GridMap(-90.0, 90.0, -180.0, 180.0, 4)
+        assert math.isfinite(grid.mean_pitch_km) and grid.cell_of(90.0, 180.0) == 3
+
     def test_cell_of_and_centers(self):
         grid = GridMap(0.0, 1.0, 10.0, 11.0, 4)
         # top-left cell is row 0 (max latitude side)

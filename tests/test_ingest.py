@@ -87,9 +87,9 @@ class TestParse:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored(self, tmp_path, enabled):
-        """The parse and the index build pause the cyclic collector and
-        leave it as they found it, also when they raise, and never enable
-        a collector that was disabled."""
+        """The parse pauses the cyclic collector and leaves it as it found
+        it, also when it raises, and never enables a collector that was
+        disabled; the index build, which runs unpaused, leaves it alone."""
         bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
         write_csv(bad, ["a,x,x,x,x", "a,y,y,y,y", f"a,0,1,{point_in_cell(0)}"])
         write_csv(good, [f"a,0,100,{point_in_cell(0)}", f"a,1,160,{point_in_cell(1)}"])

@@ -215,20 +215,19 @@ class TestHistoryIndexProperties:
     @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12), min_size=1,
                     max_size=10),
            st.integers(1, 8),
-           st.integers(1, 20),
-           st.sampled_from([1, 2, 7, predict.HOP_CHUNK]))
-    def test_hop_tables_equal_scalar_reference(self, paths, max_gram, k, chunk):
+           st.integers(1, 20))
+    def test_hop_tables_equal_scalar_reference(self, paths, max_gram, k):
         """Over few cells, so that counts tie, and short trips, so that
-        stop votes win, every gram's entry in the hop table for k, made in
-        chunks of any size, is the hop the scalar loop fills, its vote is
-        the Counter-per-gram index's, and its next gram is the deepest
+        stop votes win, every gram id names a gram, and every gram's entry
+        in the hop table for k is the hop the scalar loop fills, its vote
+        is the Counter-per-gram index's, and its next gram is the deepest
         indexed suffix of the gram extended by the vote."""
         history = [CellPath(str(i), cells, 0.0) for i, cells in enumerate(paths)]
         index = HistoryIndex.build(history, max_gram)
         oracle = oracles.CounterHistoryIndex(history, max_gram)
         cells_of = oracles.index_cells(index)
-        with patch.object(predict, "HOP_CHUNK", chunk):
-            votes, nexts = predict._hop_tables(index._grams, k)
+        assert len(cells_of) == index._stride - 1
+        votes, nexts = predict._hop_tables(index._grams, k)
         assert type(votes) is array and type(nexts) is array
         for gram, cells in cells_of.items():
             vote, nxt = votes[gram], nexts[gram]
