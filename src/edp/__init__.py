@@ -10,7 +10,7 @@ from .model import (SSTPMatrix, TransitionModel, build_sstp, count_start_dest, l
 from .predict import (HistoryIndex, PredictionResult, Query, deviation_metrics,
                       estimate_total_distance, infer_future_location, predict_destination,
                       predicted_length)
-from .update import ChangeSet, apply_update
+from .update import ChangeSet, apply_update, refresh_in_place
 
 __version__ = "0.1.0"
 
@@ -23,5 +23,6 @@ __all__ = [
     "discretize", "estimate_total_distance", "generate_synthetic",
     "infer_future_location", "l1_distance", "load_model", "load_sstp",
     "parse_trajectories", "predict_destination", "predicted_length",
-    "random_sstp", "save_model", "save_sstp", "train_initial", "unit_grid",
+    "random_sstp", "refresh_in_place", "save_model", "save_sstp", "train_initial",
+    "unit_grid",
 ]

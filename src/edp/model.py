@@ -209,9 +209,10 @@ class TransitionModel:
         routes to (p(s -> d) > 0), in ascending d.
 
         The table is built from the trip counts and totals the first time s
-        is asked for and then kept. A model's counts and totals do not
-        change after it is built: copy() and apply_update make a new model,
-        whose tables start empty.
+        is asked for and then kept. The trip counts never change, and the
+        totals change only in update.refresh_in_place, which clears the
+        tables; copy() and apply_update make a new model, whose tables
+        start empty.
         """
         table = self._candidates.get(s)
         if table is None:
@@ -254,7 +255,22 @@ class TransitionModel:
 _IN_NEIGHBOURS = tuple((-dr, -dc, d) for d, (dr, dc) in enumerate(DIRECTIONS))
 
 
-def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | None = None) -> None:
+def check_in_place(array: np.ndarray, name: str) -> None:
+    """Raise ValueError unless `array` can be written in place through a
+    flat view at full speed: writable, C-contiguous and aligned to its
+    8-byte items. numpy takes an unaligned view (as the sections of a file
+    read at their file offsets would be) through a slow path, which made
+    the recursion of a small refresh over ten times slower."""
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous: entries are written through a flat view")
+    if not array.flags.aligned:
+        raise ValueError(f"{name} must be aligned to 8 bytes")
+    if not array.flags.writeable:
+        raise ValueError(f"{name} must be writable")
+
+
+def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, pairs: np.ndarray | None = None,
+                    first: np.ndarray | None = None) -> None:
     """Compute stored layer entries in place from other stored entries.
 
     With d = L(o, j), layers[k, o, j] is the sum over the in-neighbours m
@@ -266,18 +282,21 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | No
     second term of a layer-0 pair on o's row or column, adds an exact 0.0,
     so an entry is bitwise the same whichever other pairs are computed.
 
-    layers[0, o, o] must hold 1.0. Pair (o, j) is computed from layer
-    first[o, j] up and read as stored below it, so not at all when
-    first[o, j] >= len(layers); first=None computes every entry.
+    layers[0, o, o] must hold 1.0, and layers must pass check_in_place.
+    `pairs` holds the flat indices o * n + j of the pairs to compute and
+    `first` their first layers: a pair is computed from layer first up and
+    read as stored below it, and every other pair is read as stored.
+    pairs=None computes every entry.
 
     Pairs are sorted by (ring, first layer, quadrant), the quadrant being
     the signs of j's row and column offsets from o. The pairs of ring d
     computed at layer k are then one prefix of the ring, and each (ring,
     layer) is one (terms, pairs) block whose per-term offsets repeat a
-    per-quadrant table over the runs of that prefix.
+    per-quadrant table over the runs of that prefix. Sort keys, run counts
+    and blocks cover only the pairs computed, so a small refresh walks
+    few and small blocks.
     """
-    if not layers.flags.c_contiguous:
-        raise ValueError("layers must be C-contiguous: entries are written through a flat view")
+    check_in_place(layers, "layers")
     n_layers = len(layers)
     g, n = sstp.g, sstp.n_cells
     N = n * n
@@ -291,10 +310,11 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | No
     p_in = np.zeros((5, n))
     p_in[:4] = [padded[1 + mr:1 + mr + g, 1 + mc:1 + mc + g, direction].ravel()
                 for mr, mc, direction in _IN_NEIGHBOURS]
-    # int32 pair indices and offsets (with their +-g neighbours) reach every
-    # entry of the stored layers up to g = 143 at max_detour = 8
-    index_type = np.int32 if n_layers * N + g < 2**31 else np.int64
-    steps = np.array([mr * g + mc for mr, mc, _ in _IN_NEIGHBOURS], dtype=index_type)
+    p_flat, p_4 = p_in.reshape(-1), p_in[:4]
+    # pair indices and offsets are int64 (numpy's own index type): int32
+    # ones are converted on every take and scatter, which costs more than
+    # the memory they save
+    steps = np.array([mr * g + mc for mr, mc, _ in _IN_NEIGHBOURS], dtype=np.int64)
     # per quadrant q = (sign of the row offset + 1) * 3 + sign of the column
     # offset + 1: m is on ring d - 1 (layer k) when its step into j heads
     # away from o, else on ring d + 1 (layer k - 1)
@@ -302,10 +322,10 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | No
     inward = np.array([(sr - 1) * mr + (sc - 1) * mc == -1 for mr, mc, _ in _IN_NEIGHBOURS])
     # k >= 1: four terms, as offsets into flat from the pair's own entry in
     # layer k, tiled once per first layer
-    off_k = np.tile(steps[:, None] - ~inward * index_type(N), n_layers)
+    off_k = np.tile(steps[:, None] - ~inward * N, n_layers)
     # k = 0: the inward vertical term, then the inward horizontal one; where
     # there is none, term 4 (P = 0) reads the other term's value
-    term = np.full((2, 9), 4, dtype=index_type)
+    term = np.full((2, 9), 4, dtype=np.int64)
     for t, (_, mc, _) in enumerate(_IN_NEIGHBOURS):
         term[int(mc != 0), inward[t]] = t
     off_0 = np.append(steps, 0)[term]
@@ -321,61 +341,70 @@ def _ring_recursion(layers: np.ndarray, sstp: SSTPMatrix, first: np.ndarray | No
     ring = np.abs(dx) * (9 * n_layers)
     key = ((ring + 3 * (np.sign(dx) + 1))[:, None, :, None]
            + (ring + np.sign(dx) + 1)[None, :, None, :]).reshape(N)
-    if first is None:
+    if pairs is None:
         idx = np.argsort(key, kind="stable")
     else:
-        first = first.reshape(N)
-        idx = np.flatnonzero(first < n_layers)
-        key = key[idx] + 9 * first[idx].astype(key_type)
-        idx = idx[np.argsort(key, kind="stable")]
-    idx = idx.astype(index_type)
-    j = idx % n
+        key = key.take(pairs)
+        key += first.astype(key_type) * key_type(9)
+        idx = pairs[np.argsort(key, kind="stable")]
+    # j = idx % n; numpy divides by a scalar faster than it takes a remainder
+    j = idx - idx // n * n
     # counts[d, 9 * f + q]: the run of pairs on ring d with first layer f in quadrant q
     counts = np.bincount(key, minlength=9 * n_layers * rings).reshape(rings, 9 * n_layers)
-    ring_lo = np.cumsum(counts.sum(axis=1)) - counts.sum(axis=1)
-    prefix = np.cumsum(counts.reshape(rings, n_layers, 9).sum(axis=2), axis=1)
+    ring_size = counts.sum(axis=1)
+    ring_lo = (np.cumsum(ring_size) - ring_size).tolist()
+    # prefix[d][k]: the pairs of ring d computed at layer k
+    prefix = np.cumsum(counts.reshape(rings, n_layers, 9).sum(axis=2), axis=1).tolist()
     # scratch for the largest block, reused: fresh arrays of a ring's size
     # for every block cost page faults on large grids
-    largest = int(prefix[:, -1].max())
+    largest = max(sizes[-1] for sizes in prefix)
     at_buf = np.empty(4 * largest, dtype=np.int64)
     terms_buf = np.empty(4 * largest)
     sums_buf = np.empty(largest)
     for k in range(n_layers):
         table = off_k[:, :9 * (k + 1)] + k * N
+        runs = counts[:, :9 * (k + 1)]
         out = rows[k]
         # layer 0 on ring 0 is the stored 1.0
         for d in range(1 if k == 0 else 0, rings):
-            lo = ring_lo[d]
-            size = prefix[d, k]
-            if size == 0:
+            size = prefix[d][k]
+            if not size:
                 continue
+            lo = ring_lo[d]
             sel, sj = idx[lo:lo + size], j[lo:lo + size]
             # one (terms, pairs) block; reducing over axis 0 adds the terms
             # one after another, in order
-            at = at_buf[:4 * size].reshape(4, size)
             if k == 0:
-                runs = counts[d, :9]
-                at = np.add(off_0.repeat(runs, axis=1), sel, out=at[:2])
+                at = np.add(off_0.repeat(runs[d, :9], axis=1), sel,
+                            out=at_buf[:2 * size].reshape(2, size))
                 terms = flat.take(at, mode="clip", out=terms_buf[:2 * size].reshape(2, size))
-                at = np.add(p_0.repeat(runs, axis=1), sj, out=at)
-                terms *= p_in.take(at, mode="clip", out=terms_buf[2 * size:4 * size].reshape(2, size))
+                at = np.add(p_0.repeat(runs[d, :9], axis=1), sj, out=at)
+                terms *= p_flat.take(at, mode="clip",
+                                     out=terms_buf[2 * size:4 * size].reshape(2, size))
             else:
-                np.add(table.repeat(counts[d, :9 * (k + 1)], axis=1), sel, out=at)
+                at = np.add(table.repeat(runs[d], axis=1), sel,
+                            out=at_buf[:4 * size].reshape(4, size))
                 terms = flat.take(at, mode="clip", out=terms_buf[:4 * size].reshape(4, size))
                 # the offsets are spent, so their memory takes P(m -> j)
-                terms *= p_in[:4].take(sj, axis=1, mode="clip", out=at.view(np.float64))
+                terms *= p_4.take(sj, axis=1, mode="clip", out=at.view(np.float64))
             out[sel] = np.add.reduce(terms, axis=0, out=sums_buf[:size])
 
 
-def sum_layers(layers: np.ndarray) -> np.ndarray:
-    """The layers added in order, layer 0 first, at every flat (origin,
-    destination) index. Training and refresh both add here, so a refreshed
-    total is bitwise its retrained value."""
-    flat = layers.reshape(len(layers), -1)
-    sums = flat[0].copy()
-    for layer in flat[1:]:
-        sums += layer
-    return sums
+def sum_layers(layers: np.ndarray, pairs: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The layers added in order, layer 0 first, at the flat (origin,
+    destination) indices `pairs`, or at every index when pairs is None,
+    written into `out` when it is given. Training and refresh both add
+    here, so a refreshed total is bitwise its retrained value."""
+    rows = layers.reshape(len(layers), -1)
+    if pairs is not None:
+        rows = rows[:, pairs]
+    if out is None:
+        out = np.empty(rows.shape[1])
+    np.copyto(out, rows[0])
+    for row in rows[1:]:
+        out += row
+    return out
 
 
 def train_initial(sstp: SSTPMatrix, start_dest_counts=None,
@@ -441,15 +470,19 @@ def _read_checksummed(path, magic: bytes, header_fmt: str, layout):
 
     `layout(*fields)` gives each section's (dtype, shape) in file order and
     raises ValueError when the fields contradict each other. The file is
-    read once into one buffer, and every section is a view into it.
+    read once into one writable numpy buffer, placed so that the first
+    section starts on an 8-byte boundary, and every section is a view into
+    it: the 8-byte sections of a model and a sidecar come back aligned.
     """
     header = struct.Struct("<4sI" + header_fmt)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        buf = bytearray(size)
+        raw = np.empty(size + 8, dtype=np.uint8)
+        start = -(raw.ctypes.data + header.size) % 8
+        buf = raw[start:start + size]
         if fh.readinto(buf) != size:
             raise CorruptModelError(f"{path}: file shrank while being read")
-    if buf[:4] != magic:
+    if buf[:4].tobytes() != magic:
         raise FormatError(f"{path}: not an {magic.decode()} file (bad magic)")
     if size < header.size + 4:
         raise CorruptModelError(f"{path}: truncated header")
@@ -463,7 +496,7 @@ def _read_checksummed(path, magic: bytes, header_fmt: str, layout):
     expected = header.size + sum(dt.itemsize * math.prod(shape) for dt, shape in sections) + 4
     if size != expected:
         raise CorruptModelError(f"{path}: expected {expected} bytes, found {size}")
-    if zlib.crc32(memoryview(buf)[:-4]) != int.from_bytes(buf[-4:], "little"):
+    if zlib.crc32(buf[:-4]) != int.from_bytes(buf[-4:].tobytes(), "little"):
         raise CorruptModelError(f"{path}: checksum mismatch")
     arrays, offset = [], header.size
     for dtype, shape in sections:
@@ -495,7 +528,8 @@ def save_model(model: TransitionModel, path) -> None:
 
 
 def load_model(path) -> TransitionModel:
-    """The model saved in `path`; its layers and totals are views into one buffer."""
+    """The model saved in `path`. Its layers and totals are writable views
+    into one buffer, aligned to 8 bytes, so it can be refreshed in place."""
     (g, max_detour, _, epoch, _), (layers, totals, records) = _read_checksummed(
         path, MODEL_MAGIC, _MODEL_HEADER, _model_layout)
     if records.size and max(records["start"].max(), records["dest"].max()) >= g * g:
@@ -521,7 +555,8 @@ def save_sstp(sstp: SSTPMatrix, path) -> None:
 
 
 def load_sstp(path) -> SSTPMatrix:
-    """The matrix saved in `path`; its probabilities are a view into one buffer.
+    """The matrix saved in `path`; its probabilities are an aligned view
+    into one buffer.
 
     A matrix whose rows break SSTPMatrix.validate, or a has-counts flag
     other than 0, raises CorruptModelError.

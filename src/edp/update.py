@@ -12,28 +12,42 @@ lie outside the o-j rectangle. The refresh runs the training recursion
 (`model._ring_recursion`) on the new single-step matrix over exactly the
 entries at or above that layer and reads every other entry as stored. An
 entry below it already holds its retrained value bit for bit, so the
-result equals full retraining bitwise.
+result equals full retraining bitwise. Totals are added again only at the
+refreshed pairs, in training's order.
+
+`refresh_in_place` is the one refresh: it validates its inputs, then
+writes into the model's own layers and totals, so its cost follows the
+entries it recomputes. `edp update` uses it on the model it loaded.
+`apply_update` runs it on a copy and leaves the caller's model as it was,
+for callers that swap snapshots.
 
 Two modes are provided. `exact` refreshes every entry a change can move.
 `paper` anchors each origin at its nearest changed cell and grows the
 beyond-rectangle border by border, one step per two units of detour; it
-runs the exact pass and then puts the old values back outside its own
-region. So in-region entries are the retrained values, and `paper` mode
-differs from retraining only where its region misses an affected entry,
-which then keeps its stale value. A later `exact` refresh recomputes only
-the entries its own change can move, so it leaves those stale entries as
-they are: neither mode equals retraining once a `paper` refresh has run.
+saves the stored entries of the affected pairs outside its region, runs
+the exact pass and then puts them back. So in-region entries are the
+retrained values, and `paper` mode differs from retraining only where its
+region misses an affected entry, which then keeps its stale value. A
+later `exact` refresh recomputes only the entries its own change can
+move, so it leaves those stale entries as they are: neither mode equals
+retraining once a `paper` refresh has run.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
-from .grid import check_row, step_pairs
+from .grid import DIRECTIONS, check_row, step_mask
 from .ingest import read_csv_rows
-from .model import SSTPMatrix, TransitionModel, _ring_recursion, detour_layers, sum_layers
+from .model import (SSTPMatrix, TransitionModel, _ring_recursion, check_in_place,
+                    detour_layers, sum_layers)
+
+# Totals are added again at the refreshed pairs while they are fewer than
+# this share of all pairs, and over the whole stack above it: per pair, a
+# gather costs about five times a whole-stack add (g = 16 to 50).
+PAIR_SUM_SHARE = 0.2
 
 
 @dataclass
@@ -108,25 +122,36 @@ class UpdateStats:
     wall_ms: float
 
 
-def _walk_lengths(neighbours: list[list[int]], start: list[int], length: int,
-                  cap: int) -> np.ndarray:
-    """(n,) int16: the fewest moves along `neighbours` to each cell, with
-    the cells of `start` reached in `length` moves; cap where that takes
-    cap moves or more."""
-    dist = [cap] * len(neighbours)
-    for cell in start:
-        dist[cell] = length
-    frontier = start
-    while frontier and length < cap - 1:
-        length += 1
-        reached = []
-        for a in frontier:
-            for b in neighbours[a]:
-                if dist[b] == cap:
-                    dist[b] = length
-                    reached.append(b)
-        frontier = reached
-    return np.array(dist, dtype=np.int16)
+def _step(cells: int, moves: list[tuple[int, int]]) -> int:
+    """The cells one move from the bit set `cells` (bit i for cell i).
+    Each move is (sources, shift): from a cell in the bit set `sources`
+    it adds `shift` to the cell id."""
+    reached = 0
+    for sources, shift in moves:
+        at = cells & sources
+        reached |= at << shift if shift > 0 else at >> -shift
+    return reached
+
+
+def _walk_lengths(moves: list[tuple[int, int]], start: int, length: int, cap: int,
+                  n: int) -> np.ndarray:
+    """(n,) int16: the fewest `moves` to each of the n cells, with the bit
+    set `start` reached in `length` moves; cap where that takes cap moves
+    or more. A breadth-first search over bit sets, one level per move."""
+    seen = frontier = start
+    levels = [start]    # the cells reached in at most length + i moves
+    while frontier and length + len(levels) < cap:
+        frontier = _step(frontier, moves) & ~seen
+        seen |= frontier
+        levels.append(seen)
+    size = (n + 7) // 8
+    reached = np.unpackbits(
+        np.frombuffer(b"".join(level.to_bytes(size, "little") for level in levels),
+                      np.uint8).reshape(len(levels), size),
+        axis=1, count=n, bitorder="little")
+    # a cell reached in length + i moves is missing from the first i sets
+    return np.where(reached[-1], length + len(levels) - reached.sum(axis=0),
+                    cap).astype(np.int16)
 
 
 def _first_affected_layer(sstp: SSTPMatrix, changed_cells: list[int],
@@ -157,25 +182,37 @@ def _first_affected_layer(sstp: SSTPMatrix, changed_cells: list[int],
     the change set, never on stored values.
     """
     g, n = sstp.g, sstp.n_cells
-    src, dst, direction = step_pairs(g)
-    movable = sstp.probs.reshape(n, 4)[src, direction] != 0
-    movable |= np.isin(src, changed_cells)
-    successors: list[list[int]] = [[] for _ in range(n)]
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(src[movable].tolist(), dst[movable].tolist()):
-        successors[a].append(b)
-        predecessors[b].append(a)
+    inside = step_mask(g)
+    # movable[r, c, d]: the move DIRECTIONS[d] out of cell (r, c) can carry
+    # probability
+    movable = (sstp.probs != 0) & inside
+    rows, cols = np.divmod(changed_cells, g)
+    movable[rows, cols] = inside[rows, cols]
+    forward = []
+    for d, (dr, dc) in enumerate(DIRECTIONS):
+        sources = np.packbits(movable[:, :, d].ravel(), bitorder="little").tobytes()
+        forward.append((int.from_bytes(sources, "little"), dr * g + dc))
+    # a move backwards starts where the forward move ends
+    backward = [(_step(sources, [(sources, shift)]), -shift) for sources, shift in forward]
     # a walk of cap moves or more lies n_layers or more layers above any
     # pair's distance, so it is cut there and every sum fits int16
     cap = 2 * (g - 1) + 2 * n_layers
-    shortest = None
+    shortest = walks = None
     for c in changed_cells:
-        walks = np.add.outer(_walk_lengths(predecessors, [c], 0, cap),
-                             _walk_lengths(successors, successors[c], 1, cap))
-        shortest = walks if shortest is None else np.minimum(shortest, walks, out=shortest)
-    a = np.arange(g, dtype=np.int16)
-    dist = np.abs(a - a[:, None])
-    shortest -= (dist[:, None, :, None] + dist[None, :, None, :]).reshape(n, n)
+        walks = np.add.outer(_walk_lengths(backward, 1 << c, 0, cap, n),
+                             _walk_lengths(forward, _step(1 << c, forward), 1, cap, n),
+                             out=walks)
+        if shortest is None:
+            shortest, walks = walks, None
+        else:
+            np.minimum(shortest, walks, out=shortest)
+    # less L(o, j): per row of origins, the rows to each j, then for each
+    # origin in it the columns to each j
+    line = np.arange(g, dtype=np.int16)
+    j_row, j_col = np.divmod(np.arange(n, dtype=np.int16), g)
+    origin_rows = shortest.reshape(g, g, n)
+    origin_rows -= np.abs(line[:, None] - j_row)[:, None, :]
+    origin_rows -= np.abs(line[:, None] - j_col)
     shortest >>= 1
     return np.minimum(shortest, n_layers, out=shortest)
 
@@ -192,7 +229,9 @@ def _affected_mask_paper(changed_cells: list[int], max_detour: int, g: int) -> n
     """
     budget = detour_layers(max_detour) - 1
     n = g * g
-    changed = np.unique(changed_cells)
+    # sorted, so argmin's first minimum is the smallest id; np.unique would
+    # import numpy.ma on a process's first call (about 15 ms)
+    changed = np.array(sorted(set(changed_cells)))
     rows, cols = np.divmod(np.arange(n), g)
     anchor = changed[np.argmin(np.abs(rows[:, None] - changed // g)
                                + np.abs(cols[:, None] - changed % g), axis=1)]
@@ -210,15 +249,15 @@ def _affected_mask_paper(changed_cells: list[int], max_detour: int, g: int) -> n
     return mask
 
 
-def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
-                 mode: str = "exact") -> tuple[TransitionModel, UpdateStats]:
-    """Refresh the model after the change set's rows replace the old ones.
+def refresh_in_place(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
+                     mode: str = "exact") -> UpdateStats:
+    """Refresh the model's own layers and totals after the change set's
+    rows replace the old ones, and advance its epoch.
 
-    sstp must equal `model.single_step()` outside the changed cells, or
-    ValueError is raised before anything changes. It is mutated to carry
-    the new rows; a new model is returned, leaving the caller's model
-    untouched for snapshot swapping. It shares the trip counts, which a
-    refresh never changes.
+    sstp must equal `model.single_step()` outside the changed cells, and
+    the layers and totals must pass model.check_in_place, or ValueError is
+    raised before anything changes. sstp is mutated to carry the new rows.
+    The model's candidate tables are cleared, since they cache totals.
     """
     if mode not in ("paper", "exact"):
         raise ValueError(f"unknown update mode {mode!r}")
@@ -232,29 +271,56 @@ def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
     if differ.any():
         raise ValueError(f"single-step rows of cells {np.flatnonzero(differ)[:5].tolist()} "
                          "differ from the model's, outside the change set")
+    check_in_place(model.layers, "layers")
+    check_in_place(model.totals, "totals")
     t0 = time.perf_counter()
     for cell, row in cs.changed.items():
         sstp.replace_row(cell, row)
-    g, n = model.g, model.n_cells
+    n_layers, n = model.n_layers, model.n_cells
     changed = sorted(cs.changed)
-    first = _first_affected_layer(sstp, changed, model.n_layers)
-    layers = model.layers.copy()
-    _ring_recursion(layers, sstp, first)
-    mask = first < model.n_layers
+    first = _first_affected_layer(sstp, changed, n_layers)
+    mask = first < n_layers
+    pairs = np.flatnonzero(mask)
+    levels = first.reshape(-1)[pairs]
     if mode == "paper":
-        region = _affected_mask_paper(changed, model.max_detour, g)
-        stale = mask & ~region
-        layers[:, stale] = model.layers[:, stale]
-        mask &= region
+        mask &= _affected_mask_paper(changed, model.max_detour, model.g)
+        in_region = mask.reshape(-1)[pairs]
+        rows = model.layers.reshape(n_layers, -1)
+        stale = pairs[~in_region]
+        stored = rows[:, stale]
+        _ring_recursion(model.layers, sstp, pairs, levels)
+        rows[:, stale] = stored
+        pairs, levels = pairs[in_region], levels[in_region]
+    else:
+        _ring_recursion(model.layers, sstp, pairs, levels)
     # an entry left as stored adds to its stored total, bit for bit
-    out = replace(model, layers=layers, totals=sum_layers(layers).reshape(n, n),
-                  epoch=cs.epoch)
-    stats = UpdateStats(
+    totals = model.totals.reshape(-1)
+    if pairs.size < PAIR_SUM_SHARE * n * n:
+        totals[pairs] = sum_layers(model.layers, pairs)
+    else:
+        sum_layers(model.layers, out=totals)
+    model.epoch = cs.epoch
+    model._candidates.clear()
+    return UpdateStats(
         mode=mode,
         epoch=cs.epoch,
         origins_recomputed=int(mask.any(axis=1).sum()),
-        entries_recomputed=int((model.n_layers - first[mask]).sum()),
-        entries_full=n * n * model.n_layers,
+        entries_recomputed=int(n_layers * pairs.size - levels.sum()),
+        entries_full=n * n * n_layers,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
+                 mode: str = "exact") -> tuple[TransitionModel, UpdateStats]:
+    """refresh_in_place on a copy of the model: the caller's model stays
+    untouched for snapshot swapping, and the copy is returned with what
+    the refresh did. The copy shares the trip counts, which a refresh
+    never changes. Validation and the mutation of sstp are
+    refresh_in_place's; wall_ms includes the copy.
+    """
+    t0 = time.perf_counter()
+    out = model.copy()
+    stats = refresh_in_place(out, sstp, cs, mode)
+    stats.wall_ms = (time.perf_counter() - t0) * 1e3
     return out, stats

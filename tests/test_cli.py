@@ -477,6 +477,25 @@ class TestUpdate:
         assert (path.read_bytes() if path.exists() else None) == before
         assert not (tmp_path / "out.edp.sstp").exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_writes_the_bytes_of_the_snapshot_refresh(self, tmp_path, mode):
+        """`edp update` refreshes the model it loaded in place; the file it
+        writes is the one save_model writes for apply_update's new model."""
+        model_path = self.train_world(tmp_path, "m", seed=5)
+        changes = tmp_path / "c.csv"
+        # a corner cell and two inner ones, each with moves of probability 0
+        rows = [f"1,{cell},{b},{p!r}" for cell in (0, 27, 28)
+                for b, p in zip(neighbors(cell, 8), (0.7, 0.3, 0.0, 0.0))]
+        changes.write_text("epoch,cell_id,neighbor_cell_id,probability\n"
+                           + "".join(f"{row}\n" for row in rows))
+        model = load_model(model_path)
+        expected, _ = apply_update(model, model.single_step(), load_changeset(changes, 8),
+                                   mode=mode)
+        save_model(expected, tmp_path / "expected.edp")
+        assert main(["update", "--model", str(model_path), "--changes", str(changes),
+                     "--mode", mode]) == 0
+        assert model_path.read_bytes() == (tmp_path / "expected.edp").read_bytes()
+
     def test_in_place_update_leaves_sidecar_as_trained(self, tmp_path):
         model_path = self.train_world(tmp_path, "m", seed=3)
         trained = Path(f"{model_path}.sstp").read_bytes()

@@ -224,6 +224,16 @@ class TestTrainInitial:
         with pytest.raises(ValueError):
             train_initial(random_sstp(3, 0), None, 5)
 
+    def test_recursion_refuses_unaligned_layers(self):
+        # a flat view at a 4-byte offset, as a file section read in place
+        # would be: every element would take numpy's slow unaligned path
+        sstp = random_sstp(3, 0)
+        layers = np.frombuffer(bytearray(2 * 81 * 8 + 4), np.float64, 2 * 81, 4)
+        layers = layers.reshape(2, 9, 9)
+        assert not layers.flags.aligned
+        with pytest.raises(ValueError, match="aligned to 8 bytes"):
+            model_module._ring_recursion(layers, sstp)
+
     def test_structural_support_matches_parity(self):
         # strictly positive rows: a stored layer entry is positive exactly
         # when its total length is parity-admissible, which it always is
@@ -245,6 +255,8 @@ class TestPersistence:
         save_model(model, f)
         again = load_model(f)
         assert model.equals(again)
+        for array in (again.layers, again.totals):
+            assert array.flags.aligned and array.flags.writeable and array.flags.c_contiguous
 
     def test_wrong_magic(self, tmp_path):
         f = tmp_path / "m.edp"
@@ -279,6 +291,7 @@ class TestPersistence:
         again = load_sstp(f)
         assert np.array_equal(sstp.probs, again.probs)
         assert np.array_equal(sstp.smoothed, again.smoothed)
+        assert again.probs.flags.aligned
 
     def test_sstp_wrong_magic(self, tmp_path):
         f = tmp_path / "x.sstp"
@@ -386,6 +399,7 @@ class TestPersistenceProperties:
         save_model(model, d / "a")
         again = load_model(d / "a")
         assert model.equals(again)
+        assert again.layers.flags.aligned and again.totals.flags.aligned
         save_model(again, d / "b")
         assert (d / "a").read_bytes() == (d / "b").read_bytes()
 
@@ -397,6 +411,7 @@ class TestPersistenceProperties:
         sstp = random_sidecar(g, seed)
         save_sstp(sstp, d / "a")
         again = load_sstp(d / "a")
+        assert again.probs.flags.aligned
         assert again.probs.tobytes() == sstp.probs.tobytes()
         assert np.array_equal(sstp.smoothed, again.smoothed)
         save_sstp(again, d / "b")

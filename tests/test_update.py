@@ -11,9 +11,10 @@ import oracles
 import strategies
 from edp.errors import FormatError
 from edp.grid import decode_cell, l1_distance, neighbors, step_pairs
-from edp.model import SSTPMatrix, load_model, random_sstp, save_model, train_initial
+from edp.model import (SSTPMatrix, TransitionModel, load_model, random_sstp, save_model,
+                       train_initial)
 from edp.update import (ChangeSet, _affected_mask_paper, _first_affected_layer, apply_update,
-                        load_changeset)
+                        load_changeset, refresh_in_place)
 
 
 def uniform_rows(cells, g):
@@ -249,6 +250,97 @@ class TestApplyUpdateExact:
         rows = uniform_rows([5], g)
         apply_update(model, sstp, ChangeSet(1, rows))
         assert oracles.sstp_prob(sstp, 5, 1) == rows[5][1]
+
+
+class TestRefreshInPlace:
+    """The one refresh core writes into the model it is given; apply_update
+    is that core on a copy."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_snapshot_refresh_and_retraining(self, data):
+        g = data.draw(st.integers(2, 11))
+        cells = data.draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=4,
+                                   unique=True))
+        detour = 2 * data.draw(st.integers(0, 4))
+        mode = data.draw(st.sampled_from(["exact", "paper"]))
+        seed = data.draw(st.integers(0, 2**16))
+        sstp = (data.draw(strategies.sparse_sstp(g)) if data.draw(st.booleans())
+                else random_sstp(g, seed))
+        rows = skewed_rows(cells, g, seed + 1)
+        model = train_initial(sstp, None, detour)
+        snapshot, snapshot_stats = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode)
+        assert np.array_equal(model.layers, train_initial(sstp, None, detour).layers)
+        target = model.copy()
+        stats = refresh_in_place(target, sstp.copy(), ChangeSet(1, rows), mode)
+        assert np.array_equal(target.layers, snapshot.layers)
+        assert np.array_equal(target.totals, snapshot.totals)
+        assert target.epoch == snapshot.epoch == 1
+        for name in ("mode", "epoch", "origins_recomputed", "entries_recomputed",
+                     "entries_full"):
+            assert getattr(stats, name) == getattr(snapshot_stats, name)
+        # plain ints, which json and the benchmark's records take
+        assert {type(getattr(stats, name)) for name in ("origins_recomputed",
+                                                        "entries_recomputed")} == {int}
+        reference = retrain_reference(sstp, rows, detour)
+        if mode == "exact":
+            assert np.array_equal(target.layers, reference.layers)
+            assert np.array_equal(target.totals, reference.totals)
+        else:
+            inside = oracles.paper_mask(cells, detour, g)
+            assert np.array_equal(target.layers[:, inside], reference.layers[:, inside])
+            assert np.array_equal(target.totals[inside], reference.totals[inside])
+            assert np.array_equal(target.layers[:, ~inside], model.layers[:, ~inside])
+            assert np.array_equal(target.totals[~inside], model.totals[~inside])
+
+    def test_candidates_read_before_answer_from_new_totals(self):
+        g = 5
+        sstp = random_sstp(g, 3)
+        model = train_initial(sstp, ({0: {12: 2, 24: 1}}, {0: 3}), 4)
+        before = model.candidates(0)
+        refresh_in_place(model, sstp.copy(), ChangeSet(1, skewed_rows([6], g, 2)))
+        after = model.candidates(0)
+        assert after != before
+        assert after == tuple((d, p, model.totals.item(0, d)) for d, p, _ in before)
+
+    def test_loaded_model_refreshes_in_place(self, tmp_path):
+        g = 6
+        sstp = random_sstp(g, 5)
+        save_model(train_initial(sstp, None, 4), tmp_path / "m.edp")
+        loaded = load_model(tmp_path / "m.edp")
+        layers = loaded.layers
+        rows = skewed_rows([0, 20], g, 6)
+        refresh_in_place(loaded, sstp.copy(), ChangeSet(1, rows))
+        assert loaded.layers is layers
+        reference = retrain_reference(sstp, rows, 4)
+        assert np.array_equal(loaded.layers, reference.layers)
+        assert np.array_equal(loaded.totals, reference.totals)
+
+    @pytest.mark.parametrize("layout,message", [("unaligned", "aligned to 8 bytes"),
+                                                ("read-only", "writable"),
+                                                ("strided", "C-contiguous")])
+    def test_layers_it_cannot_write_fast_raise_before_any_mutation(self, layout, message):
+        g = 4
+        sstp = random_sstp(g, 0)
+        trained = train_initial(sstp, None, 2)
+        layers = trained.layers
+        if layout == "unaligned":
+            buf = bytearray(layers.nbytes + 4)
+            layers = np.frombuffer(buf, np.float64, layers.size, 4).reshape(layers.shape)
+            layers[...] = trained.layers
+        elif layout == "read-only":
+            layers = layers.copy()
+            layers.flags.writeable = False
+        else:
+            layers = np.repeat(layers, 2, axis=2)[:, :, ::2]
+        model = TransitionModel(g=g, max_detour=2, layers=layers, totals=trained.totals.copy(),
+                                start_counts={}, start_totals={})
+        live = sstp.copy()
+        with pytest.raises(ValueError, match=f"layers must be {message}"):
+            refresh_in_place(model, live, ChangeSet(1, uniform_rows([5], g)))
+        assert np.array_equal(live.probs, sstp.probs)
+        assert np.array_equal(model.layers, trained.layers)
+        assert model.epoch == 0
 
 
 class TestSingleStep:
