@@ -76,17 +76,20 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
 
 
 def _bbox_of_points(result: ingest.ParseResult) -> tuple[float, float, float, float]:
-    lats = [p[1] for t in result.trajectories for p in t.points]
-    lons = [p[2] for t in result.trajectories for p in t.points]
-    if not lats:
+    trips = result.trajectories    # each holds at least one point
+    if not trips:
         raise ValueError("no points to infer a bounding box from")
-    pad_lat = (max(lats) - min(lats)) * 1e-6 + 1e-9
-    lon_span = max(lons) - min(lons)
+    # the extremes of each trip's columns, then of those: the same values a
+    # flat list of every coordinate gives
+    lat_lo, lat_hi = min(min(t.lats) for t in trips), max(max(t.lats) for t in trips)
+    lon_lo, lon_hi = min(min(t.lons) for t in trips), max(max(t.lons) for t in trips)
+    pad_lat = (lat_hi - lat_lo) * 1e-6 + 1e-9
+    lon_span = lon_hi - lon_lo
     # the padding stops at the poles and at a 360-degree span, so data that
     # reaches them still gets a grid
     pad_lon = min(lon_span * 1e-6 + 1e-9, max(360.0 - lon_span, 0.0) / 2)
-    return (max(min(lats) - pad_lat, -90.0), min(max(lats) + pad_lat, 90.0),
-            min(lons) - pad_lon, max(lons) + pad_lon)
+    return (max(lat_lo - pad_lat, -90.0), min(lat_hi + pad_lat, 90.0),
+            lon_lo - pad_lon, lon_hi + pad_lon)
 
 
 def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:

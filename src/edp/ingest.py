@@ -4,6 +4,7 @@ histogram, and the seeded synthetic-world generator."""
 import csv
 import gc
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -21,8 +22,19 @@ REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
 
 @dataclass
 class RawTrajectory:
+    """One trip's points as three float columns, `array('d')`, in seq order:
+    8 bytes per value and no Python object per point. Columns of different
+    lengths raise ValueError."""
+
     trip_id: str
-    points: list[tuple[float, float, float]]  # (timestamp, lat, lon)
+    times: array
+    lats: array
+    lons: array
+
+    def __post_init__(self):
+        if not len(self.times) == len(self.lats) == len(self.lons):
+            raise ValueError(f"trip {self.trip_id}: columns differ in length "
+                             f"({len(self.times)}, {len(self.lats)}, {len(self.lons)})")
 
 
 class CellPath:
@@ -30,10 +42,11 @@ class CellPath:
 
     Consecutive cells are always 4-adjacent and never equal; trip_km is the
     length of the underlying point sequence, not the cell count. A path
-    made by cell_path keeps a reference to its trajectory's points and sums
-    their pairwise haversine lengths on the first read of trip_km, then
-    caches the sum and drops the points. Training reads only `cells`, so
-    it computes no trip length; the histogram and queries read it once.
+    made by cell_path keeps a reference to its trajectory's latitude and
+    longitude columns and sums their pairwise haversine lengths on the first
+    read of trip_km, then caches the sum and drops the columns. Training
+    reads only `cells`, so it computes no trip length; the histogram and
+    queries read it once.
     """
 
     __slots__ = ("trip_id", "cells", "_trip_km", "_points")
@@ -57,14 +70,16 @@ class CellPath:
         points = self._points
         if points is not None:
             km = 0.0
-            if len(points) > 1:
+            lats, lons = points
+            if len(lats) > 1:
                 radians, sin, cos = math.radians, math.sin, math.cos
                 asin, sqrt = math.asin, math.sqrt
                 two_r = 2 * EARTH_RADIUS_KM
-                _, lat, lon1 = points[0]
+                pairs = zip(lats, lons)
+                lat, lon1 = next(pairs)
                 p1 = radians(lat)
                 cos1 = cos(p1)
-                for _, lat, lon2 in islice(points, 1, None):
+                for lat, lon2 in pairs:
                     p2 = radians(lat)
                     cos2 = cos(p2)
                     a = sin((p2 - p1) / 2) ** 2 + cos1 * cos2 * sin(radians(lon2 - lon1) / 2) ** 2
@@ -144,10 +159,13 @@ def read_csv_rows(path, required):
 def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     """Read a trajectory CSV (trip_id,seq,timestamp,lat,lon).
 
-    Points are grouped by trip_id and ordered by seq. Malformed rows,
-    non-finite coordinates included, are counted and skipped; more than 50%
-    malformed raises. When a grid is given, points outside its bounding box
-    are dropped (clipping a trip at the boundary rather than discarding it).
+    Points are grouped by trip_id and ordered by seq, a stable order: rows
+    with equal seqs keep their file order. Each trip's timestamps,
+    latitudes and longitudes are kept as three `array('d')` columns, so a
+    point costs 24 bytes and no Python object. Malformed rows, non-finite
+    coordinates included, are counted and skipped; more than 50% malformed
+    raises. When a grid is given, points outside its bounding box are
+    dropped (clipping a trip at the boundary rather than discarding it).
     Every trip left with a point is kept, a one-point trip included:
     `discretize` decides which trips can train. The cyclic collector is
     paused while it runs.
@@ -155,11 +173,13 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     rows_total = 0
     malformed = 0
     dropped_points = 0
-    # per trip, its points' seqs and, in the same order, their (ts, lat, lon)
-    per_trip: dict[str, tuple[list[int], list[tuple[float, float, float]]]] = {}
+    # per trip, its points' seqs and, in the same order, their times,
+    # latitudes and longitudes
+    per_trip: dict[str, tuple[list[int], array, array, array]] = {}
     if grid is not None:
         lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
     isfinite = math.isfinite
+    current = None    # the trip whose appends are bound
     for trip, seq, ts, lat, lon in read_csv_rows(path, REQUIRED_COLUMNS):
         rows_total += 1
         try:
@@ -176,20 +196,28 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
         if grid is not None and not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
             dropped_points += 1
             continue
-        rows = per_trip.get(trip)
-        if rows is None:
-            per_trip[trip] = ([seq], [(ts, lat, lon)])
-        else:
-            rows[0].append(seq)
-            rows[1].append((ts, lat, lon))
+        if trip != current:
+            # a trip's rows are usually adjacent, so its appends are bound
+            # once per run of them
+            cols = per_trip.get(trip)
+            if cols is None:
+                cols = per_trip[trip] = ([], array("d"), array("d"), array("d"))
+            seqs, times, lats, lons = cols
+            add_seq, add_ts, add_lat, add_lon = seqs.append, times.append, lats.append, lons.append
+            current = trip
+        add_seq(seq)
+        add_ts(ts)
+        add_lat(lat)
+        add_lon(lon)
     if rows_total and malformed / rows_total > 0.5:
         raise FormatError(f"{path}: {malformed}/{rows_total} rows malformed")
     trajectories = []
-    for trip_id, (seqs, points) in per_trip.items():
+    for trip_id, (seqs, *cols) in per_trip.items():
         # a stable sort by seq leaves points whose seqs never decrease as they are
         if not all(map(le, seqs, islice(seqs, 1, None))):
-            points = [points[i] for i in sorted(range(len(seqs)), key=seqs.__getitem__)]
-        trajectories.append(RawTrajectory(trip_id, points))
+            order = sorted(range(len(seqs)), key=seqs.__getitem__)
+            cols = [array("d", map(col.__getitem__, order)) for col in cols]
+        trajectories.append(RawTrajectory(trip_id, *cols))
     return ParseResult(trajectories, malformed, dropped_points)
 
 
@@ -216,8 +244,8 @@ def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
     the bounding box raises ValueError. Consecutive duplicates collapse;
     sampling gaps that jump cells are bridged with a deterministic
     vertical-first staircase so every stored transition stays on the
-    4-adjacency support. The path's trip_km is summed from traj.points
-    when first read, so they must not change before then.
+    4-adjacency support. The path's trip_km is summed from traj.lats and
+    traj.lons when first read, so they must not change before then.
     """
     g = grid.g
     lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
@@ -226,7 +254,8 @@ def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
     edge = g - 1
     cells: list[int] = []
     prev = prev_row = prev_col = -1
-    for _, lat, lon in traj.points:
+    lats, lons = traj.lats, traj.lons
+    for lat, lon in zip(lats, lons):
         if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
             raise ValueError(f"point ({lat}, {lon}) outside bounding box")
         row = int((lat_max - lat) / lat_span * g)
@@ -244,7 +273,7 @@ def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
             cells.append(cell)
         prev, prev_row, prev_col = cell, row, col
     path = CellPath(traj.trip_id, cells, 0.0)
-    path._points = traj.points    # summed into trip_km on first read
+    path._points = (lats, lons)    # summed into trip_km on first read
     return path
 
 

@@ -1,6 +1,8 @@
 import gc
 import math
+import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -30,13 +32,29 @@ def point_in_cell(cell, grid=GRID):
     return f"{lat:.8f},{lon:.8f}"
 
 
+def as_points(traj):
+    """A parsed trajectory's (ts, lat, lon) tuples; its three columns must
+    be float arrays of one length."""
+    cols = (traj.times, traj.lats, traj.lons)
+    assert all(type(c) is array and c.typecode == "d" for c in cols)
+    assert len({len(c) for c in cols}) == 1
+    return list(zip(*cols))
+
+
+def traj_of(lats, lons, trip_id="t"):
+    """A trajectory from its latitude and longitude columns, one minute
+    between points."""
+    return RawTrajectory(trip_id, array("d", [60.0 * i for i in range(len(lats))]),
+                         array("d", lats), array("d", lons))
+
+
 class TestParse:
     def test_minimal_two_row_trip(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, [f"a,0,100,{point_in_cell(0)}", f"a,1,160,{point_in_cell(1)}"])
         res = parse_trajectories(f, GRID)
         assert len(res.trajectories) == 1
-        assert len(res.trajectories[0].points) == 2
+        assert len(res.trajectories[0].lats) == 2
         assert res.malformed_rows == 0
 
     def test_out_of_bbox_point_dropped(self, tmp_path):
@@ -48,7 +66,7 @@ class TestParse:
         ])
         res = parse_trajectories(f, GRID)
         assert res.dropped_points == 1
-        assert len(res.trajectories[0].points) == 2
+        assert len(res.trajectories[0].lats) == 2
 
     def test_shuffled_seq_resorted(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -58,7 +76,9 @@ class TestParse:
             f"a,1,200,{point_in_cell(1)}",
         ])
         res = parse_trajectories(f, GRID)
-        assert [p[0] for p in res.trajectories[0].points] == [100.0, 200.0, 300.0]
+        traj = res.trajectories[0]
+        assert traj.times == array("d", [100.0, 200.0, 300.0])
+        assert list(traj.lons) == [float(point_in_cell(c).split(",")[1]) for c in (0, 1, 2)]
 
     def test_malformed_rows_counted(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -77,7 +97,7 @@ class TestParse:
                       f"a,2,160,{point_in_cell(1)}"])
         res = parse_trajectories(f)
         assert res.malformed_rows == 1
-        assert len(res.trajectories[0].points) == 2
+        assert len(res.trajectories[0].lats) == 2
 
     def test_mostly_malformed_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -139,10 +159,43 @@ class TestParse:
         f = tmp_path / "t.csv"
         write_csv(f, [f"a,0,100,{point_in_cell(0)}"])
         res = parse_trajectories(f, GRID)
-        assert [(t.trip_id, len(t.points)) for t in res.trajectories] == [("a", 1)]
+        assert [(t.trip_id, len(t.lats)) for t in res.trajectories] == [("a", 1)]
         assert cell_path(res.trajectories[0], GRID).cells == [0]
         with pytest.raises(DegenerateTripError):
             discretize(res.trajectories[0], GRID)
+
+
+class TestParseColumns:
+    def test_retains_at_most_64_bytes_per_point(self, tmp_path):
+        """A parsed point is three floats in its trip's columns, 24 bytes
+        plus its share of each trip's overhead: 700 trips of 30 points
+        retain at most 64 bytes a point (a tuple of three float objects per
+        point retained about 154)."""
+        rng = np.random.default_rng(5)
+        trips, per_trip = 700, 30
+        rows = [f"trip{t:04d},{i},{1_700_000_000 + 15 * i},{lat!r},{lon!r}"
+                for t in range(trips)
+                for i, (lat, lon) in enumerate(rng.uniform(-1, 1, (per_trip, 2)).tolist())]
+        f = tmp_path / "t.csv"
+        write_csv(f, rows)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = parse_trajectories(f)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert sum(len(t.lats) for t in res.trajectories) == trips * per_trip
+        assert retained / (trips * per_trip) <= 64
+
+    @pytest.mark.parametrize("short", ["times", "lats", "lons"])
+    def test_columns_of_different_lengths_rejected(self, short):
+        cols = {name: array("d", [0.5, 0.6]) for name in ("times", "lats", "lons")}
+        cols[short] = cols[short][:1]
+        with pytest.raises(ValueError, match="columns differ in length"):
+            RawTrajectory("t", **cols)
 
 
 class TestParseProperties:
@@ -158,7 +211,7 @@ class TestParseProperties:
                     parse_trajectories(f, grid)
                 return
             res = parse_trajectories(f, grid)
-        got = ([(t.trip_id, t.points) for t in res.trajectories], res.malformed_rows,
+        got = ([(t.trip_id, as_points(t)) for t in res.trajectories], res.malformed_rows,
                res.dropped_points)
         # repr, so that a nan timestamp compares equal to itself
         assert repr(got) == repr(expected)
@@ -189,7 +242,7 @@ class TestParseProperties:
         with strategies.text_file(text) as f:
             expected = oracles.dictreader_parse(f)
             res = parse_trajectories(f)
-        got = ([(t.trip_id, t.points) for t in res.trajectories], res.malformed_rows,
+        got = ([(t.trip_id, as_points(t)) for t in res.trajectories], res.malformed_rows,
                res.dropped_points)
         assert got == expected
 
@@ -199,9 +252,18 @@ GRID_FRACTIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
     sorted({k / g for g in range(2, 10) for k in range(g + 1)})))
 
 
+def grid_columns(grid, fractions):
+    """(lats, lons) at (fy, fx) fractions of a grid's spans, clamped to the box."""
+    lats = [min(grid.lat_min + fy * (grid.lat_max - grid.lat_min), grid.lat_max)
+            for fy, _ in fractions]
+    lons = [min(grid.lon_min + fx * (grid.lon_max - grid.lon_min), grid.lon_max)
+            for _, fx in fractions]
+    return lats, lons
+
+
 def traj_through(cells, grid=GRID):
-    pts = [(i * 60.0, *grid.cell_center(c)) for i, c in enumerate(cells)]
-    return RawTrajectory("t", pts)
+    lats, lons = zip(*map(grid.cell_center, cells)) if cells else ((), ())
+    return traj_of(lats, lons)
 
 
 class TestDiscretize:
@@ -211,8 +273,7 @@ class TestDiscretize:
 
     def test_cell_path_keeps_single_cell_trip(self):
         lat, lon = GRID.cell_center(7)
-        traj = RawTrajectory("t", [(0.0, lat, lon), (60.0, lat + 0.002, lon)])
-        path = cell_path(traj, GRID)
+        path = cell_path(traj_of([lat, lat + 0.002], [lon, lon]), GRID)
         assert path.cells == [7]
         assert path.trip_km == haversine_km(lat, lon, lat + 0.002, lon) > 0
 
@@ -246,11 +307,9 @@ class TestDiscretize:
         on grid lines and edges, its cells are those of cell_of, bridged by
         _staircase."""
         grid = GridMap(-33.9, -33.7, 151.1, 151.3, g)
-        points = [(0.0, grid.lat_min + fy * (grid.lat_max - grid.lat_min),
-                   grid.lon_min + fx * (grid.lon_max - grid.lon_min)) for fy, fx in fractions]
-        points = [(t, min(lat, grid.lat_max), min(lon, grid.lon_max)) for t, lat, lon in points]
+        lats, lons = grid_columns(grid, fractions)
         expected = []
-        for _, lat, lon in points:
+        for lat, lon in zip(lats, lons):
             cell = grid.cell_of(lat, lon)
             if expected and cell == expected[-1]:
                 continue
@@ -258,7 +317,7 @@ class TestDiscretize:
                 expected.extend(_staircase(expected[-1], cell, g))
             else:
                 expected.append(cell)
-        assert cell_path(RawTrajectory("t", points), grid).cells == expected
+        assert cell_path(traj_of(lats, lons), grid).cells == expected
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([2, 5, 9]), st.lists(st.tuples(GRID_FRACTIONS, GRID_FRACTIONS),
@@ -267,13 +326,11 @@ class TestDiscretize:
         """trip_km, summed on first read, is bitwise the pairwise haversine
         sum over the points, and a second read gives it again."""
         grid = GridMap(-33.9, -33.7, 151.1, 151.3, g)
-        points = [(0.0, grid.lat_min + fy * (grid.lat_max - grid.lat_min),
-                   grid.lon_min + fx * (grid.lon_max - grid.lon_min)) for fy, fx in fractions]
-        points = [(t, min(lat, grid.lat_max), min(lon, grid.lon_max)) for t, lat, lon in points]
+        lats, lons = grid_columns(grid, fractions)
         eager = 0.0
-        for (_, la1, lo1), (_, la2, lo2) in zip(points, points[1:]):
+        for la1, lo1, la2, lo2 in zip(lats, lons, lats[1:], lons[1:]):
             eager += haversine_km(la1, lo1, la2, lo2)
-        path = cell_path(RawTrajectory("t", points), grid)
+        path = cell_path(traj_of(lats, lons), grid)
         assert path.trip_km == eager
         assert path.trip_km == eager
         assert path == CellPath("t", path.cells, eager)
@@ -287,18 +344,18 @@ class TestDiscretize:
         more points, over both hemispheres and both signs of longitude;
         fewer than two points make 0.0."""
         grid = GridMap(-60.0, 60.0, -170.0, 170.0, g)
-        points = [(float(t), lat, lon) for t, (lat, lon) in enumerate(latlons)]
+        lats, lons = [lat for lat, _ in latlons], [lon for _, lon in latlons]
         pairwise = 0.0
-        for (_, la1, lo1), (_, la2, lo2) in zip(points, points[1:]):
+        for la1, lo1, la2, lo2 in zip(lats, lons, lats[1:], lons[1:]):
             pairwise += haversine_km(la1, lo1, la2, lo2)
-        trip_km = cell_path(RawTrajectory("t", points), grid).trip_km
+        trip_km = cell_path(traj_of(lats, lons), grid).trip_km
         assert trip_km.hex() == pairwise.hex()
-        if len(points) < 2:
+        if len(latlons) < 2:
             assert trip_km == 0.0
 
     def test_point_outside_box_rejected(self):
         with pytest.raises(ValueError, match="outside bounding box"):
-            cell_path(RawTrajectory("t", [(0.0, 0.5, 0.5), (1.0, 99.0, 0.5)]), GRID)
+            cell_path(traj_of([0.5, 99.0], [0.5, 0.5]), GRID)
 
     def test_idempotent_on_cell_centers(self):
         first = discretize(traj_through([0, 11, 12, 22]), GRID)
