@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import baseline, ingest, predict, update
-from .errors import ColdStartError, CorruptModelError, FormatError
+from .errors import CorruptModelError, FormatError
 from .grid import GridMap, neighbors, unit_grid
 from .model import (TransitionModel, atomic_write, build_sstp, count_start_dest, detour_layers,
                     load_model, random_sstp, save_model, save_sstp, train_initial)
@@ -183,10 +183,10 @@ def cmd_update(args) -> int:
     return 0
 
 
-def _result_json(trip_id, res: predict.PredictionResult, cold: bool) -> str:
+def _result_json(trip_id, res: predict.PredictionResult) -> str:
     return json.dumps({
         "trip_id": trip_id,
-        "cold_start": cold,
+        "cold_start": res.cold_start,
         "future_location": res.future_location,
         "future_no_match": res.future_no_match,
         "future_steps": res.future_steps,
@@ -205,6 +205,7 @@ def cmd_predict(args) -> int:
     args.grid = model.g
     grid, hist_result = _load_trips(args, args.history)
     history, _ = _discretize_all(hist_result, grid)
+    del hist_result     # each path holds its columns only until the histogram reads them
     hist = ingest.build_histogram(history, args.bin_width_km)
     index = predict.HistoryIndex.build(history)
     q_result = ingest.parse_trajectories(args.queries, grid)
@@ -216,24 +217,9 @@ def cmd_predict(args) -> int:
         for traj in q_result.trajectories:
             path = ingest.cell_path(traj, grid)
             q = predict.Query(path.cells, path.trip_km, top_k=args.top)
-            res, cold = _predict_or_fallback(model, q, hist, index, grid, args.alpha,
-                                             args.knn)
-            out.write(_result_json(traj.trip_id, res, cold) + "\n")
+            res = predict.answer(model, q, hist, index, grid, args.alpha, args.knn)
+            out.write(_result_json(traj.trip_id, res) + "\n")
     return 0
-
-
-def _predict_or_fallback(model, q, hist, index, grid, alpha, k, force=False):
-    """(result, cold_start): the prediction, or the fallback ranking from
-    the cell the history walk reached, reported with that walk."""
-    try:
-        return predict.predict_destination(model, q, hist, index, grid, alpha=alpha,
-                                           k=k, force_future_to_current=force), False
-    except ColdStartError as exc:
-        future = exc.future
-        return predict.PredictionResult(
-            ranked=exc.fallback[:q.top_k], future_location=future.cell,
-            predicted_length_km=0.0, estimated_total_km=0.0,
-            future_no_match=future.no_match, future_steps=future.steps), True
 
 
 def _shortest_route_model(model: TransitionModel) -> TransitionModel:
@@ -289,11 +275,10 @@ def cmd_eval(args) -> int:
                     if args.match_ratio_buckets:
                         bucket = "match" if tuple(trip.cells) in train_seqs else "novel"
                     results, base_results, truths = buckets.setdefault(bucket, ([], [], []))
-                    results.append(_predict_or_fallback(model, q, hist, index, grid, a,
-                                                        args.knn)[0])
+                    results.append(predict.answer(model, q, hist, index, grid, a, args.knn))
                     if baseline_model is not None:
-                        base_results.append(_predict_or_fallback(
-                            baseline_model, q, hist, index, grid, a, args.knn, force=True)[0])
+                        base_results.append(predict.answer(baseline_model, q, hist, index, grid, a,
+                                                           args.knn, force_future_to_current=True))
                     truths.append(trip.cells[-1])
                 for bucket in sorted(buckets):
                     results, base_results, truths = buckets[bucket]

@@ -20,10 +20,10 @@ class DegenerateTripError(EdpError, ValueError):
 class ColdStartError(EdpError):
     """No candidate destination survives the query filters.
 
-    Carries a fallback ranking based on forward transition mass alone so
-    callers can still answer, degraded, and the history walk's
-    FutureLocation (cell, steps, no_match) the fallback was ranked from.
-    """
+    Carries a forward-mass fallback ranking and the history walk's
+    FutureLocation (cell, steps, no_match) it was ranked from. Read by
+    predict.answer, which makes it a cold-start answer, and by perfbench
+    and the acceptance tests, which catch it from predict_destination."""
 
     def __init__(self, message: str, fallback: list[tuple[int, float]], future):
         super().__init__(message)

@@ -22,19 +22,18 @@ REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
 
 @dataclass
 class RawTrajectory:
-    """One trip's points as three float columns, `array('d')`, in seq order:
+    """One trip's points as two float columns, `array('d')`, in seq order:
     8 bytes per value and no Python object per point. Columns of different
     lengths raise ValueError."""
 
     trip_id: str
-    times: array
     lats: array
     lons: array
 
     def __post_init__(self):
-        if not len(self.times) == len(self.lats) == len(self.lons):
+        if len(self.lats) != len(self.lons):
             raise ValueError(f"trip {self.trip_id}: columns differ in length "
-                             f"({len(self.times)}, {len(self.lats)}, {len(self.lons)})")
+                             f"({len(self.lats)}, {len(self.lons)})")
 
 
 class CellPath:
@@ -160,22 +159,21 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     """Read a trajectory CSV (trip_id,seq,timestamp,lat,lon).
 
     Points are grouped by trip_id and ordered by seq, a stable order: rows
-    with equal seqs keep their file order. Each trip's timestamps,
-    latitudes and longitudes are kept as three `array('d')` columns, so a
-    point costs 24 bytes and no Python object. Malformed rows, non-finite
-    coordinates included, are counted and skipped; more than 50% malformed
-    raises. When a grid is given, points outside its bounding box are
-    dropped (clipping a trip at the boundary rather than discarding it).
-    Every trip left with a point is kept, a one-point trip included:
-    `discretize` decides which trips can train. The cyclic collector is
-    paused while it runs.
+    with equal seqs keep their file order. Each trip's latitudes and
+    longitudes are kept as two `array('d')` columns, so a point costs 16
+    bytes and no Python object; a timestamp must parse as a float but is
+    not kept. Malformed rows, non-finite coordinates included, are counted
+    and skipped; more than 50% malformed raises. When a grid is given,
+    points outside its bounding box are dropped (clipping a trip at the
+    boundary rather than discarding it). Every trip left with a point is
+    kept, a one-point trip included: `discretize` decides which trips can
+    train. The cyclic collector is paused while it runs.
     """
     rows_total = 0
     malformed = 0
     dropped_points = 0
-    # per trip, its points' seqs and, in the same order, their times,
-    # latitudes and longitudes
-    per_trip: dict[str, tuple[list[int], array, array, array]] = {}
+    # per trip, its points' seqs and, in the same order, latitudes and longitudes
+    per_trip: dict[str, tuple[list[int], array, array]] = {}
     if grid is not None:
         lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
     isfinite = math.isfinite
@@ -184,7 +182,7 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
         rows_total += 1
         try:
             seq = int(seq)
-            ts = float(ts)
+            float(ts)    # not kept, but a row without a valid one is malformed
             lat = float(lat)
             lon = float(lon)
         except (TypeError, ValueError):
@@ -201,12 +199,11 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
             # once per run of them
             cols = per_trip.get(trip)
             if cols is None:
-                cols = per_trip[trip] = ([], array("d"), array("d"), array("d"))
-            seqs, times, lats, lons = cols
-            add_seq, add_ts, add_lat, add_lon = seqs.append, times.append, lats.append, lons.append
+                cols = per_trip[trip] = ([], array("d"), array("d"))
+            seqs, lats, lons = cols
+            add_seq, add_lat, add_lon = seqs.append, lats.append, lons.append
             current = trip
         add_seq(seq)
-        add_ts(ts)
         add_lat(lat)
         add_lon(lon)
     if rows_total and malformed / rows_total > 0.5:

@@ -62,7 +62,8 @@ def predicted_length(e_total: float, d_t: float, alpha: float = 0.004) -> float:
         raise ValueError("estimated total must be positive")
     if d_t <= 0:
         raise ValueError("logarithmic decay undefined at d_t = 0")
-    dp = e_total * math.log(d_t / e_total) / math.log(alpha)
+    ratio = d_t / e_total     # 0.0 when it underflows: then the log's limit, -inf
+    dp = e_total * math.log(ratio) / math.log(alpha) if ratio > 0.0 else math.inf
     return min(max(dp, 0.0), max(e_total - d_t, 0.0))
 
 
@@ -403,6 +404,7 @@ class PredictionResult:
     extrapolated: bool = False
     future_no_match: bool = False
     future_steps: int = 0
+    cold_start: bool = False
 
 
 def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogram,
@@ -416,9 +418,13 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     (TransitionModel.candidates), built once per start cell; p(future -> d)
     is read from totals on every query. Raises ColdStartError, carrying a
     forward-mass fallback ranking from the walked future cell and the walk
-    itself, when that set is empty.
+    itself, when that set is empty. A start or current cell outside the
+    model's grid raises ValueError.
     """
-    s, c = q.cells[0], q.cells[-1]
+    s, c, n = q.cells[0], q.cells[-1], model.n_cells
+    if not (0 <= s < n and 0 <= c < n):
+        name, cell = ("start", s) if not 0 <= s < n else ("current", c)
+        raise ValueError(f"{name} cell {cell} outside 0..{n - 1}")
     est = estimate_total_distance(h, q.d_t)
     if q.d_t > 0 and est.km > 0:
         dp = predicted_length(est.km, min(q.d_t, est.km), alpha)
@@ -439,21 +445,29 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     if not scores or total <= 0.0:
         fallback = [(d, p) for d, p in enumerate(totals[lp].tolist()) if d != s and p > 0.0]
         fb_total = sum(p for _, p in fallback)
-        fallback = sorted(
-            ((d, p / fb_total) for d, p in fallback), key=lambda kv: (-kv[1], kv[0])
-        )
+        fallback = sorted(((d, p / fb_total) for d, p in fallback), key=lambda kv: (-kv[1], kv[0]))
         raise ColdStartError(f"no candidate destinations for start cell {s}", fallback, future)
-    ranked = sorted(((d, p / total) for d, p in scores.items()),
-                    key=lambda kv: (-kv[1], kv[0]))
-    return PredictionResult(
-        ranked=ranked[:q.top_k],
-        future_location=lp,
-        predicted_length_km=dp,
-        estimated_total_km=est.km,
-        extrapolated=est.extrapolated,
-        future_no_match=future.no_match,
-        future_steps=future.steps,
-    )
+    ranked = sorted(((d, p / total) for d, p in scores.items()), key=lambda kv: (-kv[1], kv[0]))
+    return PredictionResult(ranked=ranked[:q.top_k], future_location=lp, predicted_length_km=dp,
+                            estimated_total_km=est.km, extrapolated=est.extrapolated,
+                            future_no_match=future.no_match, future_steps=future.steps)
+
+
+def answer(model: TransitionModel, q: Query, h: TripDistanceHistogram, history: HistoryIndex,
+           grid: GridMap, alpha: float = 0.004, k: int = 10,
+           force_future_to_current: bool = False) -> PredictionResult:
+    """predict_destination's result or, for a start with no candidate, the
+    cold-start answer: the fallback's top_k from the walked future cell, the
+    walk's cell, steps and no-match flag, 0.0 budget and estimate, cold_start set."""
+    try:
+        return predict_destination(model, q, h, history, grid, alpha, k,
+                                   force_future_to_current)
+    except ColdStartError as exc:
+        future = exc.future
+        return PredictionResult(
+            ranked=exc.fallback[:q.top_k], future_location=future.cell,
+            predicted_length_km=0.0, estimated_total_km=0.0,
+            future_no_match=future.no_match, future_steps=future.steps, cold_start=True)
 
 
 @dataclass

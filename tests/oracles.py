@@ -428,7 +428,7 @@ def dictreader_parse(path, grid=None):
                 try:
                     trip = row["trip_id"]
                     seq = int(row["seq"])
-                    ts = float(row["timestamp"])
+                    float(row["timestamp"])
                     lat = float(row["lat"])
                     lon = float(row["lon"])
                     if not trip or not (math.isfinite(lat) and math.isfinite(lon)):
@@ -439,7 +439,7 @@ def dictreader_parse(path, grid=None):
                 if grid is not None and not grid.contains(lat, lon):
                     dropped_points += 1
                     continue
-                per_trip.setdefault(trip, []).append((seq, ts, lat, lon))
+                per_trip.setdefault(trip, []).append((seq, lat, lon))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(str(exc)) from exc
     if rows_total and malformed / rows_total > 0.5:
@@ -447,7 +447,7 @@ def dictreader_parse(path, grid=None):
     trajectories = []
     for trip_id in per_trip:
         pts = sorted(per_trip[trip_id], key=lambda p: p[0])
-        trajectories.append((trip_id, [(ts, lat, lon) for _, ts, lat, lon in pts]))
+        trajectories.append((trip_id, [(lat, lon) for _, lat, lon in pts]))
     return trajectories, malformed, dropped_points
 
 

@@ -1,6 +1,7 @@
 import json
 import shlex
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -609,10 +610,10 @@ class TestPredict:
         still = ingest.parse_trajectories(queries, grid).trajectories[0]
         q = predict.Query([14], ingest.cell_path(still, grid).trip_km)
         assert q.d_t > 0
-        res, cold = cli._predict_or_fallback(
+        res = predict.answer(
             load_model(model_path), q, ingest.build_histogram(history),
             predict.HistoryIndex.build(history), grid, 0.004, 10)
-        assert rows[0] == cli._result_json("still", res, cold)
+        assert rows[0] == cli._result_json("still", res)
 
     def test_one_point_query_answered(self, tmp_path, synthetic_csv):
         """A query trip of one point gets its line: the one-cell query of
@@ -635,10 +636,10 @@ class TestPredict:
 
         history = [ingest.discretize(t, grid)
                    for t in ingest.parse_trajectories(csv_path, grid).trajectories]
-        res, cold = cli._predict_or_fallback(
+        res = predict.answer(
             load_model(model_path), predict.Query([14], 0.0), ingest.build_histogram(history),
             predict.HistoryIndex.build(history), grid, 0.004, 10)
-        assert rows[0] == cli._result_json("lone", res, cold)
+        assert rows[0] == cli._result_json("lone", res)
 
     def test_cold_start_lines_report_the_walk(self, tmp_path):
         """A cold-start line reports the cell, steps and no-match flag of
@@ -721,6 +722,29 @@ class TestPredict:
         assert main([*argv, "--out", str(outs[0])]) == 0
         assert main([*argv, "--grid", "6", "--out", str(outs[1])]) == 0
         assert outs[0].read_text() == outs[1].read_text() != ""
+
+    def test_history_parse_freed_before_index_build(self, tmp_path, synthetic_csv,
+                                                     monkeypatch):
+        """The history's parse result is gone by the time the history
+        index is built, so it is not held through the build and the
+        query loop."""
+        argv = self.predict_argv(tmp_path, synthetic_csv)
+        parses, alive_at_build = [], []
+        parse, build = ingest.parse_trajectories, predict.HistoryIndex.build
+
+        def parse_recorded(*a, **kw):
+            result = parse(*a, **kw)
+            parses.append(weakref.ref(result))
+            return result
+
+        def build_checked(paths, *a, **kw):
+            alive_at_build.append(parses[0]() is not None)
+            return build(paths, *a, **kw)
+
+        monkeypatch.setattr(ingest, "parse_trajectories", parse_recorded)
+        monkeypatch.setattr(predict.HistoryIndex, "build", build_checked)
+        assert main([*argv, "--out", str(tmp_path / "res.jsonl")]) == 0
+        assert len(parses) == 2 and alive_at_build == [False]
 
     def test_record_outside_grid_exits_3(self, tmp_path, synthetic_csv, capsys):
         argv = self.predict_argv(tmp_path, synthetic_csv)

@@ -33,19 +33,17 @@ def point_in_cell(cell, grid=GRID):
 
 
 def as_points(traj):
-    """A parsed trajectory's (ts, lat, lon) tuples; its three columns must
-    be float arrays of one length."""
-    cols = (traj.times, traj.lats, traj.lons)
+    """A parsed trajectory's (lat, lon) tuples; its two columns must be
+    float arrays of one length."""
+    cols = (traj.lats, traj.lons)
     assert all(type(c) is array and c.typecode == "d" for c in cols)
     assert len({len(c) for c in cols}) == 1
     return list(zip(*cols))
 
 
 def traj_of(lats, lons, trip_id="t"):
-    """A trajectory from its latitude and longitude columns, one minute
-    between points."""
-    return RawTrajectory(trip_id, array("d", [60.0 * i for i in range(len(lats))]),
-                         array("d", lats), array("d", lons))
+    """A trajectory from its latitude and longitude columns."""
+    return RawTrajectory(trip_id, array("d", lats), array("d", lons))
 
 
 class TestParse:
@@ -76,9 +74,8 @@ class TestParse:
             f"a,1,200,{point_in_cell(1)}",
         ])
         res = parse_trajectories(f, GRID)
-        traj = res.trajectories[0]
-        assert traj.times == array("d", [100.0, 200.0, 300.0])
-        assert list(traj.lons) == [float(point_in_cell(c).split(",")[1]) for c in (0, 1, 2)]
+        assert as_points(res.trajectories[0]) == [
+            tuple(map(float, point_in_cell(c).split(","))) for c in (0, 1, 2)]
 
     def test_malformed_rows_counted(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -98,6 +95,18 @@ class TestParse:
         res = parse_trajectories(f)
         assert res.malformed_rows == 1
         assert len(res.trajectories[0].lats) == 2
+
+    @pytest.mark.parametrize("bad", ["", "noon", "0x10"])
+    def test_unparseable_timestamp_malformed(self, tmp_path, bad):
+        """The timestamp is not kept, but a row whose timestamp does not
+        parse as a float is malformed."""
+        f = tmp_path / "t.csv"
+        write_csv(f, [f"a,0,100,{point_in_cell(0)}", f"a,1,{bad},{point_in_cell(2)}",
+                      f"a,2,160,{point_in_cell(1)}"])
+        res = parse_trajectories(f, GRID)
+        assert res.malformed_rows == 1
+        assert as_points(res.trajectories[0]) == [
+            tuple(map(float, point_in_cell(c).split(","))) for c in (0, 1)]
 
     def test_mostly_malformed_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -190,9 +199,9 @@ class TestParseColumns:
         assert sum(len(t.lats) for t in res.trajectories) == trips * per_trip
         assert retained / (trips * per_trip) <= 64
 
-    @pytest.mark.parametrize("short", ["times", "lats", "lons"])
+    @pytest.mark.parametrize("short", ["lats", "lons"])
     def test_columns_of_different_lengths_rejected(self, short):
-        cols = {name: array("d", [0.5, 0.6]) for name in ("times", "lats", "lons")}
+        cols = {name: array("d", [0.5, 0.6]) for name in ("lats", "lons")}
         cols[short] = cols[short][:1]
         with pytest.raises(ValueError, match="columns differ in length"):
             RawTrajectory("t", **cols)
@@ -213,7 +222,7 @@ class TestParseProperties:
             res = parse_trajectories(f, grid)
         got = ([(t.trip_id, as_points(t)) for t in res.trajectories], res.malformed_rows,
                res.dropped_points)
-        # repr, so that a nan timestamp compares equal to itself
+        # repr, so that -0.0 and 0.0 differ
         assert repr(got) == repr(expected)
 
 

@@ -20,7 +20,7 @@ from edp.ingest import (CellPath, TripDistanceHistogram, build_histogram, genera
                         synthetic_grid)
 from edp.model import build_sstp, count_start_dest, train_initial
 from edp.update import ChangeSet, apply_update
-from edp.predict import (HistoryIndex, PredictionResult, Query,
+from edp.predict import (FutureLocation, HistoryIndex, PredictionResult, Query, answer,
                          deviation_metrics, estimate_total_distance,
                          infer_future_location, predict_destination, predicted_length)
 
@@ -126,6 +126,13 @@ class TestPredictedLength:
             predicted_length(0.0, 1.0, 0.004)
         with pytest.raises(ValueError):
             predicted_length(10.0, 5.0, 1.5)
+
+    @pytest.mark.parametrize("d_t, e_total", [(5e-324, 10.0), (1e-300, 1e30)])
+    def test_ratio_underflow_takes_the_limit(self, d_t, e_total):
+        """A traveled distance so small next to the estimate that their
+        ratio underflows to 0.0 gets the limit, all that is left, where
+        the log of 0.0 used to raise a bare math domain error."""
+        assert predicted_length(e_total, d_t, 0.004) == e_total - d_t
 
     def test_decreasing_in_alpha(self):
         smaller = predicted_length(100.0, 10.0, 0.0001)
@@ -633,6 +640,73 @@ class TestPredictDestination:
             Query([0], math.inf)
         with pytest.raises(ValueError):
             Query([0], 0.0, top_k=0)
+
+    @pytest.mark.parametrize("cells, named", [
+        ([5, -1], "current cell -1"), ([36], "start cell 36"),
+        ([-1, 5], "start cell -1"), ([5, 7, 36], "current cell 36")])
+    def test_cell_outside_grid_rejected(self, cells, named):
+        """A start or current cell outside 0..n_cells-1 raises naming it,
+        where a negative one used to read another cell's row, and caches
+        no candidate table."""
+        *_, model, hist, index = tiny_world(g=6, n_trips=150, seed=2)
+        with pytest.raises(ValueError, match=named):
+            predict_destination(model, Query(cells, 1.0), hist, index, unit_grid(6))
+        assert model._candidates == {}
+
+
+def result_fields(res: PredictionResult):
+    """Every field of a result, floats as their hex strings."""
+    return (bitwise(res.ranked), res.future_location, res.predicted_length_km.hex(),
+            res.estimated_total_km.hex(), res.extrapolated, res.future_no_match,
+            res.future_steps, res.cold_start)
+
+
+class TestAnswer:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 6), st.integers(5, 120), st.integers(0, 2**16),
+           st.sampled_from([0.0, 0.3]), st.sampled_from([0, 2, 4]), st.booleans(),
+           st.integers(1, 6), st.floats(0.0, 12.0),
+           st.lists(st.tuples(st.lists(st.integers(0, 35), min_size=1, max_size=4),
+                              st.floats(0.0, 12.0)), max_size=6),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 12.0)), max_size=10))
+    def test_warm_equals_predict_cold_equals_fallback(self, g, n_trips, seed, detour_rate,
+                                                      max_detour, force, top_k, d_t, drawn,
+                                                      cuts):
+        """On small worlds, a query whose start has candidates gets
+        predict_destination's result, bit for bit, with cold_start unset;
+        any other gets the oracle's fallback from the walked cell, cut to
+        top_k, with the walk's cell, steps and no-match flag, a budget and
+        estimate of 0.0, and cold_start set. Every cell is asked as a start."""
+        paths, _ = generate_synthetic(g, n_trips, seed, detour_rate)
+        grid, n = synthetic_grid(g), g * g
+        model = train_initial(build_sstp(paths, g), count_start_dest(paths), max_detour)
+        hist, index = build_histogram(paths, 1.0), HistoryIndex.build(paths)
+        queries = [Query([s], d_t, top_k) for s in range(n)]
+        queries += [Query([c % n for c in cells], km, top_k) for cells, km in drawn]
+        for i, (f, km) in enumerate(cuts):
+            trip = paths[i % len(paths)].cells
+            queries.append(Query(trip[:max(1, math.ceil(len(trip) * f))], km, top_k))
+        for q in queries:
+            got = answer(model, q, hist, index, grid, force_future_to_current=force)
+            try:
+                res = predict_destination(model, q, hist, index, grid,
+                                          force_future_to_current=force)
+            except ColdStartError:
+                res = None
+            if res is not None:
+                assert not got.cold_start
+                assert result_fields(got) == result_fields(res)
+                continue
+            est = estimate_total_distance(hist, q.d_t)
+            dp = predicted_length(est.km, min(q.d_t, est.km)) if q.d_t > 0 and est.km > 0 \
+                else 0.0
+            future = (FutureLocation(q.cells[-1], 0, False) if force else
+                      infer_future_location(q.cells, dp, index, step_km=grid.mean_pitch_km))
+            ranked, fallback = oracles.score_destinations(model, q.cells[0], future.cell)
+            assert ranked is None
+            assert result_fields(got) == result_fields(PredictionResult(
+                fallback[:top_k], future.cell, 0.0, 0.0, future_no_match=future.no_match,
+                future_steps=future.steps, cold_start=True))
 
 
 class TestDeviationMetrics:
