@@ -167,14 +167,13 @@ def cmd_train(args) -> int:
 
 def cmd_update(args) -> int:
     model = load_model(args.model)
-    single_step = model.single_step()
     try:
-        single_step.validate()
+        model.single_step().validate()
     except ValueError as exc:
         raise CorruptModelError(f"{args.model}: single-step entries: {exc}") from None
     cs = update.load_changeset(args.changes, model.g)
     # the loaded model is refreshed in place and saved, so one model is held
-    stats = update.refresh_in_place(model, single_step, cs, mode=args.mode)
+    stats = update.refresh_in_place(model, cs, mode=args.mode)
     save_model(model, args.out or args.model)
     print(f"mode={stats.mode} epoch={stats.epoch} "
           f"entries_recomputed={stats.entries_recomputed} "
@@ -296,19 +295,18 @@ def _refresh_ms(model, sstp, cells) -> float:
     """The fastest of BENCH_REPEATS exact in-place refreshes that give
     `cells` uniform rows, each of a copy made outside the timed region and
     checked bitwise against retraining."""
-    rows = {}
+    rows, live = {}, sstp.copy()
     for cell in cells:
         nbrs = neighbors(cell, sstp.g)
         rows[cell] = {b: 1.0 / len(nbrs) for b in nbrs}
+        live.replace_row(cell, rows[cell])
     change = update.ChangeSet(model.epoch + 1, rows)
-    best, reference = math.inf, None
+    best, reference = math.inf, train_initial(live, None, model.max_detour)
     for _ in range(BENCH_REPEATS):
-        live, refreshed = sstp.copy(), model.copy()
+        refreshed = model.copy()
         t0 = time.perf_counter()
-        update.refresh_in_place(refreshed, live, change)
+        update.refresh_in_place(refreshed, change)
         best = min(best, time.perf_counter() - t0)
-        if reference is None:
-            reference = train_initial(live, None, model.max_detour)
         if not (np.array_equal(refreshed.layers, reference.layers)
                 and np.array_equal(refreshed.totals, reference.totals)):
             raise RuntimeError(f"refresh of cells {cells} differs from retraining at g={sstp.g}")

@@ -506,6 +506,8 @@ def _read_checksummed(path, magic: bytes, header_fmt: str, layout):
 
 
 def _model_layout(g, max_detour, n_layers, epoch, n_records):
+    if g < 2:
+        raise ValueError(f"grid side must be >= 2, got {g}")
     if max_detour % 2 or n_layers != detour_layers(max_detour):
         raise ValueError(f"{n_layers} layers do not fit max_detour={max_detour}")
     n = g * g
@@ -513,6 +515,8 @@ def _model_layout(g, max_detour, n_layers, epoch, n_records):
 
 
 def _sstp_layout(g, has_counts):
+    if g < 2:
+        raise ValueError(f"grid side must be >= 2, got {g}")
     if has_counts:
         raise ValueError(f"has-counts flag is {has_counts}, not 0")
     return ("<f8", (g, g, 4)), ("<u1", (g * g,))

@@ -419,7 +419,8 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     is read from totals on every query. Raises ColdStartError, carrying a
     forward-mass fallback ranking from the walked future cell and the walk
     itself, when that set is empty. A start or current cell outside the
-    model's grid raises ValueError.
+    model's grid raises ValueError, and so does a walked future cell (a
+    history path may hold cells that the model's grid does not).
     """
     s, c, n = q.cells[0], q.cells[-1], model.n_cells
     if not (0 <= s < n and 0 <= c < n):
@@ -435,6 +436,8 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     else:
         future = infer_future_location(q.cells, dp, history, k, step_km=grid.mean_pitch_km)
     lp = future.cell
+    if not 0 <= lp < n:
+        raise ValueError(f"future cell {lp} outside 0..{n - 1}")
 
     totals = model.totals
     scores: dict[int, float] = {}

@@ -15,11 +15,11 @@ entry below it already holds its retrained value bit for bit, so the
 result equals full retraining bitwise. Totals are added again only at the
 refreshed pairs, in training's order.
 
-`refresh_in_place` is the one refresh: it validates its inputs, then
-writes into the model's own layers and totals, so its cost follows the
-entries it recomputes. `edp update` uses it on the model it loaded.
-`apply_update` runs it on a copy and leaves the caller's model as it was,
-for callers that swap snapshots.
+`refresh_in_place(model, cs)` is the one refresh: it reads the model's
+own single-step matrix, then writes into its layers and totals, so its
+cost follows the entries it recomputes. `edp update` uses it on the model
+it loaded. `apply_update` runs it on a copy for callers that swap
+snapshots, and checks and updates the matrix they keep beside the model.
 
 Two modes are provided. `exact` refreshes every entry a change can move.
 `paper` anchors each origin at its nearest changed cell and grows the
@@ -249,42 +249,32 @@ def _affected_mask_paper(changed_cells: list[int], max_detour: int, g: int) -> n
     return mask
 
 
-def refresh_in_place(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
-                     mode: str = "exact") -> UpdateStats:
+def refresh_in_place(model: TransitionModel, cs: ChangeSet, mode: str = "exact") -> UpdateStats:
     """Refresh the model's own layers and totals after the change set's
     rows replace the old ones, and advance its epoch.
 
-    sstp must equal `model.single_step()` outside the changed cells, and
-    the layers and totals must pass model.check_in_place, or ValueError is
-    raised before anything changes. sstp is mutated to carry the new rows.
-    The model's candidate tables are cleared, since they cache totals.
+    The layers and totals must pass model.check_in_place, or ValueError is
+    raised before anything changes. The candidate tables are cleared,
+    since they cache totals.
     """
     if mode not in ("paper", "exact"):
         raise ValueError(f"unknown update mode {mode!r}")
-    if model.g != sstp.g:
-        raise ValueError(f"model g={model.g} does not match matrix g={sstp.g}")
     cs.validate(model.g)
     if cs.epoch <= model.epoch:
         raise ValueError(f"epoch {cs.epoch} does not advance model epoch {model.epoch}")
-    differ = np.any(sstp.probs != model.single_step().probs, axis=2).ravel()
-    differ[list(cs.changed)] = False
-    if differ.any():
-        raise ValueError(f"single-step rows of cells {np.flatnonzero(differ)[:5].tolist()} "
-                         "differ from the model's, outside the change set")
     check_in_place(model.layers, "layers")
     check_in_place(model.totals, "totals")
     t0 = time.perf_counter()
+    sstp = model.single_step()
     for cell, row in cs.changed.items():
         sstp.replace_row(cell, row)
     n_layers, n = model.n_layers, model.n_cells
     changed = sorted(cs.changed)
     first = _first_affected_layer(sstp, changed, n_layers)
-    mask = first < n_layers
-    pairs = np.flatnonzero(mask)
+    pairs = np.flatnonzero(first < n_layers)
     levels = first.reshape(-1)[pairs]
     if mode == "paper":
-        mask &= _affected_mask_paper(changed, model.max_detour, model.g)
-        in_region = mask.reshape(-1)[pairs]
+        in_region = _affected_mask_paper(changed, model.max_detour, model.g).reshape(-1)[pairs]
         rows = model.layers.reshape(n_layers, -1)
         stale = pairs[~in_region]
         stored = rows[:, stale]
@@ -301,10 +291,12 @@ def refresh_in_place(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
         sum_layers(model.layers, out=totals)
     model.epoch = cs.epoch
     model._candidates.clear()
+    # pairs ascend, so origin o's are pairs[bounds[o]:bounds[o + 1]]
+    bounds = np.searchsorted(pairs, np.arange(n + 1) * n)
     return UpdateStats(
         mode=mode,
         epoch=cs.epoch,
-        origins_recomputed=int(mask.any(axis=1).sum()),
+        origins_recomputed=int(np.count_nonzero(np.diff(bounds))),
         entries_recomputed=int(n_layers * pairs.size - levels.sum()),
         entries_full=n * n * n_layers,
         wall_ms=(time.perf_counter() - t0) * 1e3,
@@ -313,14 +305,23 @@ def refresh_in_place(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
 
 def apply_update(model: TransitionModel, sstp: SSTPMatrix, cs: ChangeSet,
                  mode: str = "exact") -> tuple[TransitionModel, UpdateStats]:
-    """refresh_in_place on a copy of the model: the caller's model stays
-    untouched for snapshot swapping, and the copy is returned with what
-    the refresh did. The copy shares the trip counts, which a refresh
-    never changes. Validation and the mutation of sstp are
-    refresh_in_place's; wall_ms includes the copy.
+    """refresh_in_place on a copy of the model, returned with what the
+    refresh did, for callers that keep a single-step matrix beside their
+    snapshots. sstp must equal `model.single_step()` outside the changed
+    cells, or ValueError is raised before the model or sstp changes; the
+    change set's rows are then written into it. wall_ms includes the copy.
     """
     t0 = time.perf_counter()
+    if model.g != sstp.g:
+        raise ValueError(f"model g={model.g} does not match matrix g={sstp.g}")
+    differ = np.flatnonzero(np.any(sstp.probs != model.single_step().probs, axis=2))
+    stale = [cell for cell in differ.tolist() if cell not in cs.changed]
+    if stale:
+        raise ValueError(f"single-step rows of cells {stale[:5]} "
+                         "differ from the model's, outside the change set")
     out = model.copy()
-    stats = refresh_in_place(out, sstp, cs, mode)
+    stats = refresh_in_place(out, cs, mode)
+    for cell, row in cs.changed.items():
+        sstp.replace_row(cell, row)
     stats.wall_ms = (time.perf_counter() - t0) * 1e3
     return out, stats

@@ -428,6 +428,22 @@ class TestUpdate:
         assert model_path.read_bytes() == before
         assert not (tmp_path / "out.edp").exists()
 
+    def test_grid_side_below_2_exits_3(self, tmp_path, synthetic_csv, capsys):
+        """A g=0 model under a valid checksum is refused as corrupt by
+        `edp update` and `edp predict`, before any cell id is checked."""
+        csv_path, _ = synthetic_csv
+        model_path = tmp_path / "g0.edp"
+        save_model(model_module.TransitionModel(
+            g=0, max_detour=0, layers=np.ones((1, 0, 0)), totals=np.ones((0, 0)),
+            start_counts={}, start_totals={}), model_path)
+        changes = self.write_changes(tmp_path, cell=8)
+        capsys.readouterr()
+        assert main(["update", "--model", str(model_path), "--changes", str(changes)]) == 3
+        assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                     "--queries", str(csv_path), "--unit-grid"]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"{model_path}: grid side must be >= 2, got 0") == 2
+
     # `edp update` refreshes from the single-step rows the model stores, never
     # from the `<model>.sstp` sidecar that `edp train` wrote beside it
 

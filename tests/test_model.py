@@ -317,6 +317,20 @@ class TestPersistence:
         with pytest.raises(CorruptModelError):
             load_model(f)
 
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_grid_side_below_2_is_corrupt(self, tmp_path, g):
+        """No writer makes a model or sidecar for a grid under 2 x 2; one
+        under a valid checksum is refused on load, as the CLI's grid is."""
+        n = g * g
+        model = TransitionModel(g=g, max_detour=0, layers=np.ones((1, n, n)),
+                                totals=np.ones((n, n)), start_counts={}, start_totals={})
+        save_model(model, tmp_path / "m.edp")
+        save_sstp(SSTPMatrix(g=g, probs=np.zeros((g, g, 4))), tmp_path / "m.sstp")
+        with pytest.raises(CorruptModelError, match=f"grid side must be >= 2, got {g}"):
+            load_model(tmp_path / "m.edp")
+        with pytest.raises(CorruptModelError, match=f"grid side must be >= 2, got {g}"):
+            load_sstp(tmp_path / "m.sstp")
+
     def test_sstp_has_counts_flag_other_than_0(self, tmp_path):
         f = tmp_path / "m.sstp"
         save_sstp(build_sstp([path([0, 1, 2, 6])], 4), f)

@@ -653,6 +653,15 @@ class TestPredictDestination:
             predict_destination(model, Query(cells, 1.0), hist, index, unit_grid(6))
         assert model._candidates == {}
 
+    @pytest.mark.parametrize("ask", [predict_destination, answer])
+    def test_walked_future_cell_outside_grid_rejected(self, ask):
+        """A history path may hold cells the model's grid does not: the
+        walk's future cell is refused naming it, not read out of bounds."""
+        *_, model, hist, _ = tiny_world(g=6, n_trips=150, seed=2)
+        index = HistoryIndex.build([CellPath("x", [0, 1, 50, 51], 3.0)] * 5)
+        with pytest.raises(ValueError, match="future cell 50 outside 0..35"):
+            ask(model, Query([0, 1], 1.0), hist, index, unit_grid(6))
+
 
 def result_fields(res: PredictionResult):
     """Every field of a result, floats as their hex strings."""

@@ -272,7 +272,7 @@ class TestRefreshInPlace:
         snapshot, snapshot_stats = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode)
         assert np.array_equal(model.layers, train_initial(sstp, None, detour).layers)
         target = model.copy()
-        stats = refresh_in_place(target, sstp.copy(), ChangeSet(1, rows), mode)
+        stats = refresh_in_place(target, ChangeSet(1, rows), mode)
         assert np.array_equal(target.layers, snapshot.layers)
         assert np.array_equal(target.totals, snapshot.totals)
         assert target.epoch == snapshot.epoch == 1
@@ -298,7 +298,7 @@ class TestRefreshInPlace:
         sstp = random_sstp(g, 3)
         model = train_initial(sstp, ({0: {12: 2, 24: 1}}, {0: 3}), 4)
         before = model.candidates(0)
-        refresh_in_place(model, sstp.copy(), ChangeSet(1, skewed_rows([6], g, 2)))
+        refresh_in_place(model, ChangeSet(1, skewed_rows([6], g, 2)))
         after = model.candidates(0)
         assert after != before
         assert after == tuple((d, p, model.totals.item(0, d)) for d, p, _ in before)
@@ -310,7 +310,7 @@ class TestRefreshInPlace:
         loaded = load_model(tmp_path / "m.edp")
         layers = loaded.layers
         rows = skewed_rows([0, 20], g, 6)
-        refresh_in_place(loaded, sstp.copy(), ChangeSet(1, rows))
+        refresh_in_place(loaded, ChangeSet(1, rows))
         assert loaded.layers is layers
         reference = retrain_reference(sstp, rows, 4)
         assert np.array_equal(loaded.layers, reference.layers)
@@ -335,12 +335,38 @@ class TestRefreshInPlace:
             layers = np.repeat(layers, 2, axis=2)[:, :, ::2]
         model = TransitionModel(g=g, max_detour=2, layers=layers, totals=trained.totals.copy(),
                                 start_counts={}, start_totals={})
-        live = sstp.copy()
         with pytest.raises(ValueError, match=f"layers must be {message}"):
-            refresh_in_place(model, live, ChangeSet(1, uniform_rows([5], g)))
-        assert np.array_equal(live.probs, sstp.probs)
+            refresh_in_place(model, ChangeSet(1, uniform_rows([5], g)))
         assert np.array_equal(model.layers, trained.layers)
         assert model.epoch == 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_chain_reads_the_matrix_from_the_model(self, data):
+        """A chain of refreshes through refresh_in_place alone carries the
+        training matrix with each change set's rows written in, bit for
+        bit; in exact mode the model is that matrix's retraining."""
+        g = data.draw(st.integers(2, 11))
+        detour = 2 * data.draw(st.integers(0, 4))
+        mode = data.draw(st.sampled_from(["exact", "paper"]))
+        seed = data.draw(st.integers(0, 2**16))
+        sstp = (data.draw(strategies.sparse_sstp(g)) if data.draw(st.booleans())
+                else random_sstp(g, seed))
+        model = train_initial(sstp, None, detour)
+        expected = sstp.copy()
+        for epoch in range(1, data.draw(st.integers(1, 3)) + 1):
+            cells = data.draw(st.lists(st.integers(0, g * g - 1), min_size=1, max_size=4,
+                                       unique=True))
+            make_rows = sparse_rows if data.draw(st.booleans()) else skewed_rows
+            rows = make_rows(cells, g, seed + epoch)
+            for cell, row in rows.items():
+                expected.replace_row(cell, row)
+            refresh_in_place(model, ChangeSet(epoch, rows), mode)
+            assert np.array_equal(model.single_step().probs, expected.probs)
+        if mode == "exact":
+            reference = train_initial(expected, None, detour)
+            assert np.array_equal(model.layers, reference.layers)
+            assert np.array_equal(model.totals, reference.totals)
 
 
 class TestSingleStep:
