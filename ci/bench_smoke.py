@@ -9,11 +9,14 @@ name, so each workload named in BENCHMARK.json runs twice,
     python perfbench/run.py --workload NAME --seed 1 --seconds 1 --trace T
 
 for T = 0 and 1, each in a child process, and the last stdout line of
-each, the JSON result, must read "correct": true and "failed": 0. After
-each run's pass/fail line come that run's end-to-end metrics (name,
-value, unit), read from the record it writes under .bench_out/, so each
-CI log keeps a coarse record of them; they do not change the verdict.
-Run from anywhere in the checkout:
+each, the JSON result, must read "correct": true and "failed": 0. A
+traced run must also read above 0 on each per-layer metric in
+ANSWER_SPANS, from the record it writes under .bench_out/: a 0 means the
+answer path no longer enters a function that perfbench wraps by name,
+and its per-layer query numbers would measure nothing. After each run's
+pass/fail line come that run's end-to-end metrics (name, value, unit),
+read from the same record, so each CI log keeps a coarse record of them;
+they do not change the verdict. Run from anywhere in the checkout:
 
     python ci/bench_smoke.py
 """
@@ -27,6 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 SEED = 1
+# per query: the spans of the two helpers predict_destination calls, and
+# the count of HistoryIndex.continuation calls
+ANSWER_SPANS = ("predict.estimate_s", "predict.future_s", "predict.continuation_calls")
 
 
 def run_workload(name: str, trace: int, metrics: list[str]) -> bool:
@@ -43,16 +49,38 @@ def run_workload(name: str, trace: int, metrics: list[str]) -> bool:
           f"failed {result.get('failed')}")
     if not ok:
         print(run.stdout[-4000:], run.stderr[-4000:], sep="\n")
-    print_end_to_end(ROOT / ".bench_out" / f"{name}-seed{SEED}-trace{trace}.json", metrics)
+    record = read_record(ROOT / ".bench_out" / f"{name}-seed{SEED}-trace{trace}.json")
+    if trace:
+        ok = answer_spans_entered(record) and ok
+    print_end_to_end(record, metrics)
     return ok
 
 
-def print_end_to_end(record: Path, metrics: list[str]) -> None:
-    """One line per end-to-end metric of the run's record, in spec order."""
+def read_record(path: Path) -> dict:
+    """The run's .bench_out/ record, or {} when it is missing or unreadable."""
     try:
-        found = json.loads(record.read_text())["end_to_end"]
-    except (OSError, ValueError, KeyError):
-        print(f"  no end-to-end metrics in {record.name}")
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return {}
+
+
+def answer_spans_entered(record: dict) -> bool:
+    """Whether each of ANSWER_SPANS reads above 0; prints each that does not."""
+    layers = record.get("per_layer", {})
+    entered = True
+    for metric in ANSWER_SPANS:
+        value = layers.get(metric, {}).get("value", 0)
+        if not value > 0:
+            print(f"  per-layer {metric} reads {value}: the answer path skips its span")
+            entered = False
+    return entered
+
+
+def print_end_to_end(record: dict, metrics: list[str]) -> None:
+    """One line per end-to-end metric of the run's record, in spec order."""
+    found = record.get("end_to_end")
+    if not found:
+        print("  no end-to-end metrics in the run's record")
         return
     for metric in metrics:
         if metric in found:

@@ -111,6 +111,7 @@ def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:
     return grid, ingest.parse_trajectories(path, grid)
 
 
+@ingest.collector_paused()
 def _discretize_all(result: ingest.ParseResult, grid: GridMap):
     paths, degenerate = [], 0
     for traj in result.trajectories:

@@ -7,7 +7,7 @@ hops; the only legal single step is to one of the 4 orthogonal neighbors.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -154,11 +154,17 @@ def step_mask(g: int) -> np.ndarray:
     return (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
 
 
+@lru_cache(maxsize=8)
 def step_pairs(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, direction) of every in-grid single step, by source, then direction."""
+    """(src, dst, direction) of every in-grid single step, by source, then direction.
+
+    Made once per g and shared by every caller, so the arrays are read-only."""
     src, direction = np.nonzero(step_mask(g).reshape(g * g, 4))
     dr, dc = np.array(DIRECTIONS).T
-    return src, src + dr[direction] * g + dc[direction], direction
+    pairs = src, src + dr[direction] * g + dc[direction], direction
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def check_row(cell: int, row: dict[int, float], g: int) -> None:

@@ -48,9 +48,10 @@ def estimate_total_distance(h: TripDistanceHistogram, d_t: float) -> DistanceEst
         raise ValueError("empty histogram")
     first = bisect_right(h.upper_edges, d_t)
     mass = h.suffix_mass[first]
+    # tuple.__new__ skips the NamedTuple's Python-level __new__: one frame per query
     if mass == 0:
-        return DistanceEstimate(d_t, True)
-    return DistanceEstimate(h.suffix_num[first] / mass, False)
+        return tuple.__new__(DistanceEstimate, (d_t, True))
+    return tuple.__new__(DistanceEstimate, (h.suffix_num[first] / mass, False))
 
 
 def predicted_length(e_total: float, d_t: float, alpha: float = 0.004) -> float:
@@ -64,7 +65,14 @@ def predicted_length(e_total: float, d_t: float, alpha: float = 0.004) -> float:
         raise ValueError("logarithmic decay undefined at d_t = 0")
     ratio = d_t / e_total     # 0.0 when it underflows: then the log's limit, -inf
     dp = e_total * math.log(ratio) / math.log(alpha) if ratio > 0.0 else math.inf
-    return min(max(dp, 0.0), max(e_total - d_t, 0.0))
+    # min(max(dp, 0.0), max(left, 0.0)) as conditionals that pick the same
+    # operand, since the builtins' calls cost more than the decay itself
+    dp = 0.0 if 0.0 > dp else dp
+    left = e_total - d_t
+    left = 0.0 if 0.0 > left else left
+    # + 0.0 turns the -0.0 of a spent budget (log(1) / log(alpha)) into 0.0
+    # and leaves every other value's bits alone
+    return (left if left < dp else dp) + 0.0
 
 
 class FutureLocation(NamedTuple):
@@ -366,8 +374,8 @@ def infer_future_location(partial: list[int], dp_km: float, history: HistoryInde
     cell, spent, steps = partial[-1], 0.0, 0
     if dp_km > 0.0:
         hop = history.continuation(partial, k)
-        if hop is None:
-            return FutureLocation(cell, 0, True)
+        if hop is None:     # tuple.__new__ as in estimate_total_distance
+            return tuple.__new__(FutureLocation, (cell, 0, True))
         vote, gram = hop
         votes, nexts = history._hops[k]
         while gram and spent < dp_km:
@@ -375,7 +383,7 @@ def infer_future_location(partial: list[int], dp_km: float, history: HistoryInde
             steps += 1
             spent += step_km
             vote, gram = votes[gram], nexts[gram]
-    return FutureLocation(cell, steps, False)
+    return tuple.__new__(FutureLocation, (cell, steps, False))
 
 
 @dataclass
@@ -407,6 +415,12 @@ class PredictionResult:
     cold_start: bool = False
 
 
+def _rank_key(kv: tuple[int, float]) -> tuple[float, int]:
+    """Sort key of a (cell, probability) ranking: most probable first, ties
+    to the smaller cell."""
+    return -kv[1], kv[0]
+
+
 def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogram,
                         history: HistoryIndex, grid: GridMap, alpha: float = 0.004,
                         k: int = 10, force_future_to_current: bool = False) -> PredictionResult:
@@ -422,20 +436,21 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     model's grid raises ValueError, and so does a walked future cell (a
     history path may hold cells that the model's grid does not).
     """
-    s, c, n = q.cells[0], q.cells[-1], model.n_cells
+    cells, d_t = q.cells, q.d_t
+    s, c, n = cells[0], cells[-1], model.n_cells
     if not (0 <= s < n and 0 <= c < n):
         name, cell = ("start", s) if not 0 <= s < n else ("current", c)
         raise ValueError(f"{name} cell {cell} outside 0..{n - 1}")
-    est = estimate_total_distance(h, q.d_t)
-    if q.d_t > 0 and est.km > 0:
-        dp = predicted_length(est.km, min(q.d_t, est.km), alpha)
+    km, extrapolated = estimate_total_distance(h, d_t)
+    if d_t > 0 and km > 0:
+        dp = predicted_length(km, km if km < d_t else d_t, alpha)   # min(d_t, km)
     else:
         dp = 0.0
     if force_future_to_current:
-        future = FutureLocation(c, 0, False)
+        lp, steps, no_match = c, 0, False
     else:
-        future = infer_future_location(q.cells, dp, history, k, step_km=grid.mean_pitch_km)
-    lp = future.cell
+        lp, steps, no_match = infer_future_location(cells, dp, history, k,
+                                                    step_km=grid.mean_pitch_km)
     if not 0 <= lp < n:
         raise ValueError(f"future cell {lp} outside 0..{n - 1}")
 
@@ -448,12 +463,12 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     if not scores or total <= 0.0:
         fallback = [(d, p) for d, p in enumerate(totals[lp].tolist()) if d != s and p > 0.0]
         fb_total = sum(p for _, p in fallback)
-        fallback = sorted(((d, p / fb_total) for d, p in fallback), key=lambda kv: (-kv[1], kv[0]))
-        raise ColdStartError(f"no candidate destinations for start cell {s}", fallback, future)
-    ranked = sorted(((d, p / total) for d, p in scores.items()), key=lambda kv: (-kv[1], kv[0]))
-    return PredictionResult(ranked=ranked[:q.top_k], future_location=lp, predicted_length_km=dp,
-                            estimated_total_km=est.km, extrapolated=est.extrapolated,
-                            future_no_match=future.no_match, future_steps=future.steps)
+        fallback = sorted([(d, p / fb_total) for d, p in fallback], key=_rank_key)
+        raise ColdStartError(f"no candidate destinations for start cell {s}", fallback,
+                             FutureLocation(lp, steps, no_match))
+    ranked = sorted([(d, p / total) for d, p in scores.items()], key=_rank_key)
+    # positional, in PredictionResult's field order; cold_start keeps its default
+    return PredictionResult(ranked[:q.top_k], lp, dp, km, extrapolated, no_match, steps)
 
 
 def answer(model: TransitionModel, q: Query, h: TripDistanceHistogram, history: HistoryIndex,

@@ -1,3 +1,4 @@
+import gc
 import json
 import shlex
 import struct
@@ -322,6 +323,34 @@ class TestParseOnce:
                      "--queries", str(csv_path), "--grid", "6", *grid_flags,
                      "--out", str(tmp_path / "res.jsonl")]) == 0
         assert sorted(parsed) == [str(csv_path)] * 2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("last", ["path", "raises"])
+def test_discretize_all_pauses_the_collector(monkeypatch, enabled, last):
+    seen = []
+
+    def discretize(traj, grid):
+        seen.append(gc.isenabled())
+        if traj == "degenerate":
+            raise ingest.DegenerateTripError(traj)
+        if traj == "raises":
+            raise RuntimeError(traj)
+        return traj
+    monkeypatch.setattr(ingest, "discretize", discretize)
+    result = ingest.ParseResult(["path", "degenerate", last])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if last == "raises":
+            with pytest.raises(RuntimeError):
+                cli._discretize_all(result, None)
+        else:
+            assert cli._discretize_all(result, None) == (["path", "path"], 1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 3
 
 
 class TestUpdate:

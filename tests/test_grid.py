@@ -31,6 +31,13 @@ class TestStepMask:
             (a, b) for a in range(g * g) for b in neighbors(a, g)]
         assert [step_direction(a, b, g) for a, b in zip(src, dst)] == direction.tolist()
 
+    def test_step_pairs_are_shared_and_read_only(self):
+        pairs = step_pairs(5)
+        assert step_pairs(5) is pairs
+        for a in pairs:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
 
 class TestL1Distance:
     def test_figure_cells(self):

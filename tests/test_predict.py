@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import random
@@ -20,8 +21,8 @@ from edp.ingest import (CellPath, TripDistanceHistogram, build_histogram, genera
                         synthetic_grid)
 from edp.model import build_sstp, count_start_dest, train_initial
 from edp.update import ChangeSet, apply_update
-from edp.predict import (FutureLocation, HistoryIndex, PredictionResult, Query, answer,
-                         deviation_metrics, estimate_total_distance,
+from edp.predict import (DistanceEstimate, FutureLocation, HistoryIndex, PredictionResult, Query,
+                         answer, deviation_metrics, estimate_total_distance,
                          infer_future_location, predict_destination, predicted_length)
 
 
@@ -60,6 +61,14 @@ class TestEstimateTotalDistance:
         h = build_histogram(trips(*rng.uniform(0.5, 30.0, size=60)), 1.0)
         values = [estimate_total_distance(h, d).km for d in np.linspace(0, 25, 120)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("d_t", [0.0, 3.0, 9.0])
+    def test_returns_a_distance_estimate(self, d_t):
+        h = build_histogram(trips(2.5, 4.5), 1.0)
+        want = oracles.masked_estimate(h, d_t)
+        est = estimate_total_distance(h, d_t)
+        assert type(est) is DistanceEstimate
+        assert (est.km, est.extrapolated) == tuple(est) == want
 
     def test_negative_rejected(self):
         h = build_histogram(trips(2.5), 1.0)
@@ -103,7 +112,12 @@ class TestEstimateProperties:
 
 class TestPredictedLength:
     def test_completed_trip_is_zero(self):
+        """Positive zero: log(1) / log(alpha) is -0.0, which the clamps
+        keep, and `edp predict` printed it as a -0.0 budget."""
         assert predicted_length(10.0, 10.0, 0.004) == 0.0
+        for e_total in (10.0, 0.3, 1e300):
+            for alpha in (0.004, 0.5, 0.999):
+                assert math.copysign(1.0, predicted_length(e_total, e_total, alpha)) == 1.0
 
     def test_reference_value(self):
         # independent evaluation of the decay at (10, 5, 0.004)
@@ -133,6 +147,17 @@ class TestPredictedLength:
         ratio underflows to 0.0 gets the limit, all that is left, where
         the log of 0.0 used to raise a bare math domain error."""
         assert predicted_length(e_total, d_t, 0.004) == e_total - d_t
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(*[st.one_of(st.floats(0.0, exclude_min=True), st.sampled_from([math.nan, 1.0]))] * 2,
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_clamps_equal_min_and_max(self, e_total, d_t, alpha):
+        """The conditional clamps give the builtins' result bit for bit,
+        past the estimate, at infinities and NaN included."""
+        ratio = d_t / e_total
+        dp = e_total * math.log(ratio) / math.log(alpha) if ratio > 0.0 else math.inf
+        want = min(max(dp, 0.0), max(e_total - d_t, 0.0)) + 0.0
+        assert predicted_length(e_total, d_t, alpha).hex() == want.hex()
 
     def test_decreasing_in_alpha(self):
         smaller = predicted_length(100.0, 10.0, 0.0001)
@@ -175,6 +200,15 @@ class TestInferFutureLocation:
         idx = HistoryIndex.build([CellPath("h", [0, 1, 2, 3, 4], 4.0)])
         loc = infer_future_location([0, 1], 4.0, idx, step_km=2.0)
         assert loc.steps == 2
+
+    @pytest.mark.parametrize("history, budget, want", [
+        ([CellPath("h", [0, 1, 2, 3, 4], 4.0)], 2.0, (4, 2, False)),
+        ([CellPath("h", [0, 1, 2, 3, 4], 4.0)], 0.0, (2, 0, False)),
+        ([], 3.0, (2, 0, True))], ids=["walked", "no-budget", "no-match"])
+    def test_returns_a_future_location(self, history, budget, want):
+        loc = infer_future_location([0, 1, 2], budget, HistoryIndex.build(history))
+        assert type(loc) is FutureLocation
+        assert (loc.cell, loc.steps, loc.no_match) == tuple(loc) == want
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -418,6 +452,12 @@ def tiny_world(g=5, n_trips=400, seed=11, detour_rate=0.0, max_detour=4):
 
 
 class TestPredictDestination:
+    def test_result_field_order(self):
+        """predict_destination builds its result positionally, in this order."""
+        assert [f.name for f in dataclasses.fields(PredictionResult)] == [
+            "ranked", "future_location", "predicted_length_km", "estimated_total_km",
+            "extrapolated", "future_no_match", "future_steps", "cold_start"]
+
     def test_single_destination_start(self):
         g = 4
         paths = [CellPath("a", [0, 1, 2], 2.0), CellPath("b", [0, 1, 2], 2.0),
@@ -670,6 +710,45 @@ def result_fields(res: PredictionResult):
             res.future_steps, res.cold_start)
 
 
+def reference_answer(model, q, hist, index, grid, force):
+    """(answer's result, None), or on a cold start (answer's result, the
+    ColdStartError's fallback and walk), assembled from the public helpers
+    and the scoring oracle, every field by keyword."""
+    est = estimate_total_distance(hist, q.d_t)
+    dp = predicted_length(est.km, min(q.d_t, est.km)) if q.d_t > 0 and est.km > 0 else 0.0
+    future = (FutureLocation(q.cells[-1], 0, False) if force else
+              infer_future_location(q.cells, dp, index, step_km=grid.mean_pitch_km))
+    ranked, fallback = oracles.score_destinations(model, q.cells[0], future.cell)
+    if ranked is None:
+        return PredictionResult(
+            ranked=fallback[:q.top_k], future_location=future.cell, predicted_length_km=0.0,
+            estimated_total_km=0.0, future_no_match=future.no_match,
+            future_steps=future.steps, cold_start=True), (fallback, future)
+    return PredictionResult(
+        ranked=ranked[:q.top_k], future_location=future.cell, predicted_length_km=dp,
+        estimated_total_km=est.km, extrapolated=est.extrapolated,
+        future_no_match=future.no_match, future_steps=future.steps), None
+
+
+def check_against_reference(model, q, hist, index, grid, force) -> PredictionResult:
+    """answer, and predict_destination or its ColdStartError, equal the
+    reference in every field, floats bit for bit; returns the reference."""
+    want, cold = reference_answer(model, q, hist, index, grid, force)
+    got = answer(model, q, hist, index, grid, force_future_to_current=force)
+    assert result_fields(got) == result_fields(want)
+    assert math.copysign(1.0, got.predicted_length_km) == 1.0
+    if cold is None:
+        res = predict_destination(model, q, hist, index, grid, force_future_to_current=force)
+        assert result_fields(res) == result_fields(want)
+    else:
+        with pytest.raises(ColdStartError) as err:
+            predict_destination(model, q, hist, index, grid, force_future_to_current=force)
+        fallback, future = cold
+        assert bitwise(err.value.fallback) == bitwise(fallback)
+        assert type(err.value.future) is FutureLocation and err.value.future == future
+    return want
+
+
 class TestAnswer:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(3, 6), st.integers(5, 120), st.integers(0, 2**16),
@@ -681,41 +760,46 @@ class TestAnswer:
     def test_warm_equals_predict_cold_equals_fallback(self, g, n_trips, seed, detour_rate,
                                                       max_detour, force, top_k, d_t, drawn,
                                                       cuts):
-        """On small worlds, a query whose start has candidates gets
-        predict_destination's result, bit for bit, with cold_start unset;
-        any other gets the oracle's fallback from the walked cell, cut to
-        top_k, with the walk's cell, steps and no-match flag, a budget and
-        estimate of 0.0, and cold_start set. Every cell is asked as a start."""
+        """On small worlds, predict_destination and answer equal a reference
+        built from the public helpers and the scoring oracle: a query whose
+        start has candidates gets its ranking, budget, estimate and walk
+        with cold_start unset; any other gets the fallback from the walked
+        cell, cut to top_k, with the walk's cell, steps and no-match flag,
+        a budget and estimate of 0.0, and cold_start set. Every cell is
+        asked as a start, a whole trip is asked past the histogram's
+        support, and every query is asked of the world's history and of
+        one trip's, where most cells match nothing."""
         paths, _ = generate_synthetic(g, n_trips, seed, detour_rate)
         grid, n = synthetic_grid(g), g * g
         model = train_initial(build_sstp(paths, g), count_start_dest(paths), max_detour)
-        hist, index = build_histogram(paths, 1.0), HistoryIndex.build(paths)
+        hist = build_histogram(paths, 1.0)
         queries = [Query([s], d_t, top_k) for s in range(n)]
         queries += [Query([c % n for c in cells], km, top_k) for cells, km in drawn]
         for i, (f, km) in enumerate(cuts):
             trip = paths[i % len(paths)].cells
             queries.append(Query(trip[:max(1, math.ceil(len(trip) * f))], km, top_k))
-        for q in queries:
-            got = answer(model, q, hist, index, grid, force_future_to_current=force)
-            try:
-                res = predict_destination(model, q, hist, index, grid,
-                                          force_future_to_current=force)
-            except ColdStartError:
-                res = None
-            if res is not None:
-                assert not got.cold_start
-                assert result_fields(got) == result_fields(res)
-                continue
-            est = estimate_total_distance(hist, q.d_t)
-            dp = predicted_length(est.km, min(q.d_t, est.km)) if q.d_t > 0 and est.km > 0 \
-                else 0.0
-            future = (FutureLocation(q.cells[-1], 0, False) if force else
-                      infer_future_location(q.cells, dp, index, step_km=grid.mean_pitch_km))
-            ranked, fallback = oracles.score_destinations(model, q.cells[0], future.cell)
-            assert ranked is None
-            assert result_fields(got) == result_fields(PredictionResult(
-                fallback[:top_k], future.cell, 0.0, 0.0, future_no_match=future.no_match,
-                future_steps=future.steps, cold_start=True))
+        queries.append(Query(paths[0].cells, hist.upper_edges[-1] + d_t, top_k))
+        for index in (HistoryIndex.build(paths), HistoryIndex.build(paths[:1])):
+            for q in queries:
+                check_against_reference(model, q, hist, index, grid, force)
+
+    def test_flagged_queries_equal_the_reference(self):
+        """Extrapolated, no-match, forced-current and cold-start queries
+        each occur, and each equals the reference."""
+        paths, grid, _, model, hist, index = tiny_world(n_trips=12)
+        unseen = next(c for c in range(25) if c not in {p.cells[0] for p in paths})
+        far = hist.upper_edges[-1] + 1.0
+        elsewhere = HistoryIndex.build([CellPath("x", [100, 101], 1.0)])
+        cases = [(Query(paths[0].cells, far), index, False),
+                 (Query(paths[0].cells[:2], 1.0), elsewhere, False),
+                 (Query(paths[1].cells[:3], 2.0), index, True),
+                 (Query([unseen], 0.5), index, False)]
+        got = [check_against_reference(model, q, hist, idx, grid, force)
+               for q, idx, force in cases]
+        assert got[0].extrapolated and got[0].predicted_length_km == 0.0
+        assert got[1].future_no_match
+        assert got[2].future_location == paths[1].cells[2] and got[2].future_steps == 0
+        assert got[3].cold_start
 
 
 class TestDeviationMetrics:
