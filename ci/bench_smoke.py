@@ -11,12 +11,14 @@ name, so each workload named in BENCHMARK.json runs twice,
 for T = 0 and 1, each in a child process, and the last stdout line of
 each, the JSON result, must read "correct": true and "failed": 0. A
 traced run must also read above 0 on each per-layer metric in
-ANSWER_SPANS, from the record it writes under .bench_out/: a 0 means the
-answer path no longer enters a function that perfbench wraps by name,
-and its per-layer query numbers would measure nothing. After each run's
-pass/fail line come that run's end-to-end metrics (name, value, unit),
-read from the same record, so each CI log keeps a coarse record of them;
-they do not change the verdict. Run from anywhere in the checkout:
+ANSWER_SPANS and INGEST_SPANS, from the record it writes under
+.bench_out/: a 0 or a missing metric means the answer path, or edp
+train's parse and discretize, no longer enters a function that
+perfbench wraps by name, and those per-layer numbers would measure
+nothing. After each run's pass/fail line come that run's end-to-end
+metrics (name, value, unit), read from the same record, so each CI log
+keeps a coarse record of them; they do not change the verdict. Run from
+anywhere in the checkout:
 
     python ci/bench_smoke.py
 """
@@ -33,6 +35,9 @@ SEED = 1
 # per query: the spans of the two helpers predict_destination calls, and
 # the count of HistoryIndex.continuation calls
 ANSWER_SPANS = ("predict.estimate_s", "predict.future_s", "predict.continuation_calls")
+# per edp train: the self times of the CSV parse and of the per-trip
+# discretize loop, between which mapping points to cells can move work
+INGEST_SPANS = ("ingest.parse_s", "ingest.discretize_s")
 
 
 def run_workload(name: str, trace: int, metrics: list[str]) -> bool:
@@ -51,7 +56,8 @@ def run_workload(name: str, trace: int, metrics: list[str]) -> bool:
         print(run.stdout[-4000:], run.stderr[-4000:], sep="\n")
     record = read_record(ROOT / ".bench_out" / f"{name}-seed{SEED}-trace{trace}.json")
     if trace:
-        ok = answer_spans_entered(record) and ok
+        ok = spans_entered(record, ANSWER_SPANS, "the answer path") and ok
+        ok = spans_entered(record, INGEST_SPANS, "edp train") and ok
     print_end_to_end(record, metrics)
     return ok
 
@@ -64,14 +70,16 @@ def read_record(path: Path) -> dict:
         return {}
 
 
-def answer_spans_entered(record: dict) -> bool:
-    """Whether each of ANSWER_SPANS reads above 0; prints each that does not."""
+def spans_entered(record: dict, metrics: tuple[str, ...], path: str) -> bool:
+    """Whether each of `metrics` reads above 0; prints each that does not,
+    a missing one included."""
     layers = record.get("per_layer", {})
     entered = True
-    for metric in ANSWER_SPANS:
-        value = layers.get(metric, {}).get("value", 0)
-        if not value > 0:
-            print(f"  per-layer {metric} reads {value}: the answer path skips its span")
+    for metric in metrics:
+        value = layers.get(metric, {}).get("value")
+        if value is None or not value > 0:
+            reads = "is missing" if value is None else f"reads {value}"
+            print(f"  per-layer {metric} {reads}: {path} skips its span")
             entered = False
     return entered
 

@@ -43,9 +43,10 @@ SETTINGS = {
 
 
 def _read_config(path) -> dict:
-    """The settings a key=value file sets, each cast to its SETTINGS type."""
+    """The settings a key=value file sets, each cast to its SETTINGS type.
+    The file is UTF-8, with or without a leading byte order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -97,7 +98,9 @@ def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:
 
     With --unit-grid or --bbox the grid is built first and the parse drops
     points outside it. Otherwise the grid is the padded bounding box of
-    every parsed point, so nothing lies outside it.
+    every parsed point, so nothing lies outside it. Either way every
+    trajectory returned carries its cell path on the grid, mapped in
+    batches, so discretizing it copies the path.
     """
     if args.grid is None:
         raise ValueError("--grid is required")
@@ -107,7 +110,9 @@ def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:
         grid = GridMap(*_parse_bbox(args.bbox), args.grid)
     else:
         result = ingest.parse_trajectories(path)
-        return GridMap(*_bbox_of_points(result), args.grid), result
+        grid = GridMap(*_bbox_of_points(result), args.grid)
+        ingest.map_trajectories(result.trajectories, grid)
+        return grid, result
     return grid, ingest.parse_trajectories(path, grid)
 
 

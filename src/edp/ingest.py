@@ -18,19 +18,36 @@ from .grid import (EARTH_RADIUS_KM, GridMap, decode_cell, neighbors, step_direct
 from .model import SSTPMatrix, atomic_write
 
 REQUIRED_COLUMNS = ("trip_id", "seq", "timestamp", "lat", "lon")
+# points per array pass of map_trajectories: large enough that numpy's
+# per-call cost is spread thin, small enough that its temporaries stay
+# well under the parsed columns
+MAP_BLOCK_POINTS = 8192
 
 
-@dataclass
+@dataclass(slots=True)
 class RawTrajectory:
     """One trip's points as two float columns, `array('d')`, in seq order:
-    8 bytes per value and no Python object per point. Columns of different
-    lengths raise ValueError."""
+    8 bytes per value and no Python object per point. A column of another
+    type raises TypeError, and columns of different lengths ValueError.
+
+    A trajectory that parse_trajectories read against a grid, or that
+    map_trajectories mapped, also carries its cell path on that grid, so
+    cell_path only copies it; the columns must not change after that.
+    Equality and repr read the trip id and the columns alone.
+    """
 
     trip_id: str
     lats: array
     lons: array
+    # the cell path on _grid, as map_trajectories left it
+    _cells: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _grid: GridMap | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for col in (self.lats, self.lons):
+            if not (isinstance(col, array) and col.typecode == "d"):
+                kind = f"array({col.typecode!r})" if isinstance(col, array) else type(col).__name__
+                raise TypeError(f"trip {self.trip_id}: columns must be array('d'), got {kind}")
         if len(self.lats) != len(self.lons):
             raise ValueError(f"trip {self.trip_id}: columns differ in length "
                              f"({len(self.lats)}, {len(self.lons)})")
@@ -41,11 +58,12 @@ class CellPath:
 
     Consecutive cells are always 4-adjacent and never equal; trip_km is the
     length of the underlying point sequence, not the cell count. A path
-    made by cell_path keeps a reference to its trajectory's latitude and
-    longitude columns and sums their pairwise haversine lengths on the first
-    read of trip_km, then caches the sum and drops the columns. Training
-    reads only `cells`, so it computes no trip length; the histogram and
-    queries read it once.
+    made by cell_path owns its `cells` list (a copy of the one its
+    trajectory carries, when mapped on the same grid), keeps a reference
+    to its trajectory's latitude and longitude columns and sums their
+    pairwise haversine lengths on the first read of trip_km, then caches
+    the sum and drops the columns. Training reads only `cells`, so it
+    computes no trip length; the histogram and queries read it once.
     """
 
     __slots__ = ("trip_id", "cells", "_trip_km", "_points")
@@ -130,13 +148,14 @@ def collector_paused():
 
 def read_csv_rows(path, required):
     """Yield each non-blank data row of a UTF-8 CSV file as the tuple of its
-    `required` fields (two or more), in that order. A field past the end of
-    a short row is None, and a column named twice is read from its last
+    `required` fields (two or more), in that order. A leading byte order
+    mark, as spreadsheet programs write, is skipped. A field past the end
+    of a short row is None, and a column named twice is read from its last
     position, as csv.DictReader would map them. A missing required column,
     a field past the csv module's size limit or non-UTF-8 bytes raise
     FormatError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             position = {name: i for i, name in enumerate(next(reader, []))}
             missing = [c for c in required if c not in position]
@@ -165,9 +184,11 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
     not kept. Malformed rows, non-finite coordinates included, are counted
     and skipped; more than 50% malformed raises. When a grid is given,
     points outside its bounding box are dropped (clipping a trip at the
-    boundary rather than discarding it). Every trip left with a point is
-    kept, a one-point trip included: `discretize` decides which trips can
-    train. The cyclic collector is paused while it runs.
+    boundary rather than discarding it), and map_trajectories maps the
+    kept points to their cells in blocks of trips, so each trajectory
+    carries its cell path for cell_path to copy. Every trip left with a
+    point is kept, a one-point trip included: `discretize` decides which
+    trips can train. The cyclic collector is paused while it runs.
     """
     rows_total = 0
     malformed = 0
@@ -215,23 +236,96 @@ def parse_trajectories(path, grid: GridMap | None = None) -> ParseResult:
             order = sorted(range(len(seqs)), key=seqs.__getitem__)
             cols = [array("d", map(col.__getitem__, order)) for col in cols]
         trajectories.append(RawTrajectory(trip_id, *cols))
+    per_trip.clear()    # the seqs go before the mapping's temporaries come
+    if grid is not None:
+        map_trajectories(trajectories, grid)
     return ParseResult(trajectories, malformed, dropped_points)
 
 
-def _staircase(a: int, b: int, g: int) -> list[int]:
-    """Cells strictly between a and b on the vertical-first minimal path,
-    plus b itself."""
-    ra, ca = decode_cell(a, g)
-    rb, cb = decode_cell(b, g)
-    out = []
-    r, c = ra, ca
-    while r != rb:
-        r += 1 if rb > r else -1
-        out.append(r * g + c)
-    while c != cb:
-        c += 1 if cb > c else -1
-        out.append(r * g + c)
-    return out
+def _cell_lists(trajectories: list[RawTrajectory], grid: GridMap) -> list[list[int]]:
+    """Each trajectory's cell path on grid, from one array pass over all
+    their points; a point outside the bounding box raises ValueError, the
+    first such point in trip order.
+
+    A point's row is int((lat_max - lat) / lat_span * g) and its column
+    int((lon - lon_min) / lon_span * g), each clamped to g - 1, the cell
+    GridMap.cell_of gives. Consecutive duplicates collapse, and a jump of
+    more than one cell inside a trip is bridged by the vertical-first
+    staircase: the cells strictly between, row steps first, then the
+    cell jumped to. A trip's first cell is never bridged from the
+    previous trip's last.
+    """
+    lengths = [len(t.lats) for t in trajectories]
+    # one join of the columns' buffers copies them faster than a view per trip
+    lats = np.frombuffer(b"".join([t.lats for t in trajectories]))
+    lons = np.frombuffer(b"".join([t.lons for t in trajectories]))
+    g = grid.g
+    lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
+    inside = (lat_min <= lats) & (lats <= lat_max) & (lon_min <= lons) & (lons <= lon_max)
+    if not inside.all():
+        i = int(inside.argmin())
+        raise ValueError(f"point ({float(lats[i])}, {float(lons[i])}) outside bounding box")
+    rows = ((lat_max - lats) / (lat_max - lat_min) * g).astype(np.int64)
+    cols = ((lons - lon_min) / (lon_max - lon_min) * g).astype(np.int64)
+    np.minimum(rows, g - 1, out=rows)
+    np.minimum(cols, g - 1, out=cols)
+    cells = rows * g + cols
+    # offsets[t] is trip t's first point; a trip's first point, and each
+    # point in another cell than the point before it, starts a cell
+    offsets = np.cumsum([0, *lengths])
+    first = np.zeros(len(cells) + 1, dtype=bool)
+    first[offsets] = True
+    first = first[:-1]
+    new = first.copy()
+    np.not_equal(cells[1:], cells[:-1], out=new[1:], where=~first[1:])
+    kept = np.flatnonzero(new)
+    # each kept point's row and column moves from the kept point before it
+    # in its trip, and the cells it adds: one per step, one for a trip's first
+    k_row, k_col, heads = rows[kept], cols[kept], first[kept]
+    d_row = np.diff(k_row, prepend=0)
+    d_col = np.diff(k_col, prepend=0)
+    d_row[heads] = 0
+    d_col[heads] = 0
+    steps = np.abs(d_row) + np.abs(d_col)
+    steps[heads] = 1
+    added = np.concatenate(([0], np.cumsum(steps)))
+    # step s of a move goes s rows from the cell before it while s is
+    # within the row move, then the rest of the way along the end row
+    move = np.repeat(np.arange(len(kept)), steps)
+    s = np.arange(1, added[-1] + 1) - added[move]
+    up = np.abs(d_row)[move]
+    from_row, from_col = (k_row - d_row)[move], (k_col - d_col)[move]
+    vertical = s <= up
+    row = np.where(vertical, from_row + np.sign(d_row)[move] * s, k_row[move])
+    col = np.where(vertical, from_col, from_col + np.sign(d_col)[move] * (s - up))
+    flat = (row * g + col).tolist()
+    # trip t's cells follow those of the kept points before its first point
+    ends = added[np.searchsorted(kept, offsets)].tolist()
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+@collector_paused()
+def map_trajectories(trajectories: list[RawTrajectory], grid: GridMap) -> None:
+    """Map every point of `trajectories` to its cell on grid, in blocks of
+    whole trips of about MAP_BLOCK_POINTS points, and keep each trip's cell
+    path on it for cell_path. A point outside the bounding box raises
+    ValueError, the first such point in trip order. The cyclic collector
+    is paused while it runs.
+    """
+    block, points = [], 0
+    for traj in trajectories:
+        block.append(traj)
+        points += len(traj.lats)
+        if points >= MAP_BLOCK_POINTS:
+            _keep_cells(block, grid)
+            block, points = [], 0
+    if block:
+        _keep_cells(block, grid)
+
+
+def _keep_cells(block: list[RawTrajectory], grid: GridMap) -> None:
+    for traj, cells in zip(block, _cell_lists(block, grid)):
+        traj._cells, traj._grid = cells, grid
 
 
 def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
@@ -241,36 +335,19 @@ def cell_path(traj: RawTrajectory, grid: GridMap) -> CellPath:
     the bounding box raises ValueError. Consecutive duplicates collapse;
     sampling gaps that jump cells are bridged with a deterministic
     vertical-first staircase so every stored transition stays on the
-    4-adjacency support. The path's trip_km is summed from traj.lats and
-    traj.lons when first read, so they must not change before then.
+    4-adjacency support. A trajectory mapped on grid, or on an equal grid,
+    gives a copy of the cell path it carries; any other is mapped here,
+    alone, at many times the cost per point of a batch. The
+    path's trip_km is summed from traj.lats and traj.lons when first read,
+    so they must not change before then.
     """
-    g = grid.g
-    lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
-    lat_span = lat_max - lat_min
-    lon_span = lon_max - lon_min
-    edge = g - 1
-    cells: list[int] = []
-    prev = prev_row = prev_col = -1
-    lats, lons = traj.lats, traj.lons
-    for lat, lon in zip(lats, lons):
-        if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
-            raise ValueError(f"point ({lat}, {lon}) outside bounding box")
-        row = int((lat_max - lat) / lat_span * g)
-        col = int((lon - lon_min) / lon_span * g)
-        if row > edge:
-            row = edge
-        if col > edge:
-            col = edge
-        cell = row * g + col
-        if cell == prev:
-            continue
-        if cells and abs(row - prev_row) + abs(col - prev_col) > 1:
-            cells.extend(_staircase(prev, cell, g))
-        else:
-            cells.append(cell)
-        prev, prev_row, prev_col = cell, row, col
+    cells = traj._cells
+    if cells is None or (traj._grid is not grid and traj._grid != grid):
+        (cells,) = _cell_lists([traj], grid)
+    else:
+        cells = cells.copy()
     path = CellPath(traj.trip_id, cells, 0.0)
-    path._points = (lats, lons)    # summed into trip_km on first read
+    path._points = (traj.lats, traj.lons)    # summed into trip_km on first read
     return path
 
 

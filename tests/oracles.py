@@ -11,10 +11,11 @@ earlier forms, as references for the table-driven ones: the DictReader
 trajectory parser, the per-transition loop that counted the single-step
 matrix, the Counter-per-gram history index, the per-window loop that
 built the history index's gram table, the masked distance
-estimate, and the destination scoring loop that read the model one
-candidate at a time. The small cell helpers that only tests need live here too,
-and so do readers that key a HistoryIndex's grams by their cells and
-the scalar hop that the index's hop tables must equal.
+estimate, the per-point loop that mapped a trajectory to its cells, and
+the destination scoring loop that read the model one candidate at a time.
+The small cell helpers that only tests need live here too, and so do
+readers that key a HistoryIndex's grams by their cells and the scalar
+hop that the index's hop tables must equal.
 """
 
 import csv
@@ -419,7 +420,7 @@ def dictreader_parse(path, grid=None):
     rows_total = malformed = dropped_points = 0
     per_trip = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if any(c not in (reader.fieldnames or []) for c in required):
                 raise ValueError("missing columns")
@@ -449,6 +450,53 @@ def dictreader_parse(path, grid=None):
         pts = sorted(per_trip[trip_id], key=lambda p: p[0])
         trajectories.append((trip_id, [(lat, lon) for _, lat, lon in pts]))
     return trajectories, malformed, dropped_points
+
+
+def staircase(a: int, b: int, g: int) -> list[int]:
+    """Cells strictly between a and b on the vertical-first minimal path,
+    plus b itself."""
+    (ra, ca), (rb, cb) = divmod(a, g), divmod(b, g)
+    out = []
+    r, c = ra, ca
+    while r != rb:
+        r += 1 if rb > r else -1
+        out.append(r * g + c)
+    while c != cb:
+        c += 1 if cb > c else -1
+        out.append(r * g + c)
+    return out
+
+
+def scalar_cell_path(traj, grid) -> list[int]:
+    """The cells of a trajectory's path on grid, one point at a time: each
+    point's clamped row and column, consecutive duplicates collapsed, a
+    jump of several cells bridged by staircase. A point outside the box
+    raises ValueError."""
+    g = grid.g
+    lat_min, lat_max, lon_min, lon_max = grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max
+    lat_span = lat_max - lat_min
+    lon_span = lon_max - lon_min
+    edge = g - 1
+    cells = []
+    prev = prev_row = prev_col = -1
+    for lat, lon in zip(traj.lats, traj.lons):
+        if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
+            raise ValueError(f"point ({lat}, {lon}) outside bounding box")
+        row = int((lat_max - lat) / lat_span * g)
+        col = int((lon - lon_min) / lon_span * g)
+        if row > edge:
+            row = edge
+        if col > edge:
+            col = edge
+        cell = row * g + col
+        if cell == prev:
+            continue
+        if cells and abs(row - prev_row) + abs(col - prev_col) > 1:
+            cells.extend(staircase(prev, cell, g))
+        else:
+            cells.append(cell)
+        prev, prev_row, prev_col = cell, row, col
+    return cells
 
 
 def loop_sstp(paths, g: int):

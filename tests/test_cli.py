@@ -212,6 +212,26 @@ class TestTrain:
         train_model(tmp_path, synthetic_csv)
         assert [f.read_bytes() for f in files] == expected
 
+    def test_byte_order_mark_input_trains_as_without(self, tmp_path, synthetic_csv, capsys):
+        """A CSV that starts with a UTF-8 byte order mark, as spreadsheet
+        programs write it, trains the model the same file without one does."""
+        csv_path, _ = synthetic_csv
+        expected = train_model(tmp_path, synthetic_csv).read_bytes()
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        assert main(["train", "--input", str(marked), "--grid", "6", "--unit-grid",
+                     "--max-detour", "4", "--out", str(tmp_path / "marked.edp")]) == 0
+        assert (tmp_path / "marked.edp").read_bytes() == expected
+
+    def test_byte_order_mark_config_read(self, tmp_path, synthetic_csv):
+        csv_path, _ = synthetic_csv
+        cfg = tmp_path / "edp.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmax_detour=2\n")
+        rc = main(["train", "--input", str(csv_path), "--grid", "6", "--unit-grid",
+                   "--config", str(cfg), "--out", str(tmp_path / "m.edp")])
+        assert rc == 0
+        assert load_model(tmp_path / "m.edp").max_detour == 2
+
     def test_non_utf8_input_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"trip_id,seq,timestamp,lat,lon\n\xff,0,100,0.1,0.1\n")
@@ -323,6 +343,30 @@ class TestParseOnce:
                      "--queries", str(csv_path), "--grid", "6", *grid_flags,
                      "--out", str(tmp_path / "res.jsonl")]) == 0
         assert sorted(parsed) == [str(csv_path)] * 2
+
+
+@pytest.mark.parametrize("grid_flags", [["--unit-grid"], ["--bbox=0,0.06,0,0.06"], []],
+                         ids=["unit-grid", "bbox", "inferred"])
+def test_load_trips_maps_every_trajectory(synthetic_csv, grid_flags, monkeypatch):
+    """Every trajectory _load_trips returns carries its cell path on the
+    grid it returns, mapped in batches, so discretizing them maps no trip
+    on its own (several times slower per point than a batch)."""
+    csv_path, _ = synthetic_csv
+    args = cli.build_parser().parse_args(["train", "--input", str(csv_path), "--grid", "6",
+                                          *grid_flags, "--out", "unused"])
+    grid, result = cli._load_trips(args, csv_path)
+    assert len(result.trajectories) == 300
+    for traj in result.trajectories:
+        assert traj._grid is grid
+        assert traj._cells == oracles.scalar_cell_path(traj, grid)
+
+    def no_mapping(*_):
+        raise AssertionError("a trajectory was mapped on its own")
+    monkeypatch.setattr(ingest, "_cell_lists", no_mapping)
+    paths, degenerate = cli._discretize_all(result, grid)
+    moving = [t._cells for t in result.trajectories if len(t._cells) > 1]
+    assert [p.cells for p in paths] == moving
+    assert degenerate == len(result.trajectories) - len(moving)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

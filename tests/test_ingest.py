@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 from array import array
@@ -13,9 +14,10 @@ import oracles
 import strategies
 from edp.errors import DegenerateTripError, FormatError
 from edp.grid import GridMap, haversine_km, l1_distance, step_mask, unit_grid
-from edp.ingest import (CellPath, RawTrajectory, TripDistanceHistogram, _staircase,
-                        build_histogram, cell_path, collector_paused, discretize,
-                        generate_synthetic, parse_trajectories, synthetic_grid,
+from edp import ingest
+from edp.ingest import (CellPath, RawTrajectory, TripDistanceHistogram, build_histogram,
+                        cell_path, collector_paused, discretize, generate_synthetic,
+                        map_trajectories, parse_trajectories, synthetic_grid,
                         write_trajectories_csv)
 from edp.predict import HistoryIndex
 from edp.model import build_sstp
@@ -206,6 +208,14 @@ class TestParseColumns:
         with pytest.raises(ValueError, match="columns differ in length"):
             RawTrajectory("t", **cols)
 
+    @pytest.mark.parametrize("column", [[0.5, 0.6], array("f", [0.5, 0.6]),
+                                        array("q", [1, 2]), np.array([0.5, 0.6])])
+    def test_columns_other_than_double_arrays_rejected(self, column):
+        """The cells are mapped from the columns' bytes read as doubles, so
+        a list, another array type or a numpy array raises TypeError."""
+        with pytest.raises(TypeError, match=r"columns must be array\('d'\)"):
+            RawTrajectory("t", array("d", [0.5, 0.6]), column)
+
 
 class TestParseProperties:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -314,7 +324,7 @@ class TestDiscretize:
     def test_cells_follow_grid_cell_of(self, g, fractions):
         """cell_path inlines GridMap.cell_of; on a southern box, with points
         on grid lines and edges, its cells are those of cell_of, bridged by
-        _staircase."""
+        the vertical-first staircase."""
         grid = GridMap(-33.9, -33.7, 151.1, 151.3, g)
         lats, lons = grid_columns(grid, fractions)
         expected = []
@@ -323,7 +333,7 @@ class TestDiscretize:
             if expected and cell == expected[-1]:
                 continue
             if expected and l1_distance(expected[-1], cell, g) > 1:
-                expected.extend(_staircase(expected[-1], cell, g))
+                expected.extend(oracles.staircase(expected[-1], cell, g))
             else:
                 expected.append(cell)
         assert cell_path(traj_of(lats, lons), grid).cells == expected
@@ -370,6 +380,135 @@ class TestDiscretize:
         first = discretize(traj_through([0, 11, 12, 22]), GRID)
         again = discretize(traj_through(first.cells), GRID)
         assert again.cells == first.cells
+
+
+# one trip's points: (fy, fx) fractions of the box, or "again" for the point before
+TRIP_POINTS = st.lists(st.one_of(st.tuples(GRID_FRACTIONS, GRID_FRACTIONS), st.just("again")),
+                       max_size=8)
+
+
+def trips_of(grid, trips):
+    """Trajectories t0, t1, ... through the drawn TRIP_POINTS of each trip."""
+    out = []
+    for i, points in enumerate(trips):
+        fractions = []
+        for p in points:
+            if p != "again":
+                fractions.append(p)
+            elif fractions:
+                fractions.append(fractions[-1])
+        out.append(traj_of(*grid_columns(grid, fractions), trip_id=f"t{i}"))
+    return out
+
+
+class TestBatchMapping:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 9), st.booleans(), st.lists(TRIP_POINTS, max_size=6))
+    def test_batch_equals_scalar_oracle(self, g, southern, trips):
+        """One array pass over several trips gives each the cells of the
+        per-point oracle: points on the box's edges (clamped), repeated
+        points, jumps of several cells bridged inside a trip and never
+        across two, and trips of zero and one point."""
+        grid = GridMap(-33.9, -33.7, 151.1, 151.3, g) if southern else unit_grid(g)
+        trajs = trips_of(grid, trips)
+        expected = [oracles.scalar_cell_path(t, grid) for t in trajs]
+        assert ingest._cell_lists(trajs, grid) == expected
+        map_trajectories(trajs, grid)
+        for traj, cells in zip(trajs, expected):
+            path = cell_path(traj, grid)
+            assert path.cells == cells
+            assert path.cells is not traj._cells
+
+    def test_edges_clamp_and_trips_do_not_join(self):
+        """The box's southern and eastern edges clamp into the last row and
+        column, and a trip starting far from where the one before ended
+        starts a path of its own."""
+        lat_min, lon_max = GRID.lat_min, GRID.lon_max
+        trajs = [traj_of([lat_min, lat_min], [lon_max, GRID.lon_min]),
+                 traj_of([], []), traj_of([GRID.lat_max], [GRID.lon_min]),
+                 traj_of(*zip(GRID.cell_center(0), GRID.cell_center(22))),
+                 traj_of(*zip(GRID.cell_center(55), GRID.cell_center(55)))]
+        assert ingest._cell_lists(trajs, GRID) == [
+            [99, 98, 97, 96, 95, 94, 93, 92, 91, 90], [], [0], [0, 10, 20, 21, 22], [55]]
+        assert [oracles.scalar_cell_path(t, GRID) for t in trajs] == \
+            ingest._cell_lists(trajs, GRID)
+
+    def test_blocks_hold_whole_trips(self, monkeypatch):
+        """map_trajectories maps whole trips a block at a time, each block
+        reaching MAP_BLOCK_POINTS points but the last, and each trip keeps
+        the oracle's cells and the grid."""
+        monkeypatch.setattr(ingest, "MAP_BLOCK_POINTS", 3)
+        blocks = []
+        real = ingest._cell_lists
+
+        def recorded(trajs, grid):
+            blocks.append([t.trip_id for t in trajs])
+            return real(trajs, grid)
+        monkeypatch.setattr(ingest, "_cell_lists", recorded)
+        cells = [[0, 11], [], [5], [0, 1, 2, 13, 24], [7], [3, 3]]
+        trajs = [traj_through(c) for c in cells]
+        for i, traj in enumerate(trajs):
+            traj.trip_id = f"t{i}"
+        map_trajectories(trajs, GRID)
+        assert blocks == [["t0", "t1", "t2"], ["t3"], ["t4", "t5"]]
+        for traj in trajs:
+            assert traj._grid is GRID
+            assert traj._cells == oracles.scalar_cell_path(traj, GRID)
+
+    @pytest.mark.parametrize("bad_lat, bad_lon", [(99.0, 0.05), (0.05, -1.0), (math.nan, 0.05)])
+    def test_first_point_outside_box_raises_the_oracle_message(self, bad_lat, bad_lon):
+        """A point outside the box raises the per-point oracle's message for
+        the first such point in trip order, in a batch and for one trip."""
+        lat, lon = GRID.cell_center(5)
+        trajs = [traj_of([lat], [lon], "a"), traj_of([lat, bad_lat], [lon, bad_lon], "b"),
+                 traj_of([-5.0], [lon], "c")]
+        with pytest.raises(ValueError) as first:
+            oracles.scalar_cell_path(trajs[1], GRID)
+        assert "outside bounding box" in str(first.value)
+        with pytest.raises(ValueError, match=re.escape(str(first.value))):
+            map_trajectories(trajs, GRID)
+        with pytest.raises(ValueError) as last:
+            oracles.scalar_cell_path(trajs[2], GRID)
+        with pytest.raises(ValueError, match=re.escape(str(last.value))):
+            cell_path(trajs[2], GRID)
+
+    def test_parse_maps_only_against_a_grid(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, [f"a,0,100,{point_in_cell(0)}", f"a,1,160,{point_in_cell(22)}"])
+        (mapped,) = parse_trajectories(f, GRID).trajectories
+        (plain,) = parse_trajectories(f).trajectories
+        assert (mapped._cells, mapped._grid) == ([0, 10, 20, 21, 22], GRID)
+        assert (plain._cells, plain._grid) == (None, None)
+        assert cell_path(plain, GRID) == cell_path(mapped, GRID)
+
+    def test_unequal_grid_maps_afresh(self, tmp_path, monkeypatch):
+        """A trajectory parsed on one grid is mapped again on an unequal
+        grid, and keeps the path it carries; an equal grid copies it."""
+        f = tmp_path / "t.csv"
+        write_csv(f, [f"a,{i},{60 * i},{point_in_cell(c)}" for i, c in enumerate([0, 11, 99])])
+        (traj,) = parse_trajectories(f, GRID).trajectories
+        carried = traj._cells
+        coarser = GridMap(GRID.lat_min, GRID.lat_max, GRID.lon_min, GRID.lon_max, 7)
+        fresh = cell_path(traj, coarser).cells
+        assert fresh == oracles.scalar_cell_path(traj, coarser) != carried
+        assert traj._cells is carried and traj._grid is GRID
+
+        def no_mapping(*_):
+            raise AssertionError("mapped a trajectory that carries its path")
+        monkeypatch.setattr(ingest, "_cell_lists", no_mapping)
+        equal = GridMap(GRID.lat_min, GRID.lat_max, GRID.lon_min, GRID.lon_max, GRID.g)
+        assert equal is not GRID
+        assert cell_path(traj, equal).cells == carried == oracles.scalar_cell_path(traj, GRID)
+
+    def test_equality_and_repr_ignore_the_mapped_path(self):
+        mapped, plain = traj_through([0, 11]), traj_through([0, 11])
+        map_trajectories([mapped], GRID)
+        assert mapped._cells == [0, 10, 11] and plain._cells is None
+        assert mapped == plain
+        assert repr(mapped) == repr(plain)
+        assert "_cells" not in repr(mapped) and "_grid" not in repr(mapped)
+        with pytest.raises(TypeError):
+            RawTrajectory("t", array("d"), array("d"), [0])
 
 
 class TestHistogram:

@@ -590,6 +590,19 @@ class TestChangeSetIO:
             for nbr in rows[cell]:
                 assert cs.changed[cell][nbr] == pytest.approx(rows[cell][nbr], abs=1e-15)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        """A change set that starts with a UTF-8 byte order mark loads as
+        the same file without one."""
+        text = "epoch,cell_id,neighbor_cell_id,probability\n2,0,1,0.25\n2,0,4,0.75\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = load_changeset(plain, 4)
+        cs = load_changeset(marked, 4)
+        assert (cs.epoch, cs.changed) == (expected.epoch, expected.changed)
+        assert (cs.epoch, cs.changed) == (2, {0: {1: 0.25, 4: 0.75}})
+
     def test_bad_rows(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("epoch,cell_id,neighbor_cell_id,probability\n1,0,1,0.4\n")
