@@ -1,5 +1,6 @@
 """Run every perfbench workload for one second, untraced and traced; pass
-only if each run is correct and no operation failed.
+only if each run is correct, no operation failed and nothing was written
+to stderr.
 
 A library change that breaks what perfbench calls (a loader it uses, a
 function its spans wrap) otherwise shows up only in a full benchmark run.
@@ -9,13 +10,14 @@ name, so each workload named in BENCHMARK.json runs twice,
     python perfbench/run.py --workload NAME --seed 1 --seconds 1 --trace T
 
 for T = 0 and 1, each in a child process, and the last stdout line of
-each, the JSON result, must read "correct": true and "failed": 0. A
-traced run must also read above 0 on each per-layer metric in
-ANSWER_SPANS and INGEST_SPANS, from the record it writes under
-.bench_out/: a 0 or a missing metric means the answer path, or edp
-train's parse and discretize, no longer enters a function that
-perfbench wraps by name, and those per-layer numbers would measure
-nothing. After each run's pass/fail line come that run's end-to-end
+each, the JSON result, must read "correct": true and "failed": 0, and
+the child must write nothing to stderr: a warning, a traceback or a CLI
+note in the measured path fails the run. A traced run must also read
+above 0 on each per-layer metric in ANSWER_SPANS and INGEST_SPANS, from
+the record it writes under .bench_out/: a 0 or a missing metric means
+the answer path, or edp train's parse and discretize, no longer enters a
+function that perfbench wraps by name, and those per-layer numbers would
+measure nothing. After each run's pass/fail line come that run's end-to-end
 metrics (name, value, unit), read from the same record, so each CI log
 keeps a coarse record of them; they do not change the verdict. Run from
 anywhere in the checkout:
@@ -49,9 +51,9 @@ def run_workload(name: str, trace: int, metrics: list[str]) -> bool:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {}
-    ok = result.get("correct") is True and result.get("failed") == 0
+    ok = result.get("correct") is True and result.get("failed") == 0 and not run.stderr
     print(f"{name} trace {trace}: exit {run.returncode}, correct {result.get('correct')}, "
-          f"failed {result.get('failed')}")
+          f"failed {result.get('failed')}, stderr {len(run.stderr)} chars")
     if not ok:
         print(run.stdout[-4000:], run.stderr[-4000:], sep="\n")
     record = read_record(ROOT / ".bench_out" / f"{name}-seed{SEED}-trace{trace}.json")

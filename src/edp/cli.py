@@ -69,21 +69,22 @@ def _read_config(path) -> dict:
     return out
 
 
-def _parse_bbox(text: str) -> tuple[float, float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("bbox must be lat_min,lat_max,lon_min,lon_max")
-    return tuple(parts)  # type: ignore[return-value]
+def _numbers(flag: str, text: str, cast=float) -> list:
+    """A list flag's comma-separated values; one that does not parse names the flag."""
+    try:
+        return [cast(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated {cast.__name__}s, got {text!r}") from None
 
 
-def _bbox_of_points(result: ingest.ParseResult) -> tuple[float, float, float, float]:
-    trips = result.trajectories    # each holds at least one point
-    if not trips:
+def _bbox_of_points(trips: list[ingest.RawTrajectory]) -> tuple[float, float, float, float]:
+    if not trips:    # each trip holds at least one point
         raise ValueError("no points to infer a bounding box from")
-    # the extremes of each trip's columns, then of those: the same values a
-    # flat list of every coordinate gives
-    lat_lo, lat_hi = min(min(t.lats) for t in trips), max(max(t.lats) for t in trips)
-    lon_lo, lon_hi = min(min(t.lons) for t in trips), max(max(t.lons) for t in trips)
+    lats = np.frombuffer(b"".join([t.lats for t in trips]))
+    lons = np.frombuffer(b"".join([t.lons for t in trips]))
+    # the first extreme in trip order: the signed zero that min and max give
+    lat_lo, lat_hi = float(lats[lats.argmin()]), float(lats[lats.argmax()])
+    lon_lo, lon_hi = float(lons[lons.argmin()]), float(lons[lons.argmax()])
     pad_lat = (lat_hi - lat_lo) * 1e-6 + 1e-9
     lon_span = lon_hi - lon_lo
     # the padding stops at the poles and at a 360-degree span, so data that
@@ -93,38 +94,42 @@ def _bbox_of_points(result: ingest.ParseResult) -> tuple[float, float, float, fl
             lon_lo - pad_lon, lon_hi + pad_lon)
 
 
-def _load_trips(args, path) -> tuple[GridMap, ingest.ParseResult]:
-    """The grid and one parse of a trajectory CSV.
+def _load_paths(args, path) -> tuple[GridMap, list[ingest.CellPath], int, int, int]:
+    """One parse of a trajectory CSV: the grid, the cell paths, and the
+    degenerate trips, malformed rows and dropped points it counted.
 
-    With --unit-grid or --bbox the grid is built first and the parse drops
-    points outside it. Otherwise the grid is the padded bounding box of
-    every parsed point, so nothing lies outside it. Either way every
-    trajectory returned carries its cell path on the grid, mapped in
-    batches, so discretizing it copies the path.
+    With --unit-grid or --bbox the grid comes first, and points outside it
+    are dropped and noted on stderr; otherwise it is the padded box of the
+    parsed points. The trajectories are mapped in batches and die here;
+    the collector is paused over the discretize loop.
     """
     if args.grid is None:
         raise ValueError("--grid is required")
-    if args.unit_grid:
-        grid = unit_grid(args.grid)
-    elif args.bbox is not None:
-        grid = GridMap(*_parse_bbox(args.bbox), args.grid)
-    else:
-        result = ingest.parse_trajectories(path)
-        grid = GridMap(*_bbox_of_points(result), args.grid)
+    grid = unit_grid(args.grid) if args.unit_grid else None
+    if grid is None and args.bbox is not None:
+        box = _numbers("--bbox", args.bbox)
+        if len(box) != 4:
+            raise ValueError("--bbox must be lat_min,lat_max,lon_min,lon_max")
+        grid = GridMap(*box, args.grid)
+    result = ingest.parse_trajectories(path, grid)
+    if grid is None:
+        grid = GridMap(*_bbox_of_points(result.trajectories), args.grid)
         ingest.map_trajectories(result.trajectories, grid)
-        return grid, result
-    return grid, ingest.parse_trajectories(path, grid)
-
-
-@ingest.collector_paused()
-def _discretize_all(result: ingest.ParseResult, grid: GridMap):
+    if result.dropped_points:
+        _note_skipped(path, result)
     paths, degenerate = [], 0
-    for traj in result.trajectories:
-        try:
-            paths.append(ingest.discretize(traj, grid))
-        except ingest.DegenerateTripError:
-            degenerate += 1
-    return paths, degenerate
+    with ingest.collector_paused():
+        for traj in result.trajectories:
+            try:
+                paths.append(ingest.discretize(traj, grid))
+            except ingest.DegenerateTripError:
+                degenerate += 1
+    return grid, paths, degenerate, result.malformed_rows, result.dropped_points
+
+
+def _note_skipped(path, result: ingest.ParseResult) -> None:
+    print(f"note: {path}: skipped {result.dropped_points} points outside the grid and "
+          f"{result.malformed_rows} malformed rows", file=sys.stderr)
 
 
 def _check_scoring(args, alphas, alpha_flag="--alpha") -> None:
@@ -152,8 +157,7 @@ def _output(args):
 
 def cmd_train(args) -> int:
     detour_layers(args.max_detour, "--max-detour")
-    grid, result = _load_trips(args, args.input)
-    paths, degenerate = _discretize_all(result, grid)
+    grid, paths, degenerate, malformed, _ = _load_paths(args, args.input)
     if not paths:
         raise ValueError("no usable trips after discretization")
     sstp = build_sstp(paths, grid.g)
@@ -163,10 +167,9 @@ def cmd_train(args) -> int:
     elapsed = (time.perf_counter() - t0) * 1e3
     save_model(model, args.out)
     save_sstp(sstp, args.out + ".sstp")
-    n = grid.g * grid.g
     print(f"trained g={grid.g} max_detour={args.max_detour} trips={len(paths)} "
-          f"degenerate={degenerate} malformed_rows={result.malformed_rows} "
-          f"entries={n * n * model.n_layers} train_ms={elapsed:.1f}")
+          f"degenerate={degenerate} malformed_rows={malformed} "
+          f"entries={model.layers.size} train_ms={elapsed:.1f}")
     print(f"model written to {args.out} (+{args.out}.sstp)")
     return 0
 
@@ -208,16 +211,13 @@ def cmd_predict(args) -> int:
     if args.grid not in (None, model.g):
         raise ValueError(f"--grid {args.grid} does not match the model's g={model.g}")
     args.grid = model.g
-    grid, hist_result = _load_trips(args, args.history)
-    history, _ = _discretize_all(hist_result, grid)
-    del hist_result     # each path holds its columns only until the histogram reads them
+    grid, history, *_ = _load_paths(args, args.history)
     hist = ingest.build_histogram(history, args.bin_width_km)
     index = predict.HistoryIndex.build(history)
     q_result = ingest.parse_trajectories(args.queries, grid)
     if q_result.dropped_points or q_result.malformed_rows:
         # a query trip left with no point gets no line
-        print(f"note: {args.queries}: skipped {q_result.dropped_points} points outside the "
-              f"grid and {q_result.malformed_rows} malformed rows", file=sys.stderr)
+        _note_skipped(args.queries, q_result)
     with _output(args) as out:
         for traj in q_result.trajectories:
             path = ingest.cell_path(traj, grid)
@@ -241,15 +241,14 @@ def _shortest_route_model(model: TransitionModel) -> TransitionModel:
 def cmd_eval(args) -> int:
     if not 0 < args.train_frac < 1:
         raise ValueError(f"--train-frac must lie in (0, 1), got {args.train_frac}")
-    completions = [float(x) for x in args.completion.split(",")]
+    completions = _numbers("--completion", args.completion)
     outside = [f for f in completions if not 0 < f <= 1]
     if outside:
         raise ValueError(f"completion point {outside[0]} outside (0, 1]")
-    alphas = [float(x) for x in args.alpha_sweep.split(",")] if args.alpha_sweep else [args.alpha]
+    alphas = _numbers("--alpha-sweep", args.alpha_sweep) if args.alpha_sweep else [args.alpha]
     _check_scoring(args, alphas, "--alpha-sweep" if args.alpha_sweep else "--alpha")
     detour_layers(args.max_detour, "--max-detour")
-    grid, result = _load_trips(args, args.input)
-    paths, _ = _discretize_all(result, grid)
+    grid, paths, *_ = _load_paths(args, args.input)
     if len(paths) < 10:
         raise ValueError("need at least 10 trips to evaluate")
     rng = np.random.default_rng(args.seed)
@@ -320,7 +319,7 @@ def _refresh_ms(model, sstp, cells) -> float:
 
 
 def cmd_bench(args) -> int:
-    grids = [int(x) for x in args.grids.split(",")]
+    grids = _numbers("--grids", args.grids, int)
     small = [g for g in grids if g < 2]
     if small:
         raise ValueError(f"grid side must be >= 2, got {small[0]}")

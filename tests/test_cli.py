@@ -3,6 +3,7 @@ import json
 import shlex
 import struct
 import weakref
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -158,14 +159,14 @@ class TestTrain:
         csv_path.write_text("trip_id,seq,timestamp,lat,lon\n"
                             "a,0,0,0.0,-180.0\na,1,60,45.0,-180.0\na,2,120,90.0,-180.0\n"
                             "b,0,0,-90.0,180.0\nb,1,60,-45.0,180.0\nb,2,120,0.0,180.0\n")
-        box = cli._bbox_of_points(ingest.parse_trajectories(csv_path))
+        box = cli._bbox_of_points(ingest.parse_trajectories(csv_path).trajectories)
         assert box == (-90.0, 90.0, -180.0, 180.0)
         assert main(["train", "--input", str(csv_path), "--grid", "4",
                      "--out", str(tmp_path / "m.edp")]) == 0
 
     def test_inferred_box_equals_explicit_bbox(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
-        box = cli._bbox_of_points(ingest.parse_trajectories(csv_path))
+        box = cli._bbox_of_points(ingest.parse_trajectories(csv_path).trajectories)
         inferred, explicit = tmp_path / "inferred.edp", tmp_path / "explicit.edp"
         assert main(["train", "--input", str(csv_path), "--grid", "6",
                      "--out", str(inferred)]) == 0
@@ -174,6 +175,40 @@ class TestTrain:
         assert inferred.read_bytes() == explicit.read_bytes()
         assert (tmp_path / "inferred.edp.sstp").read_bytes() == \
             (tmp_path / "explicit.edp.sstp").read_bytes()
+
+    @staticmethod
+    def padded_box(trips):
+        """min and max over every point, padded as the README says."""
+        lats = [lat for lats, _ in trips for lat in lats]
+        lons = [lon for _, lons in trips for lon in lons]
+        lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
+        pad_lat = (lat_hi - lat_lo) * 1e-6 + 1e-9
+        pad_lon = min((lon_hi - lon_lo) * 1e-6 + 1e-9, max(360.0 - (lon_hi - lon_lo), 0.0) / 2)
+        return (max(lat_lo - pad_lat, -90.0), min(lat_hi + pad_lat, 90.0),
+                lon_lo - pad_lon, lon_hi + pad_lon)
+
+    POINT = st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 90.0, -90.0]), st.floats(-90, 90)),
+                      st.one_of(st.sampled_from([0.0, -0.0, 180.0, -180.0]),
+                                st.floats(-180, 180)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(POINT, min_size=1, max_size=5), min_size=1, max_size=6))
+    @example([[(0.5, 1.0)]])                                   # one one-point trip
+    @example([[(1.0, 2.0)], [(-1.0, 3.0)], [(0.0, -4.0)]])     # one-point trips only
+    @example([[(90.0, -180.0)], [(-90.0, 180.0)]])             # the poles, a 360-degree span
+    @example([[(0.0, -0.0), (-0.0, 0.0)], [(-0.0, 360.0), (0.0, 0.0)]])  # signed zeros
+    @example([[(-0.0, 0.0)], [(0.0, -0.0), (1.0, 360.0)]])
+    def test_inferred_box_is_the_padded_extremes(self, points):
+        """The numpy box of the joined columns is, bit for bit and zero
+        signs included, the padded min and max over every point in trip
+        order: one-point trips, the poles, a 360-degree span and +-0.0
+        extremes alike."""
+        trips = [tuple(map(list, zip(*trip))) for trip in points]
+        raw = [ingest.RawTrajectory(f"t{i}", array("d", lats), array("d", lons))
+               for i, (lats, lons) in enumerate(trips)]
+        box = cli._bbox_of_points(raw)
+        assert all(type(v) is float for v in box)
+        assert list(map(repr, box)) == list(map(repr, self.padded_box(trips)))
 
     def test_inferred_box_skips_non_finite_rows(self, tmp_path, synthetic_csv, capsys):
         csv_path, _ = synthetic_csv
@@ -345,33 +380,49 @@ class TestParseOnce:
         assert sorted(parsed) == [str(csv_path)] * 2
 
 
-@pytest.mark.parametrize("grid_flags", [["--unit-grid"], ["--bbox=0,0.06,0,0.06"], []],
-                         ids=["unit-grid", "bbox", "inferred"])
+def load_args(csv_path, *grid_flags):
+    return cli.build_parser().parse_args(["train", "--input", str(csv_path), "--grid", "6",
+                                          *grid_flags, "--out", "unused"])
+
+
+LOADER_BRANCHES = pytest.mark.parametrize(
+    "grid_flags", [["--unit-grid"], ["--bbox=0,0.06,0,0.06"], []],
+    ids=["unit-grid", "bbox", "inferred"])
+
+
+@LOADER_BRANCHES
 def test_load_trips_maps_every_trajectory(synthetic_csv, grid_flags, monkeypatch):
-    """Every trajectory _load_trips returns carries its cell path on the
-    grid it returns, mapped in batches, so discretizing them maps no trip
+    """On each grid branch of _load_paths, every trajectory reaches
+    discretize carrying its cell path on the grid the loader returns,
+    mapped in batches before the first discretize, so no trip is mapped
     on its own (several times slower per point than a batch)."""
     csv_path, _ = synthetic_csv
-    args = cli.build_parser().parse_args(["train", "--input", str(csv_path), "--grid", "6",
-                                          *grid_flags, "--out", "unused"])
-    grid, result = cli._load_trips(args, csv_path)
-    assert len(result.trajectories) == 300
-    for traj in result.trajectories:
-        assert traj._grid is grid
-        assert traj._cells == oracles.scalar_cell_path(traj, grid)
+    cell_lists, discretize = ingest._cell_lists, ingest.discretize
+    seen = []
 
-    def no_mapping(*_):
-        raise AssertionError("a trajectory was mapped on its own")
-    monkeypatch.setattr(ingest, "_cell_lists", no_mapping)
-    paths, degenerate = cli._discretize_all(result, grid)
-    moving = [t._cells for t in result.trajectories if len(t._cells) > 1]
+    def batch_only(block, grid):
+        assert not seen, "a trajectory was mapped on its own"
+        return cell_lists(block, grid)
+
+    def checked(traj, grid):
+        seen.append((traj, grid))
+        assert traj._grid is grid and traj._cells == oracles.scalar_cell_path(traj, grid)
+        return discretize(traj, grid)
+    monkeypatch.setattr(ingest, "_cell_lists", batch_only)
+    monkeypatch.setattr(ingest, "discretize", checked)
+    grid, paths, degenerate, malformed, dropped = cli._load_paths(load_args(csv_path, *grid_flags),
+                                                                  csv_path)
+    assert len(seen) == 300 and all(g is grid for _, g in seen)
+    moving = [t._cells for t, _ in seen if len(t._cells) > 1]
     assert [p.cells for p in paths] == moving
-    assert degenerate == len(result.trajectories) - len(moving)
+    assert (degenerate, malformed, dropped) == (300 - len(moving), 0, 0)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("last", ["path", "raises"])
 def test_discretize_all_pauses_the_collector(monkeypatch, enabled, last):
+    """_load_paths pauses the collector over its discretize loop and
+    restores it, also when a discretize raises."""
     seen = []
 
     def discretize(traj, grid):
@@ -382,19 +433,93 @@ def test_discretize_all_pauses_the_collector(monkeypatch, enabled, last):
             raise RuntimeError(traj)
         return traj
     monkeypatch.setattr(ingest, "discretize", discretize)
-    result = ingest.ParseResult(["path", "degenerate", last])
+    monkeypatch.setattr(ingest, "parse_trajectories",
+                        lambda path, grid: ingest.ParseResult(["path", "degenerate", last], 2))
+    args = load_args("trips.csv", "--unit-grid")
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         if last == "raises":
             with pytest.raises(RuntimeError):
-                cli._discretize_all(result, None)
+                cli._load_paths(args, "trips.csv")
         else:
-            assert cli._discretize_all(result, None) == (["path", "path"], 1)
+            assert cli._load_paths(args, "trips.csv") == (unit_grid(6), ["path", "path"], 1, 2, 0)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False] * 3
+
+
+@LOADER_BRANCHES
+def test_load_paths_frees_the_parse(synthetic_csv, grid_flags, monkeypatch):
+    """No parse result or trajectory outlives _load_paths: the paths it
+    returns hold only their trajectories' columns."""
+    csv_path, _ = synthetic_csv
+    parse, parses = ingest.parse_trajectories, []
+
+    def parse_recorded(*a, **kw):
+        result = parse(*a, **kw)
+        parses.append((weakref.ref(result), len(result.trajectories)))
+        return result
+
+    def live_trajectories():
+        gc.collect()
+        return sum(isinstance(o, ingest.RawTrajectory) for o in gc.get_objects())
+    monkeypatch.setattr(ingest, "parse_trajectories", parse_recorded)
+    before = live_trajectories()
+    _, paths, *_ = cli._load_paths(load_args(csv_path, *grid_flags), csv_path)
+    assert [(ref(), n) for ref, n in parses] == [(None, 300)]
+    assert live_trajectories() == before
+    assert len(paths) > 250
+
+
+class TestDroppedPointsNoted:
+    """A history or training file whose parse drops points outside the
+    grid says so on stderr, as `edp predict` does for its queries; stdout
+    is what it was. The g=8 world clipped to a 0.03-degree box keeps 134
+    of its 2,098 points."""
+
+    NOTE = "note: {}: skipped 1964 points outside the grid and 0 malformed rows\n"
+
+    @pytest.fixture
+    def clipped(self, tmp_path):
+        world = tmp_path / "world"
+        assert main(["gen", "--grid", "8", "--trips", "300", "--seed", "1", "--attractors", "2",
+                     "--out", str(world)]) == 0
+        return world.with_suffix(".csv"), ["--grid", "8", "--bbox=0,0.03,0,0.03"]
+
+    def test_train(self, tmp_path, clipped, capsys):
+        csv_path, flags = clipped
+        capsys.readouterr()
+        assert main(["train", "--input", str(csv_path), *flags, "--max-detour", "2",
+                     "--out", str(tmp_path / "m.edp")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == self.NOTE.format(csv_path)
+        assert "trips=39 degenerate=15 malformed_rows=0 " in captured.out
+
+    def test_eval(self, clipped, capsys):
+        csv_path, flags = clipped
+        capsys.readouterr()
+        assert main(["eval", "--input", str(csv_path), *flags, "--completion", "0.5",
+                     "--max-detour", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == self.NOTE.format(csv_path)
+        assert captured.out.startswith("alpha,completion,bucket,queries,edp_deviation_km\n")
+
+    def test_predict(self, tmp_path, clipped, capsys):
+        csv_path, flags = clipped
+        model_path = tmp_path / "m.edp"
+        assert main(["train", "--input", str(csv_path), *flags, "--max-detour", "2",
+                     "--out", str(model_path)]) == 0
+        queries = tmp_path / "q.csv"
+        src = csv_path.read_text().splitlines()
+        queries.write_text("\n".join([src[0], "q,0,0,0.001,0.001", "q,1,60,0.01,0.001"]) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--history", str(csv_path),
+                     "--queries", str(queries), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == self.NOTE.format(csv_path)
+        assert [json.loads(r)["trip_id"] for r in captured.out.splitlines()] == ["q"]
 
 
 class TestUpdate:
@@ -982,6 +1107,22 @@ class TestQuerySettingsFirst:
         assert main(["eval", "--input", "t.csv", "--grid", "6", "--unit-grid",
                      "--alpha-sweep", sweep]) == 2
         assert "--alpha-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--input", "t.csv", "--out", "m.edp", "--grid", "6", "--bbox=0,1,x,1"],
+         "--bbox"),
+        (["eval", "--input", "t.csv", "--grid", "6", "--unit-grid", "--completion", "0.3,x"],
+         "--completion"),
+        (["eval", "--input", "t.csv", "--grid", "6", "--unit-grid", "--alpha-sweep", "0.004,"],
+         "--alpha-sweep"),
+        (["bench", "--grids", "20,2.5"], "--grids"),
+    ], ids=["bbox", "completion", "alpha-sweep", "grids"])
+    def test_list_value_not_a_number(self, capsys, argv, flag):
+        """A list flag's value that does not parse exits 2 naming the flag."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} takes comma-separated ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("detour", ["3", "-2"])
     def test_bench_max_detour(self, capsys, detour):
