@@ -106,11 +106,8 @@ def _load_paths(args, path) -> tuple[GridMap, list[ingest.CellPath], int, int, i
     if args.grid is None:
         raise ValueError("--grid is required")
     grid = unit_grid(args.grid) if args.unit_grid else None
-    if grid is None and args.bbox is not None:
-        box = _numbers("--bbox", args.bbox)
-        if len(box) != 4:
-            raise ValueError("--bbox must be lat_min,lat_max,lon_min,lon_max")
-        grid = GridMap(*box, args.grid)
+    if args.bbox is not None:
+        grid = GridMap(*args.bbox, args.grid)
     result = ingest.parse_trajectories(path, grid)
     if grid is None:
         grid = GridMap(*_bbox_of_points(result.trajectories), args.grid)
@@ -296,13 +293,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _refresh_ms(model, sstp, cells) -> float:
+def _refresh_ms(model, cells) -> float:
     """The fastest of BENCH_REPEATS exact in-place refreshes that give
-    `cells` uniform rows, each of a copy made outside the timed region and
-    checked bitwise against retraining."""
-    rows, live = {}, sstp.copy()
+    `cells` uniform rows to the model's own single-step matrix, each of a
+    copy made outside the timed region and checked bitwise against retraining."""
+    rows, live = {}, model.single_step()
     for cell in cells:
-        nbrs = neighbors(cell, sstp.g)
+        nbrs = neighbors(cell, model.g)
         rows[cell] = {b: 1.0 / len(nbrs) for b in nbrs}
         live.replace_row(cell, rows[cell])
     change = update.ChangeSet(model.epoch + 1, rows)
@@ -314,7 +311,7 @@ def _refresh_ms(model, sstp, cells) -> float:
         best = min(best, time.perf_counter() - t0)
         if not (np.array_equal(refreshed.layers, reference.layers)
                 and np.array_equal(refreshed.totals, reference.totals)):
-            raise RuntimeError(f"refresh of cells {cells} differs from retraining at g={sstp.g}")
+            raise RuntimeError(f"refresh of cells {cells} differs from retraining at g={model.g}")
     return best * 1e3
 
 
@@ -344,9 +341,9 @@ def cmd_bench(args) -> int:
             del dense, totals
             # the corner cell, then the 2x2 block at the centre
             h = g // 2 - 1
-            corner_ms = _refresh_ms(model, sstp, [0])
-            cluster_ms = _refresh_ms(model, sstp, [h * g + h, h * g + h + 1,
-                                                   (h + 1) * g + h, (h + 1) * g + h + 1])
+            corner_ms = _refresh_ms(model, [0])
+            cluster_ms = _refresh_ms(model, [h * g + h, h * g + h + 1,
+                                             (h + 1) * g + h, (h + 1) * g + h + 1])
             edp_ms, smm_ms = edp_s * 1e3, smm_s * 1e3
             out.write(f"{g},{edp_ms:.1f},{smm_ms:.1f},{smm_ms / edp_ms:.2f},"
                       f"{corner_ms:.1f},{cluster_ms:.1f}\n")
@@ -405,9 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     grid, box, detour, scoring, seed, out, config = (
         argparse.ArgumentParser(add_help=False) for _ in range(7))
     grid.add_argument("--grid", type=int)
-    box.add_argument("--bbox", help=BBOX_HELP)
-    box.add_argument("--unit-grid", action="store_true",
-                     help="1 km cells anchored at the origin (synthetic data)")
+    placement = box.add_mutually_exclusive_group()    # each fixes the grid
+    placement.add_argument("--bbox", help=BBOX_HELP)
+    placement.add_argument("--unit-grid", action="store_true",
+                           help="1 km cells anchored at the origin (synthetic data)")
     detour.add_argument("--max-detour", type=int)
     scoring.add_argument("--top", type=int, default=3)
     scoring.add_argument("--alpha", type=float)
@@ -466,9 +464,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _read_config(args.config) if args.config else {}
-        for key, (cast, default) in SETTINGS.items():
+        for key, (_, default) in SETTINGS.items():
             if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, cast(config[key]) if key in config else default)
+                setattr(args, key, config.get(key, default))
+        if getattr(args, "bbox", None) is not None:    # before any file is read
+            args.bbox = _numbers("--bbox", args.bbox)
+            if len(args.bbox) != 4:
+                raise ValueError("--bbox must be lat_min,lat_max,lon_min,lon_max")
         return args.func(args)
     except (FormatError, CorruptModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,15 +22,14 @@ it loaded. `apply_update` runs it on a copy for callers that swap
 snapshots, and checks and updates the matrix they keep beside the model.
 
 Two modes are provided. `exact` refreshes every entry a change can move.
-`paper` anchors each origin at its nearest changed cell and grows the
-beyond-rectangle border by border, one step per two units of detour; it
-saves the stored entries of the affected pairs outside its region, runs
-the exact pass and then puts them back. So in-region entries are the
-retrained values, and `paper` mode differs from retraining only where its
-region misses an affected entry, which then keeps its stale value. A
-later `exact` refresh recomputes only the entries its own change can
-move, so it leaves those stale entries as they are: neither mode equals
-retraining once a `paper` refresh has run.
+`paper` is the exact pass plus a write-back: its region anchors each
+origin at its nearest changed cell and grows the beyond-rectangle border
+by border, one step per two units of detour, and the stored entries of
+the affected pairs outside it are saved before the pass and written back
+after, so it reports the exact pass's counts. In-region entries are the
+retrained values; an affected entry the region misses keeps its stale
+value, and a later `exact` refresh, which recomputes only what its own
+change can move, leaves it so: neither mode equals retraining after that.
 """
 
 import time
@@ -106,12 +105,12 @@ def load_changeset(path, g: int) -> ChangeSet:
 class UpdateStats:
     """What one refresh did.
 
-    entries_recomputed counts the (layer, pair) entries the refresh
-    recomputed, in paper mode only those inside its region, against
-    entries_full for the whole model; origins_recomputed counts the
-    origins with at least one such entry. Both count only entries that a
-    walk along the moves which can carry probability joins to a changed
-    cell, so a sparse matrix recomputes fewer than the grid alone allows.
+    entries_recomputed counts the (layer, pair) entries the recursion
+    computed, in either mode, against entries_full for the whole model;
+    origins_recomputed counts the origins with at least one such entry.
+    Both count only entries that a walk along the moves which can carry
+    probability joins to a changed cell, so a sparse matrix recomputes
+    fewer than the grid alone allows.
     """
 
     mode: str
@@ -273,17 +272,14 @@ def refresh_in_place(model: TransitionModel, cs: ChangeSet, mode: str = "exact")
     first = _first_affected_layer(sstp, changed, n_layers)
     pairs = np.flatnonzero(first < n_layers)
     levels = first.reshape(-1)[pairs]
+    rows = model.layers.reshape(n_layers, -1)
+    stale = pairs[:0]    # paper mode writes back the stored entries outside its region
     if mode == "paper":
-        in_region = _affected_mask_paper(changed, model.max_detour, model.g).reshape(-1)[pairs]
-        rows = model.layers.reshape(n_layers, -1)
-        stale = pairs[~in_region]
-        stored = rows[:, stale]
-        _ring_recursion(model.layers, sstp, pairs, levels)
-        rows[:, stale] = stored
-        pairs, levels = pairs[in_region], levels[in_region]
-    else:
-        _ring_recursion(model.layers, sstp, pairs, levels)
-    # an entry left as stored adds to its stored total, bit for bit
+        stale = pairs[~_affected_mask_paper(changed, model.max_detour, model.g).reshape(-1)[pairs]]
+    stored = rows[:, stale]
+    _ring_recursion(model.layers, sstp, pairs, levels)
+    rows[:, stale] = stored
+    # an entry left or written back as stored adds to its stored total, bit for bit
     totals = model.totals.reshape(-1)
     if pairs.size < PAIR_SUM_SHARE * n * n:
         totals[pairs] = sum_layers(model.layers, pairs)

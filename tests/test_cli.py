@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import inspect
 import json
 import shlex
 import struct
@@ -318,6 +320,21 @@ class TestSettings:
         got = settings_of(flag, str(from_cli), config=f"{key}={from_config}\n")[key]
         assert got == from_cli and type(got) is type(from_cli)
 
+    def test_defaults_are_the_librarys(self):
+        """perfbench calls the library with its defaults, so a CLI default
+        changed on its own would benchmark a setting the CLI does not ship."""
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+        for func in (predict.predict_destination, predict.answer):
+            assert cli.SETTINGS["alpha"][1] == default(func, "alpha")
+            assert cli.SETTINGS["knn"][1] == default(func, "k")
+        assert cli.SETTINGS["max_detour"][1] == default(model_module.train_initial, "max_detour")
+        assert cli.SETTINGS["bin_width_km"][1] == default(ingest.build_histogram, "bin_width_km")
+        top_k = {f.name: f.default for f in dataclasses.fields(predict.Query)}["top_k"]
+        for argv in (["predict", "--model", "m", "--history", "h", "--queries", "q"],
+                     ["eval", "--input", "t"]):
+            assert cli.build_parser().parse_args(argv).top == top_k
+
     @pytest.mark.parametrize("argv", [
         ["train", "--input", "t.csv", "--out", "m.edp"],
         ["update", "--model", "m.edp", "--changes", "c.csv"],
@@ -381,8 +398,11 @@ class TestParseOnce:
 
 
 def load_args(csv_path, *grid_flags):
-    return cli.build_parser().parse_args(["train", "--input", str(csv_path), "--grid", "6",
+    args = cli.build_parser().parse_args(["train", "--input", str(csv_path), "--grid", "6",
                                           *grid_flags, "--out", "unused"])
+    if args.bbox is not None:    # main parses the box before any command runs
+        args.bbox = [float(v) for v in args.bbox.split(",")]
+    return args
 
 
 LOADER_BRANCHES = pytest.mark.parametrize(
@@ -1116,13 +1136,42 @@ class TestQuerySettingsFirst:
         (["eval", "--input", "t.csv", "--grid", "6", "--unit-grid", "--alpha-sweep", "0.004,"],
          "--alpha-sweep"),
         (["bench", "--grids", "20,2.5"], "--grids"),
-    ], ids=["bbox", "completion", "alpha-sweep", "grids"])
+        (["predict", "--model", "missing.edp", "--history", "h.csv", "--queries", "q.csv",
+          "--bbox=0,x,0,1"], "--bbox"),
+    ], ids=["bbox", "completion", "alpha-sweep", "grids", "predict-bbox"])
     def test_list_value_not_a_number(self, capsys, argv, flag):
-        """A list flag's value that does not parse exits 2 naming the flag."""
+        """A list flag's value that does not parse exits 2 naming the flag;
+        `edp predict`'s --bbox once loaded the model first and exited 3 for
+        a missing one."""
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag} takes comma-separated ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--input", "t.csv", "--out", "m.edp", "--grid", "6"],
+        ["predict", "--model", "missing.edp", "--history", "h.csv", "--queries", "q.csv"],
+        ["eval", "--input", "t.csv", "--grid", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_bbox_of_the_wrong_length(self, capsys, argv):
+        assert main([*argv, "--bbox=0,1,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --bbox must be lat_min,lat_max,lon_min,lon_max\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--input", "t.csv", "--out", "m.edp", "--grid", "6"],
+        ["predict", "--model", "m.edp", "--history", "h.csv", "--queries", "q.csv"],
+        ["eval", "--input", "t.csv", "--grid", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_bbox_with_unit_grid(self, capsys, argv):
+        """--bbox and --unit-grid each fix the grid; given both, the box was
+        once ignored without a word."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--unit-grid", "--bbox=0,0.03,0,0.03"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--bbox" in err and "--unit-grid" in err and "not allowed with" in err
 
     @pytest.mark.parametrize("detour", ["3", "-2"])
     def test_bench_max_detour(self, capsys, detour):

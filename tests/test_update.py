@@ -282,6 +282,11 @@ class TestRefreshInPlace:
         # plain ints, which json and the benchmark's records take
         assert {type(getattr(stats, name)) for name in ("origins_recomputed",
                                                         "entries_recomputed")} == {int}
+        # both modes run the one recursion, so they report its counts
+        other = refresh_in_place(model.copy(), ChangeSet(1, rows),
+                                 "paper" if mode == "exact" else "exact")
+        for name in ("origins_recomputed", "entries_recomputed", "entries_full"):
+            assert getattr(other, name) == getattr(stats, name)
         reference = retrain_reference(sstp, rows, detour)
         if mode == "exact":
             assert np.array_equal(target.layers, reference.layers)
@@ -562,14 +567,17 @@ class TestApplyUpdatePaper:
             == l1_distance(origin, far, g) + 2
         assert abs(paper.totals[origin, far] - exact.totals[origin, far]) > 1e-9
 
-    def test_paper_recomputes_fewer_entries(self):
+    def test_paper_recomputes_the_exact_entries(self):
+        """Paper mode is the exact pass plus a write-back, so it reports
+        the entries and origins the exact pass computed."""
         g = 8
         sstp = random_sstp(g, 5)
         model = train_initial(sstp, None, 4)
         rows = skewed_rows([27], g, 7)
         _, stats_p = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="paper")
         _, stats_e = apply_update(model, sstp.copy(), ChangeSet(1, rows), mode="exact")
-        assert stats_p.entries_recomputed <= stats_e.entries_recomputed
+        assert stats_p.entries_recomputed == stats_e.entries_recomputed
+        assert stats_p.origins_recomputed == stats_e.origins_recomputed
         assert stats_e.entries_recomputed < stats_e.entries_full
 
 
