@@ -1,15 +1,16 @@
 """Command-line surface: train, update, predict, eval, bench, census, gen.
 
 Exit codes: 0 success, 2 usage or validation problems, 3 I/O and file
-format problems.
+format problems, 141 when the reader of stdout leaves early.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,12 @@ import numpy as np
 from . import baseline, ingest, predict, update
 from .errors import CorruptModelError, FormatError
 from .grid import GridMap, neighbors, unit_grid
-from .model import (TransitionModel, atomic_write, build_sstp, count_start_dest, detour_layers,
+from .model import (atomic_write, build_sstp, count_start_dest, detour_layers,
                     load_model, random_sstp, save_model, save_sstp, train_initial)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_PIPE = 141     # 128 + SIGPIPE: what a shell reports for `cat` whose reader left
 BENCH_REPEATS = 3   # timed runs per trainer and grid in `edp bench`
 
 # argparse reads a value starting with "-" as an option, so a box with a
@@ -142,14 +144,9 @@ def _check_scoring(args, alphas, alpha_flag="--alpha") -> None:
         raise ValueError(f"--bin-width-km must be finite and > 0, got {args.bin_width_km}")
 
 
-@contextmanager
 def _output(args):
     """The --out file, written atomically, or stdout."""
-    if not args.out:
-        yield sys.stdout
-        return
-    with atomic_write(args.out, "w") as fh:
-        yield fh
+    return atomic_write(args.out, "w") if args.out else nullcontext(sys.stdout)
 
 
 def cmd_train(args) -> int:
@@ -209,8 +206,9 @@ def cmd_predict(args) -> int:
         raise ValueError(f"--grid {args.grid} does not match the model's g={model.g}")
     args.grid = model.g
     grid, history, *_ = _load_paths(args, args.history)
-    hist = ingest.build_histogram(history, args.bin_width_km)
-    index = predict.HistoryIndex.build(history)
+    if not history:
+        raise ValueError(f"--history {args.history}: no usable trips after discretization")
+    served = predict.Predictor.build(model, history, grid, args.bin_width_km, args.alpha, args.knn)
     q_result = ingest.parse_trajectories(args.queries, grid)
     if q_result.dropped_points or q_result.malformed_rows:
         # a query trip left with no point gets no line
@@ -218,21 +216,9 @@ def cmd_predict(args) -> int:
     with _output(args) as out:
         for traj in q_result.trajectories:
             path = ingest.cell_path(traj, grid)
-            q = predict.Query(path.cells, path.trip_km, top_k=args.top)
-            res = predict.answer(model, q, hist, index, grid, args.alpha, args.knn)
+            res = served.answer(predict.Query(path.cells, path.trip_km, top_k=args.top))
             out.write(_result_json(traj.trip_id, res) + "\n")
     return 0
-
-
-def _shortest_route_model(model: TransitionModel) -> TransitionModel:
-    """The first-order baseline: `model` cut to its shortest-route layer.
-
-    Layer 0's entries read no detour layer, so they are bitwise those of
-    train_initial(sstp, counts, 0), and this is that model without a
-    second training. It shares the layer's memory and the counts with
-    `model`.
-    """
-    return replace(model, max_detour=0, layers=model.layers[:1], totals=model.layers[0])
 
 
 def cmd_eval(args) -> int:
@@ -253,43 +239,36 @@ def cmd_eval(args) -> int:
     n_test = max(1, int(len(paths) * (1 - args.train_frac)))
     test = [paths[i] for i in order[:n_test]]
     train = [paths[i] for i in order[n_test:]]
-    sstp = build_sstp(train, grid.g)
-    counts = count_start_dest(train)
-    model = train_initial(sstp, counts, args.max_detour)
-    hist = ingest.build_histogram(train, args.bin_width_km)
-    index = predict.HistoryIndex.build(train)
-    baseline_model = _shortest_route_model(model) if args.compare_baseline else None
+    model = train_initial(build_sstp(train, grid.g), count_start_dest(train), args.max_detour)
+    served = predict.Predictor.build(model, train, grid, args.bin_width_km, k=args.knn)
+    # per column: its predictor, and whether it scores from the current cell
+    columns = {"edp": (served, False)}
+    if args.compare_baseline:
+        columns["baseline"] = (served.first_order(), True)
     train_seqs = {tuple(p.cells) for p in train}
     with _output(args) as out:
-        cols = "alpha,completion,bucket,queries,edp_deviation_km"
-        if baseline_model is not None:
-            cols += ",baseline_deviation_km"
-        out.write(cols + "\n")
+        out.write("alpha,completion,bucket,queries,"
+                  + ",".join(f"{name}_deviation_km" for name in columns) + "\n")
         for a in alphas:
+            askers = [(replace(p, alpha=a), from_current) for p, from_current in columns.values()]
             for f in completions:
-                # per bucket: the EDP results, the baseline results and the truths
-                buckets: dict[str, tuple[list, list, list[int]]] = {}
+                # per bucket: the truths, and each column's results
+                buckets: dict[str, tuple[list[int], list[list]]] = {}
                 for trip in test:
                     cut = max(1, math.ceil(len(trip.cells) * f))
                     q = predict.Query(trip.cells[:cut], trip.trip_km * f, top_k=args.top)
                     bucket = "all"
                     if args.match_ratio_buckets:
                         bucket = "match" if tuple(trip.cells) in train_seqs else "novel"
-                    results, base_results, truths = buckets.setdefault(bucket, ([], [], []))
-                    results.append(predict.answer(model, q, hist, index, grid, a, args.knn))
-                    if baseline_model is not None:
-                        base_results.append(predict.answer(baseline_model, q, hist, index, grid, a,
-                                                           args.knn, force_future_to_current=True))
+                    truths, results = buckets.setdefault(bucket, ([], [[] for _ in askers]))
                     truths.append(trip.cells[-1])
+                    for (p, from_current), got in zip(askers, results):
+                        got.append(p.answer(q, from_current))
                 for bucket in sorted(buckets):
-                    results, base_results, truths = buckets[bucket]
-                    dev = predict.deviation_metrics(results, truths, grid, args.top).mean_km
-                    line = f"{a},{f},{bucket},{len(truths)},{dev:.4f}"
-                    if baseline_model is not None:
-                        base_dev = predict.deviation_metrics(base_results, truths, grid,
-                                                             args.top).mean_km
-                        line += f",{base_dev:.4f}"
-                    out.write(line + "\n")
+                    truths, results = buckets[bucket]
+                    out.write(f"{a},{f},{bucket},{len(truths)}" + "".join(
+                        f",{predict.deviation_metrics(got, truths, grid, args.top).mean_km:.4f}"
+                        for got in results) + "\n")
     return 0
 
 
@@ -362,12 +341,10 @@ def cmd_census(args) -> int:
         if args.analytic:
             rows = baseline.census(g, steps)
             out.write("g,s,empirical,z_smm,z_etp,ratio\n")
-            mismatches = []
             for r in rows:
                 out.write(f"{r.g},{r.s},{r.empirical},{r.z_smm:.0f},{r.z_etp:.0f},"
                           f"{r.ratio:.6f}\n")
-                if not (r.smm_match and r.etp_match):
-                    mismatches.append(r.s)
+            mismatches = [r.s for r in rows if not (r.smm_match and r.etp_match)]
             if mismatches:
                 print(f"analytic counts diverge from empirical at steps {mismatches} "
                       f"(expected past the block edge s >= {g})", file=sys.stderr)
@@ -471,7 +448,14 @@ def main(argv=None) -> int:
             args.bbox = _numbers("--bbox", args.bbox)
             if len(args.bbox) != 4:
                 raise ValueError("--bbox must be lat_min,lat_max,lon_min,lon_max")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()    # so a reader that left shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout left. Python's recipe: point fd 1 at devnull,
+        # so the flush at exit writes nothing and reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (FormatError, CorruptModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

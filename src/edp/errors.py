@@ -22,7 +22,7 @@ class ColdStartError(EdpError):
 
     Carries a forward-mass fallback ranking and the history walk's
     FutureLocation (cell, steps, no_match) it was ranked from. Read by
-    predict.answer, which makes it a cold-start answer, and by perfbench
+    Predictor.answer, which makes it a cold-start answer, and by perfbench
     and the acceptance tests, which catch it from predict_destination."""
 
     def __init__(self, message: str, fallback: list[tuple[int, float]], future):

@@ -8,17 +8,19 @@ the most probable future location, and ranks candidate destinations by
     score(d) = p(future -> d) * P(d | start) / p(start -> d)
 
 normalized over the candidates that the start's trip history supports.
+A Predictor holds what the queries read and answers each one.
 """
 
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
+from . import ingest
 from .errors import ColdStartError
 from .grid import GridMap
 from .ingest import CellPath, TripDistanceHistogram
@@ -471,21 +473,50 @@ def predict_destination(model: TransitionModel, q: Query, h: TripDistanceHistogr
     return PredictionResult(ranked[:q.top_k], lp, dp, km, extrapolated, no_match, steps)
 
 
-def answer(model: TransitionModel, q: Query, h: TripDistanceHistogram, history: HistoryIndex,
-           grid: GridMap, alpha: float = 0.004, k: int = 10,
-           force_future_to_current: bool = False) -> PredictionResult:
-    """predict_destination's result or, for a start with no candidate, the
-    cold-start answer: the fallback's top_k from the walked future cell, the
-    walk's cell, steps and no-match flag, 0.0 budget and estimate, cold_start set."""
-    try:
-        return predict_destination(model, q, h, history, grid, alpha, k,
-                                   force_future_to_current)
-    except ColdStartError as exc:
-        future = exc.future
-        return PredictionResult(
-            ranked=exc.fallback[:q.top_k], future_location=future.cell,
-            predicted_length_km=0.0, estimated_total_km=0.0,
-            future_no_match=future.no_match, future_steps=future.steps, cold_start=True)
+@dataclass(frozen=True, eq=False)
+class Predictor:
+    """What answers online queries: the trained model, the history's
+    trip-length histogram and route index, the grid, the decay factor
+    alpha and the walk's k."""
+    model: TransitionModel
+    hist: TripDistanceHistogram
+    index: HistoryIndex
+    grid: GridMap
+    alpha: float = 0.004
+    k: int = 10
+
+    @classmethod
+    def build(cls, model: TransitionModel, paths: list[CellPath], grid: GridMap,
+              bin_width_km: float = 1.0, alpha: float = 0.004, k: int = 10) -> "Predictor":
+        """The predictor over the history `paths`. Both builds are looked up
+        by module and class attribute when called, so a tracer that wraps
+        ingest.build_histogram or HistoryIndex.build by name sees them."""
+        return cls(model, ingest.build_histogram(paths, bin_width_km), HistoryIndex.build(paths),
+                   grid, alpha, k)
+
+    def answer(self, q: Query, force_future_to_current: bool = False) -> PredictionResult:
+        """predict_destination's result or, for a start with no candidate, the
+        cold-start answer: the fallback's top_k from the walked future cell, the
+        walk's cell, steps and no-match flag, 0.0 budget and estimate, cold_start set."""
+        try:
+            return predict_destination(self.model, q, self.hist, self.index, self.grid,
+                                       self.alpha, self.k, force_future_to_current)
+        except ColdStartError as exc:
+            future = exc.future
+            return PredictionResult(
+                ranked=exc.fallback[:q.top_k], future_location=future.cell,
+                predicted_length_km=0.0, estimated_total_km=0.0,
+                future_no_match=future.no_match, future_steps=future.steps, cold_start=True)
+
+    def first_order(self) -> "Predictor":
+        """This predictor over the first-order baseline: the model cut to
+        its shortest-route layer. Layer 0's entries read no detour layer,
+        so they are bitwise those of train_initial(sstp, counts, 0), and
+        this is that model without a second training. It shares the
+        layer's memory and the counts with `model`."""
+        m = self.model
+        return replace(self, model=replace(m, max_detour=0, layers=m.layers[:1],
+                                           totals=m.layers[0]))
 
 
 @dataclass

@@ -26,7 +26,8 @@ Two modes are provided. `exact` refreshes every entry a change can move.
 origin at its nearest changed cell and grows the beyond-rectangle border
 by border, one step per two units of detour, and the stored entries of
 the affected pairs outside it are saved before the pass and written back
-after, so it reports the exact pass's counts. In-region entries are the
+after, so it reports the exact pass's counts; only the affected pairs in
+the region add their totals again. In-region entries are the
 retrained values; an affected entry the region misses keeps its stale
 value, and a later `exact` refresh, which recomputes only what its own
 change can move, leaves it so: neither mode equals retraining after that.
@@ -273,16 +274,19 @@ def refresh_in_place(model: TransitionModel, cs: ChangeSet, mode: str = "exact")
     pairs = np.flatnonzero(first < n_layers)
     levels = first.reshape(-1)[pairs]
     rows = model.layers.reshape(n_layers, -1)
-    stale = pairs[:0]    # paper mode writes back the stored entries outside its region
+    # paper mode writes back the stored entries of the pairs outside its region
+    fresh, stale = pairs, pairs[:0]
     if mode == "paper":
-        stale = pairs[~_affected_mask_paper(changed, model.max_detour, model.g).reshape(-1)[pairs]]
+        inside = _affected_mask_paper(changed, model.max_detour, model.g).reshape(-1)[pairs]
+        fresh, stale = pairs[inside], pairs[~inside]
     stored = rows[:, stale]
     _ring_recursion(model.layers, sstp, pairs, levels)
     rows[:, stale] = stored
-    # an entry left or written back as stored adds to its stored total, bit for bit
+    # totals are added again at the pairs whose entries the pass wrote; a
+    # pair whose entries are as stored adds to its stored total bit for bit
     totals = model.totals.reshape(-1)
-    if pairs.size < PAIR_SUM_SHARE * n * n:
-        totals[pairs] = sum_layers(model.layers, pairs)
+    if fresh.size < PAIR_SUM_SHARE * n * n:
+        totals[fresh] = sum_layers(model.layers, fresh)
     else:
         sum_layers(model.layers, out=totals)
     model.epoch = cs.epoch

@@ -2,8 +2,11 @@ import dataclasses
 import gc
 import inspect
 import json
+import os
 import shlex
 import struct
+import subprocess
+import sys
 import weakref
 from array import array
 from pathlib import Path
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+import edp
 from edp import cli, ingest, predict
 from edp import model as model_module
 from edp.cli import main
@@ -325,9 +329,11 @@ class TestSettings:
         changed on its own would benchmark a setting the CLI does not ship."""
         def default(func, name):
             return inspect.signature(func).parameters[name].default
-        for func in (predict.predict_destination, predict.answer):
-            assert cli.SETTINGS["alpha"][1] == default(func, "alpha")
-            assert cli.SETTINGS["knn"][1] == default(func, "k")
+        served = {f.name: f.default for f in dataclasses.fields(predict.Predictor)}
+        for func in (predict.predict_destination, predict.Predictor.build):
+            assert cli.SETTINGS["alpha"][1] == default(func, "alpha") == served["alpha"]
+            assert cli.SETTINGS["knn"][1] == default(func, "k") == served["k"]
+        assert cli.SETTINGS["bin_width_km"][1] == default(predict.Predictor.build, "bin_width_km")
         assert cli.SETTINGS["max_detour"][1] == default(model_module.train_initial, "max_detour")
         assert cli.SETTINGS["bin_width_km"][1] == default(ingest.build_histogram, "bin_width_km")
         top_k = {f.name: f.default for f in dataclasses.fields(predict.Query)}["top_k"]
@@ -844,9 +850,7 @@ class TestPredict:
         still = ingest.parse_trajectories(queries, grid).trajectories[0]
         q = predict.Query([14], ingest.cell_path(still, grid).trip_km)
         assert q.d_t > 0
-        res = predict.answer(
-            load_model(model_path), q, ingest.build_histogram(history),
-            predict.HistoryIndex.build(history), grid, 0.004, 10)
+        res = predict.Predictor.build(load_model(model_path), history, grid).answer(q)
         assert rows[0] == cli._result_json("still", res)
 
     def test_one_point_query_answered(self, tmp_path, synthetic_csv):
@@ -870,9 +874,8 @@ class TestPredict:
 
         history = [ingest.discretize(t, grid)
                    for t in ingest.parse_trajectories(csv_path, grid).trajectories]
-        res = predict.answer(
-            load_model(model_path), predict.Query([14], 0.0), ingest.build_histogram(history),
-            predict.HistoryIndex.build(history), grid, 0.004, 10)
+        res = predict.Predictor.build(load_model(model_path), history, grid).answer(
+            predict.Query([14], 0.0))
         assert rows[0] == cli._result_json("lone", res)
 
     def test_cold_start_lines_report_the_walk(self, tmp_path):
@@ -1012,6 +1015,23 @@ class TestPredict:
                    "--grid", "6", "--unit-grid"])
         assert rc == 3
 
+    @pytest.mark.parametrize("rows", [[], ["lone,0,0,0.0045,0.0045"]],
+                             ids=["header only", "one-point trip"])
+    def test_history_without_usable_trips(self, tmp_path, synthetic_csv, capsys, rows):
+        """A history left with no trip after discretization exits 2 naming
+        the flag and the file, before the queries are read."""
+        csv_path, _ = synthetic_csv
+        model_path = train_model(tmp_path, synthetic_csv)
+        history = tmp_path / "history.csv"
+        history.write_text("\n".join(["trip_id,seq,timestamp,lat,lon", *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--history", str(history),
+                     "--queries", str(tmp_path / "none.csv"), "--unit-grid"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --history {history}: "
+                                "no usable trips after discretization\n")
+
 
 class TestEval:
     def test_completion_report(self, tmp_path, synthetic_csv, capsys):
@@ -1027,11 +1047,21 @@ class TestEval:
 
     @pytest.mark.parametrize("g,max_detour", [(6, 4), (11, 8)])
     def test_baseline_is_the_shortest_route_layer(self, g, max_detour):
+        """first_order() is the same predictor over the model trained with
+        max_detour 0, and shares layer 0's memory and the counts."""
         paths, _ = ingest.generate_synthetic(g, 200, seed=g, detour_rate=0.2, n_attractors=3)
         sstp = build_sstp(paths, g)
         counts = count_start_dest(paths)
-        reused = cli._shortest_route_model(train_initial(sstp, counts, max_detour))
-        assert reused.equals(train_initial(sstp, counts, 0))
+        model = train_initial(sstp, counts, max_detour)
+        served = predict.Predictor.build(model, paths, unit_grid(g), alpha=0.01, k=4)
+        baseline = served.first_order()
+        assert baseline.model.equals(train_initial(sstp, counts, 0))
+        assert np.shares_memory(baseline.model.layers, model.layers[0])
+        assert np.shares_memory(baseline.model.totals, model.layers[0])
+        assert baseline.model.start_counts is model.start_counts
+        assert all(getattr(baseline, f) is getattr(served, f) for f in ("hist", "index", "grid"))
+        assert (baseline.alpha, baseline.k) == (0.01, 4)
+        assert served.model is model and model.max_detour == max_detour
 
     def test_alpha_sweep(self, tmp_path, synthetic_csv, capsys):
         csv_path, _ = synthetic_csv
@@ -1039,8 +1069,9 @@ class TestEval:
                    "--completion", "0.5", "--max-detour", "0", "--seed", "1",
                    "--alpha-sweep", "0.001,0.004,0.1"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 4
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "alpha,completion,bucket,queries,edp_deviation_km"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.001", "0.004", "0.1"]
 
     def test_bad_completion(self, tmp_path, synthetic_csv):
         csv_path, _ = synthetic_csv
@@ -1254,3 +1285,25 @@ class TestCensus:
     def test_steps_default_to_twice_the_grid(self, capsys):
         assert main(["census", "--grid", "4"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 8
+
+
+class TestReaderLeaves:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_141_quietly(self, unbuffered):
+        """When the reader of stdout closes it after one line, as `head -1`
+        does, the command exits 141, as a shell reports for `cat` there,
+        and writes nothing to stderr, the flush at exit included. The
+        census is about 390 kB, more than a pipe holds, so the command is
+        still writing when the reader leaves."""
+        src = str(Path(edp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-c", "import sys; from edp.cli import main; sys.exit(main())",
+                "census", "--grid", "3", "--steps", "20000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"g,s,empirical,ratio\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        assert err == b""

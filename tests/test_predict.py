@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from edp import baseline, predict
+from edp import baseline, ingest, predict
 from edp.errors import ColdStartError
 from edp.grid import neighbors, unit_grid
 from edp.ingest import (CellPath, TripDistanceHistogram, build_histogram, generate_synthetic,
                         synthetic_grid)
 from edp.model import build_sstp, count_start_dest, train_initial
 from edp.update import ChangeSet, apply_update
-from edp.predict import (DistanceEstimate, FutureLocation, HistoryIndex, PredictionResult, Query,
-                         answer, deviation_metrics, estimate_total_distance,
+from edp.predict import (DistanceEstimate, FutureLocation, HistoryIndex, PredictionResult,
+                         Predictor, Query, deviation_metrics, estimate_total_distance,
                          infer_future_location, predict_destination, predicted_length)
 
 
@@ -693,7 +693,10 @@ class TestPredictDestination:
             predict_destination(model, Query(cells, 1.0), hist, index, unit_grid(6))
         assert model._candidates == {}
 
-    @pytest.mark.parametrize("ask", [predict_destination, answer])
+    @pytest.mark.parametrize("ask", [
+        predict_destination,
+        lambda model, q, hist, index, grid: Predictor(model, hist, index, grid).answer(q)],
+        ids=["predict_destination", "answer"])
     def test_walked_future_cell_outside_grid_rejected(self, ask):
         """A history path may hold cells the model's grid does not: the
         walk's future cell is refused naming it, not read out of bounds."""
@@ -711,7 +714,7 @@ def result_fields(res: PredictionResult):
 
 
 def reference_answer(model, q, hist, index, grid, force):
-    """(answer's result, None), or on a cold start (answer's result, the
+    """(Predictor.answer's result, None), or on a cold start (its result, the
     ColdStartError's fallback and walk), assembled from the public helpers
     and the scoring oracle, every field by keyword."""
     est = estimate_total_distance(hist, q.d_t)
@@ -731,10 +734,11 @@ def reference_answer(model, q, hist, index, grid, force):
 
 
 def check_against_reference(model, q, hist, index, grid, force) -> PredictionResult:
-    """answer, and predict_destination or its ColdStartError, equal the
-    reference in every field, floats bit for bit; returns the reference."""
+    """Predictor.answer, and predict_destination or its ColdStartError,
+    equal the reference in every field, floats bit for bit; returns the
+    reference."""
     want, cold = reference_answer(model, q, hist, index, grid, force)
-    got = answer(model, q, hist, index, grid, force_future_to_current=force)
+    got = Predictor(model, hist, index, grid).answer(q, force_future_to_current=force)
     assert result_fields(got) == result_fields(want)
     assert math.copysign(1.0, got.predicted_length_km) == 1.0
     if cold is None:
@@ -749,6 +753,42 @@ def check_against_reference(model, q, hist, index, grid, force) -> PredictionRes
     return want
 
 
+class TestPredictor:
+    def test_six_frozen_fields(self):
+        paths, grid, _, model, hist, index = tiny_world(n_trips=60)
+        served = Predictor.build(model, paths, grid)
+        assert [f.name for f in dataclasses.fields(Predictor)] == [
+            "model", "hist", "index", "grid", "alpha", "k"]
+        assert (served.model, served.grid, served.alpha, served.k) == (model, grid, 0.004, 10)
+        assert served.hist.bin_width_km == hist.bin_width_km
+        assert np.array_equal(served.hist.counts, hist.counts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            served.alpha = 0.1
+
+    def test_build_calls_the_builds_by_name(self, monkeypatch):
+        """A tracer that wraps ingest.build_histogram and HistoryIndex.build
+        by name, as perfbench's spans do, sees Predictor.build call each
+        once with the history and the bin width."""
+        paths, grid, _, model, _, _ = tiny_world(n_trips=60)
+        seen = []
+        hist_of, index_of = ingest.build_histogram, HistoryIndex.build
+
+        def traced_hist(history, bin_width_km):
+            seen.append(("hist", history, bin_width_km))
+            return hist_of(history, bin_width_km)
+
+        def traced_index(history):
+            seen.append(("index", history))
+            return index_of(history)
+        monkeypatch.setattr(ingest, "build_histogram", traced_hist)
+        monkeypatch.setattr(HistoryIndex, "build", staticmethod(traced_index))
+        served = Predictor.build(model, paths, grid, 2.0, 0.01, 3)
+        assert seen == [("hist", paths, 2.0), ("index", paths)]
+        assert served.hist.bin_width_km == 2.0
+        assert np.array_equal(served.hist.counts, build_histogram(paths, 2.0).counts)
+        assert (served.alpha, served.k) == (0.01, 3)
+
+
 class TestAnswer:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(3, 6), st.integers(5, 120), st.integers(0, 2**16),
@@ -760,7 +800,7 @@ class TestAnswer:
     def test_warm_equals_predict_cold_equals_fallback(self, g, n_trips, seed, detour_rate,
                                                       max_detour, force, top_k, d_t, drawn,
                                                       cuts):
-        """On small worlds, predict_destination and answer equal a reference
+        """On small worlds, predict_destination and Predictor.answer equal a reference
         built from the public helpers and the scoring oracle: a query whose
         start has candidates gets its ranking, budget, estimate and walk
         with cold_start unset; any other gets the fallback from the walked

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from edp import update
 from edp.errors import FormatError
 from edp.grid import decode_cell, l1_distance, neighbors, step_pairs
 from edp.model import (SSTPMatrix, TransitionModel, load_model, random_sstp, save_model,
-                       train_initial)
+                       sum_layers, train_initial)
 from edp.update import (ChangeSet, _affected_mask_paper, _first_affected_layer, apply_update,
                         load_changeset, refresh_in_place)
 
@@ -579,6 +580,31 @@ class TestApplyUpdatePaper:
         assert stats_p.entries_recomputed == stats_e.entries_recomputed
         assert stats_p.origins_recomputed == stats_e.origins_recomputed
         assert stats_e.entries_recomputed < stats_e.entries_full
+
+    @pytest.mark.parametrize("g,changed", [(8, [0]), (10, [0, 99]), (8, [27])])
+    def test_totals_added_again_only_inside_the_region(self, monkeypatch, g, changed):
+        """Paper mode adds totals again at the affected pairs inside its
+        region alone, and over the whole stack only when those are at least
+        PAIR_SUM_SHARE of all pairs. Every total is still the sum of its
+        layers, bit for bit."""
+        summed = []
+
+        def traced(layers, pairs=None, out=None):
+            summed.append(pairs)
+            return sum_layers(layers, pairs, out)
+        sstp = random_sstp(g, 5)
+        model = train_initial(sstp, None, 4)
+        refreshed = sstp.copy()
+        monkeypatch.setattr(update, "sum_layers", traced)
+        updated, _ = apply_update(model, refreshed, ChangeSet(1, skewed_rows(changed, g, 7)),
+                                  mode="paper")
+        first = _first_affected_layer(refreshed, changed, model.n_layers)
+        fresh = np.flatnonzero((first < model.n_layers) & paper_mask(changed, 4, g))
+        if fresh.size < update.PAIR_SUM_SHARE * g**4:
+            assert len(summed) == 1 and np.array_equal(summed[0], fresh)
+        else:
+            assert summed == [None]
+        assert updated.totals.tobytes() == sum_layers(updated.layers).tobytes()
 
 
 class TestChangeSetIO:
